@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Optional, Union
 
+from ..atomic import write_text_atomic
 from .ledger import TokenUsage
 from .provider import GenerationRequest, GenerationResponse, request_key
 
@@ -51,10 +51,7 @@ class ResponseCache:
             "input_tokens": response.usage.input_tokens,
             "output_tokens": response.usage.output_tokens,
         }
-        path = self._path(request)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+        write_text_atomic(self._path(request), json.dumps(record, ensure_ascii=False))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))

@@ -65,7 +65,6 @@ class LlmGateway:
         prompt_text: str,
         stage: Stage,
         temperature: Optional[float] = None,
-        extra_ledger: Optional[TokenLedger] = None,
     ) -> GenerationResponse:
         """Send one prompt; returns the response and books its usage by stage.
 
@@ -80,8 +79,6 @@ class LlmGateway:
                 return hit
         response = self._generate_with_retries(request)
         self.ledger.record(stage, response.usage)
-        if extra_ledger is not None:
-            extra_ledger.record(stage, response.usage)
         if self.cache is not None:
             self.cache.put(request, response)
         return response

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Optional, Protocol, Union
 
 import requests
 
+from ..atomic import write_text_atomic
 from ..errors import FixtureMissError, ProviderError, RetryableProviderError
 from .ledger import TokenUsage
 
@@ -74,12 +74,6 @@ class _CallCounting:
             return self._call_count
 
 
-def _atomic_write(path: Path, payload: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 class FixtureProvider(_CallCounting):
     """Replays recorded responses from a directory of per-request records.
 
@@ -136,7 +130,7 @@ class RecordingProvider(_CallCounting):
             "input_tokens": response.usage.input_tokens,
             "output_tokens": response.usage.output_tokens,
         }
-        _atomic_write(path, json.dumps(record, ensure_ascii=False, indent=2))
+        write_text_atomic(path, json.dumps(record, ensure_ascii=False, indent=2))
         return response
 
 

@@ -7,6 +7,7 @@ already have a record, so an interrupted batch resumes where it stopped.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -18,13 +19,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .adapters import ClassifierAdapter, HttpAdapterClient, LineAdapterClient, StubAdapter
-from .errors import ClaimGraphError, ConfigError
-from .evaluation import ClaimOutcome, EvaluationReport, evaluate_run
+from .atomic import write_text_atomic
+from .errors import ClaimGraphError, ConfigError, JudgeFailureError
+from .evaluation import ClaimOutcome, EvaluationReport, evaluate_run, judge_explanation
 from .explain import (
-    CompetingExplanations,
     generate_background,
     generate_competing_pair,
     generate_lone_analysis,
@@ -44,7 +45,6 @@ from .gateway import (
 from .gateway.scripted import ScriptedResponder
 from .graphs import (
     ClaimCenteredGraph,
-    HyperGraph,
     assemble_claim_graph,
     decompose_claim,
     generate_edges,
@@ -73,7 +73,6 @@ from .retrieval import (
     retrieve_top_k,
 )
 from .summarize import (
-    ExplanationGraph,
     build_explanation_graph,
     export_structured,
     judge_payload,
@@ -236,7 +235,6 @@ def build_runtime(
     config: PipelineConfig,
     run_dir: Optional[Union[str, Path]] = None,
     provider=None,
-    ledger: Optional[TokenLedger] = None,
 ) -> PipelineRuntime:
     """Wire up gateway, embedder, and adapter from config.
 
@@ -249,7 +247,6 @@ def build_runtime(
         cache = ResponseCache(Path(run_dir) / "cache")
     gateway = LlmGateway(
         provider if provider is not None else _build_provider(config),
-        ledger=ledger,
         cache=cache,
         model_id=config.model_id,
         generation_temperature=config.generation_temperature,
@@ -265,21 +262,16 @@ def build_runtime(
     )
 
 
-class _ClaimGateway:
-    """Forwards to the shared gateway while mirroring usage into a per-claim ledger."""
-
-    def __init__(self, inner: LlmGateway, claim_ledger: TokenLedger) -> None:
-        self._inner = inner
-        self._claim_ledger = claim_ledger
-
-    def complete(self, prompt_text: str, stage: Stage, temperature: Optional[float] = None):
-        return self._inner.complete(
-            prompt_text, stage, temperature, extra_ledger=self._claim_ledger
-        )
-
-
 @dataclass
 class RunRecord:
+    """Everything one claim's run produced.
+
+    ``failure["stage"]``, when set, is always the last entry of
+    ``stage_trace``: the stage that was running, or the last one entered,
+    when the claim failed. ``stage_usage`` counts provider calls only; cache
+    hits cost nothing and are not counted.
+    """
+
     claim_id: str
     claim: str
     scheme: str
@@ -316,7 +308,8 @@ class RunRecord:
 
 
 @contextmanager
-def _timed(record: RunRecord, name: str):
+def _stage(record: RunRecord, name: str):
+    """Enter a stage: trace it and add its wall time to ``durations``."""
     record.stage_trace.append(name)
     started = time.perf_counter()
     try:
@@ -326,179 +319,131 @@ def _timed(record: RunRecord, name: str):
         record.durations[name] = record.durations.get(name, 0.0) + elapsed
 
 
-def _empty_evidence(index: int, k: int) -> EvidenceSet:
-    return EvidenceSet(index, (), k)
-
-
-def _generate_entry(
-    gw: _ClaimGateway,
-    config: PipelineConfig,
-    index: int,
-    text: str,
-    evidence: EvidenceSet,
-) -> CompetingExplanations:
-    if config.ablated("no_competing"):
-        return generate_lone_analysis(gw, index, text, evidence)
-    return generate_competing_pair(gw, index, text, evidence)
-
-
-def _predict(
-    runtime: PipelineRuntime, gw: _ClaimGateway, record: RunRecord, prompt: str
-) -> VeracityLabel:
-    config = runtime.config
-    with _timed(record, "inference"):
-        if config.inference_path == EXTERNAL_ADAPTER:
-            result = predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
-        else:
-            result = predict_zero_shot(gw, prompt, runtime.scheme)
-    record.prediction = {
-        "label": result.label.identifier,
-        "source": result.source,
-        "probabilities": list(result.probabilities) if result.probabilities else None,
-    }
-    return result.label
-
-
-def _run_claim_only(
-    runtime: PipelineRuntime,
-    gw: _ClaimGateway,
-    record: RunRecord,
-    claim_record: ClaimRecord,
-) -> None:
-    """Degenerate path without decomposition: one node, claim-level evidence."""
-    config = runtime.config
-    if config.ablated("no_evidence"):
-        evidence = _empty_evidence(0, config.k)
-    else:
-        with _timed(record, "evidence_retrieval"):
-            index = build_corpus_index(build_corpus(claim_record), runtime.embedder)
-            evidence = retrieve_top_k(
-                0, claim_record.claim, index, runtime.embedder, config.k
-            )
-    record.evidence = [evidence.to_dict()]
-    with _timed(record, "explanation_generation"):
-        entry = _generate_entry(gw, config, 0, claim_record.claim, evidence)
-    record.explanations = [entry.to_dict()]
-    prompt = build_claim_only_prompt(claim_record.claim, entry, runtime.scheme)
-    label = _predict(runtime, gw, record, prompt)
-    # No summarization stage here: the explanation consistent with the
-    # predicted label is selected directly.
-    record.summary = entry.oriented(label_to_score(label) >= 2.5)
-
-
 def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     """Process one claim through every configured stage.
 
-    Domain failures (provider exhaustion, unusable decompositions, ...) are
-    captured on the record under ``failure`` instead of raising, so a batch
-    always produces one record per claim.
+    Every failure, domain or not, is captured on the record under ``failure``
+    and charged to the last stage entered, so a batch always produces one
+    record per claim. Without sub-claims the claim itself is the only node:
+    it gets claim-level evidence and explanations, a single-node inference
+    prompt, and the explanation matching the label as its summary.
     """
     config = runtime.config
-    claim_ledger = TokenLedger()
-    gw = _ClaimGateway(runtime.gateway, claim_ledger)
+    # Shares provider, cache, in-flight cap and retry policy with the run;
+    # only the ledger is this claim's own.
+    gw = copy.copy(runtime.gateway)
+    gw.ledger = TokenLedger()
+    claim = claim_record.claim
     record = RunRecord(
         claim_id=claim_record.claim_id,
-        claim=claim_record.claim,
+        claim=claim,
         scheme=config.scheme_name,
         config_hash=config.config_hash(),
         gold_label=claim_record.gold_label.identifier if claim_record.gold_label else None,
     )
-    stage_name = "setup"
+    include_structure = not config.ablated("no_edges")
+    structure_text: Optional[str] = None
+    graph: Optional[ClaimCenteredGraph] = None
     try:
         if config.ablated("no_subclaims"):
-            stage_name = "claim_only"
-            _run_claim_only(runtime, gw, record, claim_record)
+            nodes = [(0, claim)]
         else:
-            stage_name = "claim_decomposition"
             template = (
                 TemplateId.DECOMPOSE_PLUS
                 if config.decomposition == ENHANCED
                 else TemplateId.DECOMPOSE
             )
-            with _timed(record, "claim_decomposition"):
-                sub_claims = decompose_claim(gw, claim_record.claim, template)
+            with _stage(record, "claim_decomposition"):
+                sub_claims = decompose_claim(gw, claim, template)
             record.sub_claims = list(sub_claims)
             record.n = len(sub_claims)
 
-            graph: ClaimCenteredGraph
-            hyper: Optional[HyperGraph] = None
-            structure_text: Optional[str] = None
-            if config.ablated("no_edges"):
-                stage_name = "graph_assembly"
-                graph = assemble_claim_graph(claim_record.claim, sub_claims, set())
-            elif config.graph_structure == HYPERGRAPH:
-                stage_name = "hyperedge_generation"
-                with _timed(record, "hyperedge_generation"):
-                    hyper, warnings = generate_hyperedges(gw, claim_record.claim, sub_claims)
+            llm_edges: Set[Tuple[int, int]] = set()
+            if include_structure and config.graph_structure == HYPERGRAPH:
+                with _stage(record, "hyperedge_generation"):
+                    hyper, warnings = generate_hyperedges(gw, claim, sub_claims)
                 record.warnings.extend(warnings)
                 record.hypergraph = {
                     "hyperedges": [list(h) for h in hyper.hyperedges],
                     "provenance": list(hyper.provenance),
                 }
-                graph = assemble_claim_graph(claim_record.claim, sub_claims, set())
                 structure_text = hypergraph_to_seq(hyper)
-            else:
-                stage_name = "edge_generation"
-                with _timed(record, "edge_generation"):
-                    llm_edges, warnings = generate_edges(gw, claim_record.claim, sub_claims)
+            elif include_structure:
+                with _stage(record, "edge_generation"):
+                    llm_edges, warnings = generate_edges(gw, claim, sub_claims)
                 record.warnings.extend(warnings)
-                graph = assemble_claim_graph(claim_record.claim, sub_claims, llm_edges)
+            graph = assemble_claim_graph(claim, sub_claims, llm_edges)
+            if include_structure and config.graph_structure == DEPENDENCY:
                 structure_text = graph_to_seq(graph)
             record.graph = graph.to_dict()
             record.structure_text = structure_text
+            nodes = list(enumerate(graph.sub_claims, start=1))
 
-            stage_name = "evidence_retrieval"
-            evidence_sets: List[EvidenceSet] = []
-            corpus_index: Optional[CorpusIndex] = None
-            if config.ablated("no_evidence"):
+        corpus_index: Optional[CorpusIndex] = None
+        if config.ablated("no_evidence"):
+            evidence_sets = [EvidenceSet(i, (), config.k) for i, _text in nodes]
+        else:
+            with _stage(record, "evidence_retrieval"):
+                corpus_index = build_corpus_index(
+                    build_corpus(claim_record), runtime.embedder
+                )
                 evidence_sets = [
-                    _empty_evidence(i, config.k) for i in range(1, graph.n + 1)
+                    retrieve_top_k(i, text, corpus_index, runtime.embedder, config.k)
+                    for i, text in nodes
                 ]
+        record.evidence = [e.to_dict() for e in evidence_sets]
+
+        explain_node = (
+            generate_lone_analysis
+            if config.ablated("no_competing")
+            else generate_competing_pair
+        )
+        with _stage(record, "explanation_generation"):
+            entries = [
+                explain_node(gw, i, text, evidence)
+                for (i, text), evidence in zip(nodes, evidence_sets)
+            ]
+        # Background only feeds the graph prompts: the single-node prompt
+        # has no slot for it.
+        if config.with_background and graph is not None:
+            with _stage(record, "background_generation"):
+                for position, (i, text) in enumerate(nodes):
+                    background, _pool = generate_background(
+                        gw,
+                        i,
+                        text,
+                        corpus_index,
+                        runtime.embedder,
+                        config.background_pool_size,
+                    )
+                    entries[position] = replace(entries[position], background=background)
+        record.explanations = [e.to_dict() for e in entries]
+
+        with _stage(record, "inference"):
+            if graph is None:
+                prompt = build_claim_only_prompt(claim, entries[0], runtime.scheme)
             else:
-                with _timed(record, "evidence_retrieval"):
-                    corpus_index = build_corpus_index(
-                        build_corpus(claim_record), runtime.embedder
-                    )
-                    for i, text in enumerate(graph.sub_claims, start=1):
-                        evidence_sets.append(
-                            retrieve_top_k(i, text, corpus_index, runtime.embedder, config.k)
-                        )
-            record.evidence = [e.to_dict() for e in evidence_sets]
+                defense = DefenseGraph(graph, tuple(entries)).validate()
+                prompt = build_inference_prompt(
+                    defense, runtime.scheme, include_structure, structure_text
+                )
+            if config.inference_path == EXTERNAL_ADAPTER:
+                result = predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
+            else:
+                result = predict_zero_shot(gw, prompt, runtime.scheme)
+        label = result.label
+        record.prediction = {
+            "label": label.identifier,
+            "source": result.source,
+            "probabilities": list(result.probabilities) if result.probabilities else None,
+        }
 
-            stage_name = "explanation_generation"
-            entries: List[CompetingExplanations] = []
-            with _timed(record, "explanation_generation"):
-                for i, text in enumerate(graph.sub_claims, start=1):
-                    entries.append(
-                        _generate_entry(gw, config, i, text, evidence_sets[i - 1])
-                    )
-            if config.with_background:
-                stage_name = "background_generation"
-                with _timed(record, "background_generation"):
-                    refreshed = []
-                    for i, text in enumerate(graph.sub_claims, start=1):
-                        background, _pool = generate_background(
-                            gw,
-                            i,
-                            text,
-                            corpus_index,
-                            runtime.embedder,
-                            config.background_pool_size,
-                        )
-                        refreshed.append(replace(entries[i - 1], background=background))
-                    entries = refreshed
-            record.explanations = [e.to_dict() for e in entries]
-
-            stage_name = "inference"
-            defense = DefenseGraph(graph, tuple(entries)).validate()
-            include_structure = not config.ablated("no_edges")
-            prompt = build_inference_prompt(
-                defense, runtime.scheme, include_structure, structure_text
-            )
-            label = _predict(runtime, gw, record, prompt)
-
-            stage_name = "final_explanation_generation"
-            with _timed(record, "final_explanation_generation"):
+        if graph is None:
+            # No summarization stage: the explanation consistent with the
+            # predicted label is selected directly.
+            record.summary = entries[0].oriented(label_to_score(label) >= 2.5)
+        else:
+            with _stage(record, "final_explanation_generation"):
                 outcome = summarize_explanations(
                     gw, defense, label, include_structure, structure_text
                 )
@@ -510,7 +455,14 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             )
             record.explanation_graph = export_structured(explanation_graph)
     except ClaimGraphError as exc:
-        record.failure = {"stage": stage_name, "message": str(exc)}
+        record.failure = {"stage": record.stage_trace[-1], "message": str(exc)}
+    except Exception as exc:
+        # Not a domain failure (a bug, a provider client's own exception):
+        # keep the type so the cause can be told apart.
+        record.failure = {
+            "stage": record.stage_trace[-1],
+            "message": f"{type(exc).__name__}: {exc}",
+        }
     record.stage_usage = {
         stage.value: {
             "input_tokens": totals.usage.input_tokens,
@@ -518,7 +470,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             "calls": totals.calls,
         }
         for stage, totals in sorted(
-            claim_ledger.snapshot().items(), key=lambda kv: kv[0].value
+            gw.ledger.snapshot().items(), key=lambda kv: kv[0].value
         )
     }
     return record
@@ -534,11 +486,7 @@ def _write_record(run_dir: Path, record: RunRecord) -> Path:
     runs_dir = run_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     path = runs_dir / _record_filename(record.claim_id)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(record.to_dict(), ensure_ascii=False, indent=2), encoding="utf-8"
-    )
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(record.to_dict(), ensure_ascii=False, indent=2))
     return path
 
 
@@ -647,16 +595,23 @@ def outcomes_from_records(
     return outcomes
 
 
+def _write_report(
+    run_dir: Path, outcomes: Sequence[ClaimOutcome], scheme: VeracityScheme
+) -> EvaluationReport:
+    report = evaluate_run(outcomes, scheme)
+    (run_dir / "report.json").write_text(
+        json.dumps(report.to_dict(), ensure_ascii=False, indent=2), encoding="utf-8"
+    )
+    return report
+
+
 def write_reports(run_dir: Path, config: PipelineConfig) -> Optional[EvaluationReport]:
     """Recompute report.json and cost.json from the records on disk."""
     records = load_run_records(run_dir)
     report = None
     outcomes = outcomes_from_records(records, config.scheme)
     if outcomes:
-        report = evaluate_run(outcomes, config.scheme)
-        (run_dir / "report.json").write_text(
-            json.dumps(report.to_dict(), ensure_ascii=False, indent=2), encoding="utf-8"
-        )
+        report = _write_report(run_dir, outcomes, config.scheme)
     cost = cost_report(run_dir, config)
     (run_dir / "cost.json").write_text(
         json.dumps(cost.to_dict(), ensure_ascii=False, indent=2), encoding="utf-8"
@@ -813,48 +768,19 @@ def judge_run(
     run_dir: Union[str, Path], config: PipelineConfig, provider=None
 ) -> EvaluationReport:
     """Judge every successful claim's final explanation and rebuild the report."""
-    from .evaluation import judge_explanation
-    from .errors import JudgeFailureError
-
     run_dir = Path(run_dir)
-    records = load_run_records(run_dir)
-    runtime = build_runtime(config, run_dir, provider=provider)
-    scheme = config.scheme
+    records = [r for r in load_run_records(run_dir) if r.gold_label is not None]
+    gateway = build_runtime(config, run_dir, provider=provider).gateway
     outcomes = []
-    for record in records:
-        if record.gold_label is None:
-            continue
-        gold = VeracityLabel.from_identifier(scheme, record.gold_label)
-        predicted = None
-        failure_stage = None
-        judge_scores = None
-        judge_failed = False
-        if record.succeeded:
-            predicted = VeracityLabel.from_identifier(scheme, record.prediction["label"])
-            explanation = record.summary or ""
-            if record.explanation_graph:
-                explanation = judge_payload(parse_structured(record.explanation_graph))
-            if explanation:
-                try:
-                    judge_scores = judge_explanation(
-                        runtime.gateway, record.claim, gold, explanation
-                    )
-                except JudgeFailureError:
-                    judge_failed = True
-        else:
-            failure_stage = (record.failure or {}).get("stage", "unknown")
-        outcomes.append(
-            ClaimOutcome(
-                claim_id=record.claim_id,
-                gold=gold,
-                predicted=predicted,
-                failure_stage=failure_stage,
-                judge=judge_scores,
-                judge_failed=judge_failed,
-            )
-        )
-    report = evaluate_run(outcomes, scheme)
-    (run_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, indent=2), encoding="utf-8"
-    )
-    return report
+    for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
+        explanation = record.summary or ""
+        if record.succeeded and record.explanation_graph:
+            explanation = judge_payload(parse_structured(record.explanation_graph))
+        if record.succeeded and explanation:
+            try:
+                scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)
+                outcome = replace(outcome, judge=scores)
+            except JudgeFailureError:
+                outcome = replace(outcome, judge_failed=True)
+        outcomes.append(outcome)
+    return _write_report(run_dir, outcomes, config.scheme)

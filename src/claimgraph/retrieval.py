@@ -209,15 +209,6 @@ class RemoteEncoderClient:
         return self.embed_batch([text])[0]
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0.0 for a zero-norm operand (degenerate case)."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 @dataclass(frozen=True)
 class CorpusIndex:
     """A claim's candidate sentences with their embeddings, computed once."""

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -6,15 +8,18 @@ from click.testing import CliRunner
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError, ProviderUnavailableError
 from claimgraph.gateway import FixtureProvider
+from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.pipeline import (
     PipelineConfig,
     RunRecord,
     build_runtime,
     cost_report,
+    judge_run,
     load_run_config,
     load_run_records,
     run_batch,
     run_claim,
+    write_reports,
 )
 
 STANDARD_TRACE = [
@@ -165,6 +170,96 @@ def test_failures_are_recorded_not_raised(two_records, tmp_path):
     assert result.processed == 2
     assert result.report.failure_count == 2
     assert result.report.failures_by_stage == {"claim_decomposition": 2}
+
+
+TRANSCRIPTIONS = Path(__file__).parent / "data" / "prompt_transcriptions"
+
+
+def prompt_marker(template: str) -> str:
+    """The fixed opening of a frozen prompt: its first line up to the first slot."""
+    first_line = (TRANSCRIPTIONS / f"{template}.txt").read_text(encoding="utf-8")
+    return first_line.splitlines()[0].split("{{")[0]
+
+
+class RefusingProvider:
+    """Scripted replies, except that prompts matching ``refuse`` raise ``error``."""
+
+    def __init__(self, refuse, error: Exception):
+        self.inner = ScriptedResponder(seed=0)
+        self.refuse = refuse
+        self.error = error
+
+    def generate(self, request):
+        if self.refuse(request.prompt_text):
+            raise self.error
+        return self.inner.generate(request)
+
+
+@pytest.mark.parametrize(
+    "ablations, template, stage",
+    [
+        ((), "decompose", "claim_decomposition"),
+        ((), "edges", "edge_generation"),
+        ((), "rationale", "explanation_generation"),
+        ((), "inference", "inference"),
+        ((), "summarize", "final_explanation_generation"),
+        (("no_subclaims",), "rationale", "explanation_generation"),
+        (("no_subclaims",), "inference", "inference"),
+    ],
+    ids=lambda value: ("-".join(value) or "full") if isinstance(value, tuple) else value,
+)
+def test_failure_is_charged_to_the_running_stage(two_records, ablations, template, stage):
+    marker = prompt_marker(template)
+    provider = RefusingProvider(
+        lambda prompt: prompt.startswith(marker), ProviderUnavailableError("refused")
+    )
+    runtime = build_runtime(PipelineConfig(ablations=ablations), provider=provider)
+    record = run_claim(runtime, two_records[0])
+    assert not record.succeeded
+    assert record.failure == {"stage": stage, "message": "refused"}
+    assert record.failure["stage"] == record.stage_trace[-1] == stage
+
+
+def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_path):
+    victim = two_records[1]
+    provider = RefusingProvider(lambda prompt: victim.claim in prompt, RuntimeError("client bug"))
+    result = run_batch(two_records, PipelineConfig(), tmp_path / "run", provider=provider)
+    assert result.processed == 2
+    records = {r.claim_id: r for r in load_run_records(tmp_path / "run")}
+    assert set(records) == {r.claim_id for r in two_records}
+    assert records[two_records[0].claim_id].succeeded
+    assert records[victim.claim_id].failure == {
+        "stage": "claim_decomposition",
+        "message": "RuntimeError: client bug",
+    }
+    assert result.report.failures_by_stage == {"claim_decomposition": 1}
+
+
+def test_judge_run_scores_every_succeeded_claim(workspace, tmp_path):
+    run_dir = tmp_path / "judged"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    plain = write_reports(run_dir, workspace.config)
+    report = judge_run(run_dir, workspace.config, provider=ScriptedResponder(seed=0))
+
+    succeeded = [r for r in load_run_records(run_dir) if r.succeeded]
+    assert succeeded
+    assert report.judged_count == len(succeeded) == report.success_count
+    assert report.judge_failure_count == 0
+    assert set(report.judge_means) == {
+        "misleadingness", "informativeness", "soundness", "readability"
+    }
+    assert all(1 <= mean <= 5 for mean in report.judge_means.values())
+    judge_fields = ("judge_means", "judged", "judge_failures")
+    unjudged = {k: v for k, v in report.to_dict().items() if k not in judge_fields}
+    assert unjudged == {k: v for k, v in plain.to_dict().items() if k not in judge_fields}
+    on_disk = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert on_disk == report.to_dict()
+
+    # The CLI replays the judge replies from the run's cache: the recorded
+    # fixtures hold no judge prompts, so a provider call would fail loudly.
+    result = CliRunner().invoke(cli_main, ["evaluate", "--run-dir", str(run_dir), "--judge"])
+    assert result.exit_code == 0, result.output
+    assert json.loads((run_dir / "report.json").read_text(encoding="utf-8")) == on_disk
 
 
 def test_resume_spends_no_provider_calls(workspace):

@@ -11,7 +11,6 @@ from claimgraph.retrieval import (
     HashingBagOfWordsEmbedder,
     build_corpus,
     build_corpus_index,
-    cosine,
     retrieve_top_k,
     split_report_sentences,
 )
@@ -68,11 +67,6 @@ def test_embedder_empty_text_is_zero_vector():
     emb = HashingBagOfWordsEmbedder(dimension=8)
     assert not emb.embed("").any()
     assert emb.embed_batch([]).shape == (0, 8)
-
-
-def test_cosine_zero_norm_is_zero():
-    assert cosine(np.zeros(4), np.ones(4)) == 0.0
-    assert cosine(np.ones(4), np.ones(4)) == pytest.approx(1.0)
 
 
 def make_index(sentences_by_report, embedder):
