@@ -4,14 +4,17 @@ fixtures, produced by running the batch once against the scripted responder.
 
 The output root ends up with three siblings:
   data/               manifest.json + claims.jsonl
-  provider_fixtures/  one JSON file per unique provider exchange
-  recorded_run/       the run directory that produced the fixtures
+  recorded_run/       the run directory; its cache/ holds one JSON file per
+                      unique provider exchange
+  provider_fixtures/  a copy of recorded_run/cache, replayed by the
+                      "fixture" provider type
 """
 import argparse
+import shutil
 from pathlib import Path
 
 from claimgraph.fixtures import build_fixture_dataset
-from claimgraph.gateway import RecordingProvider, fixture_totals
+from claimgraph.gateway import ResponseCache, fixture_totals
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.ingest import load_manifest, load_records
 from claimgraph.labels import scheme_by_name
@@ -37,15 +40,17 @@ def main() -> None:
     assert not rejects, rejects
 
     fixture_dir = args.out / "provider_fixtures"
-    recorder = RecordingProvider(ScriptedResponder(seed=0), fixture_dir)
     config = PipelineConfig(
         scheme_name=args.scheme, provider={"type": "fixture", "path": str(fixture_dir)}
     )
-    result = run_batch(records, config, args.out / "recorded_run", provider=recorder)
+    result = run_batch(
+        records, config, args.out / "recorded_run", provider=ScriptedResponder(seed=0)
+    )
+    shutil.copytree(result.run_dir / "cache", fixture_dir, dirs_exist_ok=True)
 
     totals = fixture_totals(fixture_dir)
     print(f"dataset:   {manifest_path}")
-    print(f"fixtures:  {fixture_dir} ({recorder.call_count} exchanges recorded)")
+    print(f"fixtures:  {fixture_dir} ({len(ResponseCache(fixture_dir))} exchanges recorded)")
     print(f"run dir:   {result.run_dir} ({result.processed} claims)")
     print(f"tokens:    in {totals.input_tokens}  out {totals.output_tokens}")
     if result.report is not None:

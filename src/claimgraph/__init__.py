@@ -18,7 +18,6 @@ from .gateway import (
     FixtureProvider,
     LlmGateway,
     Pricing,
-    RecordingProvider,
     Stage,
     TokenLedger,
     TokenUsage,
@@ -74,7 +73,6 @@ __all__ = [
     "PipelineConfig",
     "Pricing",
     "ProviderError",
-    "RecordingProvider",
     "Report",
     "RunRecord",
     "SIX_WAY",

@@ -17,8 +17,6 @@ import requests
 
 from .errors import AdapterContractError
 
-ADAPTER_CONTRACT_VERSION = 1
-
 PROBABILITY_SUM_TOLERANCE = 1e-6
 
 

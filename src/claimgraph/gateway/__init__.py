@@ -7,12 +7,9 @@ from .provider import (
     GenerationResponse,
     request_key,
     HttpProvider,
-    FixtureProvider,
-    RecordingProvider,
     count_tokens,
-    fixture_totals,
 )
-from .cache import ResponseCache
+from .cache import FixtureProvider, ResponseCache, fixture_totals
 from .gateway import LlmGateway
 
 __all__ = [
@@ -31,7 +28,6 @@ __all__ = [
     "request_key",
     "HttpProvider",
     "FixtureProvider",
-    "RecordingProvider",
     "count_tokens",
     "fixture_totals",
     "ResponseCache",

@@ -1,13 +1,36 @@
-"""Content-addressed on-disk cache for generation responses."""
+"""The one content-addressed response store: cache, fixture replay, totals.
+
+A store is a directory of ``<request_key>.json`` records, each holding
+``model_id``, ``temperature``, ``text``, ``input_tokens`` and
+``output_tokens`` (extra fields are ignored). The gateway writes every
+provider reply into its run directory's ``cache/``; a copy of that directory
+is a fixture set that ``FixtureProvider`` replays.
+"""
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Optional, Union
 
 from ..atomic import write_text_atomic
+from ..errors import FixtureMissError, ProviderError
 from .ledger import TokenUsage
 from .provider import GenerationRequest, GenerationResponse, request_key
+
+# What reading an unusable record raises: bad JSON or encoding, a missing or
+# mistyped field, a negative count, an unreadable file.
+_UNUSABLE = (ValueError, TypeError, KeyError, OSError)
+
+
+def _load(path: Path, cached: bool = False) -> GenerationResponse:
+    """Parse one stored record; raises one of ``_UNUSABLE`` if it is not usable."""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    text = record["text"]
+    if not isinstance(text, str):
+        raise TypeError("text field is not a string")
+    usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
+    return GenerationResponse(text=text, usage=usage, cached=cached)
 
 
 class ResponseCache:
@@ -29,19 +52,14 @@ class ResponseCache:
         if not path.exists():
             return None
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            text = record["text"]
-            usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
-            if not isinstance(text, str):
-                raise TypeError("text field is not a string")
-        except (ValueError, TypeError, KeyError, OSError):
+            return _load(path, cached=True)
+        except _UNUSABLE:
             # Evict and treat as a miss.
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        return GenerationResponse(text=text, usage=usage, cached=True)
 
     def put(self, request: GenerationRequest, response: GenerationResponse) -> None:
         record = {
@@ -55,3 +73,40 @@ class ResponseCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
+
+
+class FixtureProvider:
+    """Strict replay over a store, typically a copy of a recorded run's cache.
+
+    Unknown requests raise FixtureMissError; nothing is fabricated. An
+    unusable record raises ProviderError naming the file and stays on disk.
+    ``call_count`` counts every ``generate`` call, hit or miss.
+    """
+
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
+        self.call_count = 0
+        self._count_lock = threading.Lock()
+
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        with self._count_lock:
+            self.call_count += 1
+        key = request_key(request)
+        path = self.root / f"{key}.json"
+        try:
+            return _load(path)
+        except FileNotFoundError:
+            raise FixtureMissError(
+                f"no recorded response for request {key} "
+                f"(prompt starts {request.prompt_text[:60]!r})"
+            ) from None
+        except _UNUSABLE as exc:
+            raise ProviderError(f"unusable fixture record {path}: {exc}") from exc
+
+
+def fixture_totals(root: Union[str, Path]) -> TokenUsage:
+    """Sum the token counts over every record in a store directory."""
+    total = TokenUsage()
+    for path in sorted(Path(root).glob("*.json")):
+        total = total + _load(path).usage
+    return total

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .adapters import ClassifierAdapter, HttpAdapterClient, LineAdapterClient, StubAdapter
 from .atomic import write_text_atomic
-from .errors import ClaimGraphError, ConfigError, JudgeFailureError
+from .errors import ClaimGraphError, ConfigError, JudgeFailureError, ProviderError
 from .evaluation import ClaimOutcome, EvaluationReport, evaluate_run, judge_explanation
 from .explain import (
     generate_background,
@@ -134,6 +134,9 @@ class PipelineConfig:
             raise ConfigError("k must be at least 1")
         if self.with_background and "no_evidence" in self.ablations:
             raise ConfigError("background generation needs evidence retrieval")
+        if self.with_background and "no_subclaims" in self.ablations:
+            # The single-node inference prompt has no slot for background.
+            raise ConfigError("background generation needs sub-claims")
         # Disabling inference training forces the prompt-only path.
         if "no_inference_training" in self.ablations and self.inference_path != ZERO_SHOT:
             object.__setattr__(self, "inference_path", ZERO_SHOT)
@@ -403,9 +406,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 explain_node(gw, i, text, evidence)
                 for (i, text), evidence in zip(nodes, evidence_sets)
             ]
-        # Background only feeds the graph prompts: the single-node prompt
-        # has no slot for it.
-        if config.with_background and graph is not None:
+        if config.with_background:
             with _stage(record, "background_generation"):
                 for position, (i, text) in enumerate(nodes):
                     background, _pool = generate_background(
@@ -767,7 +768,11 @@ def cost_report(run_dir: Union[str, Path], config: PipelineConfig) -> CostReport
 def judge_run(
     run_dir: Union[str, Path], config: PipelineConfig, provider=None
 ) -> EvaluationReport:
-    """Judge every successful claim's final explanation and rebuild the report."""
+    """Judge every successful claim's final explanation and rebuild the report.
+
+    A claim whose judge reply stays out of contract, or whose judge call
+    fails at the provider, is counted under ``judge_failures``.
+    """
     run_dir = Path(run_dir)
     records = [r for r in load_run_records(run_dir) if r.gold_label is not None]
     gateway = build_runtime(config, run_dir, provider=provider).gateway
@@ -780,7 +785,7 @@ def judge_run(
             try:
                 scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)
                 outcome = replace(outcome, judge=scores)
-            except JudgeFailureError:
+            except (JudgeFailureError, ProviderError):
                 outcome = replace(outcome, judge_failed=True)
         outcomes.append(outcome)
     return _write_report(run_dir, outcomes, config.scheme)

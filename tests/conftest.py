@@ -1,10 +1,11 @@
 """Shared fixtures: a synthetic dataset and a recorded offline batch.
 
 The session-scoped workspace runs the ten-claim batch once against the
-scripted responder while recording every provider exchange to disk. Tests
-that need end-to-end artifacts replay those recordings through the fixture
-provider instead of paying for another full run.
+scripted responder; the run's response cache, copied, is the fixture set.
+Tests that need end-to-end artifacts replay those recordings through the
+fixture provider instead of paying for another full run.
 """
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +14,6 @@ from typing import List
 import pytest
 
 from claimgraph.fixtures import build_fixture_dataset
-from claimgraph.gateway import RecordingProvider
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.ingest import DatasetManifest, load_manifest, load_records
 from claimgraph.pipeline import BatchResult, PipelineConfig, run_batch
@@ -40,11 +40,11 @@ def workspace(tmp_path_factory) -> Workspace:
     records, rejects = load_records(manifest)
     assert not rejects, rejects
     fixture_dir = root / "provider_fixtures"
-    recorder = RecordingProvider(ScriptedResponder(seed=0), fixture_dir)
     config = PipelineConfig(provider={"type": "fixture", "path": str(fixture_dir)})
     recorded_run_dir = root / "recorded_run"
-    result = run_batch(records, config, recorded_run_dir, provider=recorder)
+    result = run_batch(records, config, recorded_run_dir, provider=ScriptedResponder(seed=0))
     assert result.processed == len(records)
+    shutil.copytree(recorded_run_dir / "cache", fixture_dir)
     return Workspace(
         root=root,
         manifest_path=manifest_path,

@@ -1,29 +1,36 @@
 import json
+import shutil
 import sys
 import threading
 from decimal import Decimal
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from claimgraph.atomic import write_text_atomic
-from claimgraph.errors import FixtureMissError, ProviderUnavailableError, RetryableProviderError
+from claimgraph.errors import (
+    FixtureMissError,
+    ProviderError,
+    ProviderUnavailableError,
+    RetryableProviderError,
+)
 from claimgraph.gateway import (
     FixtureProvider,
     GenerationRequest,
     GenerationResponse,
+    HttpProvider,
     LlmGateway,
     Pricing,
-    RecordingProvider,
     ResponseCache,
     Stage,
     TokenLedger,
     TokenUsage,
     count_tokens,
     estimate_cost,
+    fixture_totals,
     request_key,
 )
-from claimgraph.gateway.provider import fixture_totals
 from claimgraph.gateway.scripted import ScriptedResponder
 
 
@@ -222,34 +229,186 @@ def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_recording_then_fixture_replay(tmp_path):
-    recorder = RecordingProvider(ScriptedResponder(seed=0), tmp_path)
-    request = GenerationRequest("anything goes", 0.8, "m", 10)
-    live = recorder.generate(request)
-    assert recorder.call_count == 1
-    # Re-asking the recorder replays from disk without hitting the delegate.
-    again = recorder.generate(request)
-    assert again.text == live.text
-    assert recorder.call_count == 2
+def record_through_run_cache(tmp_path, prompt):
+    """Record one reply the way a run does, then copy the cache as fixtures."""
+    cache_dir = tmp_path / "run" / "cache"
+    gateway = make_gateway(ScriptedResponder(seed=0), cache=ResponseCache(cache_dir))
+    live = gateway.complete(prompt, Stage.INFERENCE)
+    fixture_dir = tmp_path / "fixtures"
+    shutil.copytree(cache_dir, fixture_dir)
+    return live, gateway.build_request(prompt, Stage.INFERENCE), fixture_dir
 
-    replay = FixtureProvider(tmp_path)
+
+def test_recording_then_fixture_replay(tmp_path):
+    live, request, fixture_dir = record_through_run_cache(tmp_path, "anything goes")
+    assert not live.cached
+
+    replay = FixtureProvider(fixture_dir)
     response = replay.generate(request)
     assert response.text == live.text
     assert response.usage == live.usage
-    assert fixture_totals(tmp_path) == live.usage
+    assert not response.cached
+    assert replay.call_count == 1
+    assert fixture_totals(fixture_dir) == live.usage
 
 
 def test_fixture_miss_is_loud(tmp_path):
     provider = FixtureProvider(tmp_path)
     with pytest.raises(FixtureMissError):
         provider.generate(GenerationRequest("never recorded", 0.8, "m", 10))
+    assert provider.call_count == 1
 
 
 def test_fixture_records_are_inspectable(tmp_path):
-    recorder = RecordingProvider(ScriptedResponder(seed=0), tmp_path)
-    request = GenerationRequest("inspect me", 0.8, "m", 10)
-    recorder.generate(request)
-    record = json.loads(next(tmp_path.glob("*.json")).read_text(encoding="utf-8"))
-    assert record["prompt_text"] == "inspect me"
-    assert record["request_sha256"] == request_key(request)
+    _live, request, fixture_dir = record_through_run_cache(tmp_path, "inspect me")
+    (path,) = fixture_dir.glob("*.json")
+    assert path.name == f"{request_key(request)}.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    # The compact run-dir record: the prompt itself is not stored.
+    assert set(record) == {"model_id", "temperature", "text", "input_tokens", "output_tokens"}
+    assert record["model_id"] == request.model_id
+    assert record["temperature"] == request.temperature
     assert record["input_tokens"] == 2
+
+
+def test_fixture_replays_the_older_verbose_record_format(tmp_path):
+    request = GenerationRequest("old style", 0.8, "m", 10)
+    record = {
+        "request_sha256": request_key(request),
+        "model_id": "m",
+        "temperature": 0.8,
+        "prompt_text": "old style",
+        "text": "recorded reply",
+        "input_tokens": 2,
+        "output_tokens": 2,
+    }
+    (tmp_path / f"{request_key(request)}.json").write_text(
+        json.dumps(record, indent=2), encoding="utf-8"
+    )
+    response = FixtureProvider(tmp_path).generate(request)
+    assert response.text == "recorded reply"
+    assert response.usage == TokenUsage(2, 2)
+    assert fixture_totals(tmp_path) == TokenUsage(2, 2)
+    assert ResponseCache(tmp_path).get(request).text == "recorded reply"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "{not json",
+        '{"text": "t", "input_tokens": 1}',
+        '{"text": 3, "input_tokens": 1, "output_tokens": 1}',
+        '{"text": "t", "input_tokens": -1, "output_tokens": 1}',
+        '["text"]',
+    ],
+)
+def test_corrupt_fixture_raises_and_stays_on_disk(tmp_path, body):
+    request = GenerationRequest("p", 0.8, "m", 10)
+    path = tmp_path / f"{request_key(request)}.json"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ProviderError, match=path.name) as raised:
+        FixtureProvider(tmp_path).generate(request)
+    assert not isinstance(raised.value, (FixtureMissError, RetryableProviderError))
+    assert path.read_text(encoding="utf-8") == body
+
+
+# --- HttpProvider, offline through an injected session -----------------------
+
+
+class FakeResponse:
+    def __init__(self, status_code=200, payload=None):
+        self.status_code = status_code
+        self.payload = payload
+        self.text = str(payload)
+
+    def json(self):
+        if isinstance(self.payload, Exception):
+            raise self.payload
+        return self.payload
+
+
+class FakeSession:
+    """Stands in for ``requests.Session``: one canned outcome for every post."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+        self.posts = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+def reply(content="a b c", usage=None):
+    payload = {"choices": [{"message": {"content": content}}]}
+    if usage is not None:
+        payload["usage"] = usage
+    return FakeResponse(200, payload)
+
+
+def http_generate(outcome, request=None, **kwargs):
+    session = FakeSession(outcome)
+    provider = HttpProvider("http://llm.invalid/v1/", session=session, **kwargs)
+    response = provider.generate(request or GenerationRequest("one two", 0.8, "m"))
+    return response, session
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        FakeResponse(429, {"error": "slow down"}),
+        FakeResponse(503, {"error": "unavailable"}),
+        requests.ConnectionError("refused"),
+        requests.Timeout("timed out"),
+    ],
+)
+def test_http_transient_failures_are_retryable(outcome):
+    with pytest.raises(RetryableProviderError):
+        http_generate(outcome)
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        FakeResponse(400, {"error": "bad request"}),
+        FakeResponse(200, ValueError("not json")),
+        FakeResponse(200, {"choices": []}),
+        FakeResponse(200, {"choices": [{"message": {}}]}),
+        FakeResponse(200, ["not", "an", "object"]),
+    ],
+)
+def test_http_bad_request_and_malformed_payload_are_not_retryable(outcome):
+    with pytest.raises(ProviderError) as raised:
+        http_generate(outcome)
+    assert not isinstance(raised.value, RetryableProviderError)
+
+
+def test_http_usage_from_payload_or_counted():
+    counted, _ = http_generate(reply("a b c"))
+    assert counted.text == "a b c"
+    assert counted.usage == TokenUsage(count_tokens("one two"), 3)
+    reported, _ = http_generate(reply(usage={"prompt_tokens": 11, "completion_tokens": 7}))
+    assert reported.usage == TokenUsage(11, 7)
+
+
+def test_http_sends_max_tokens_and_authorization_only_when_set():
+    _, session = http_generate(reply())
+    (post,) = session.posts
+    assert post["url"] == "http://llm.invalid/v1/chat/completions"
+    assert post["json"] == {
+        "model": "m",
+        "messages": [{"role": "user", "content": "one two"}],
+        "temperature": 0.8,
+    }
+    assert "Authorization" not in post["headers"]
+
+    _, session = http_generate(
+        reply(), GenerationRequest("one two", 0.0, "m", 64), api_key="secret", timeout=5.0
+    )
+    (post,) = session.posts
+    assert post["json"]["max_tokens"] == 64
+    assert post["json"]["temperature"] == 0.0
+    assert post["headers"]["Authorization"] == "Bearer secret"
+    assert post["timeout"] == 5.0

@@ -59,9 +59,10 @@ def test_no_inference_training_forces_zero_shot():
     assert config.inference_path == "zero_shot"
 
 
-def test_background_requires_evidence():
+@pytest.mark.parametrize("ablation", ["no_evidence", "no_subclaims"])
+def test_background_requires_evidence(ablation):
     with pytest.raises(ConfigError):
-        PipelineConfig(with_background=True, ablations=("no_evidence",))
+        PipelineConfig(with_background=True, ablations=(ablation,))
 
 
 def test_adapter_path_requires_adapter_config():
@@ -260,6 +261,25 @@ def test_judge_run_scores_every_succeeded_claim(workspace, tmp_path):
     result = CliRunner().invoke(cli_main, ["evaluate", "--run-dir", str(run_dir), "--judge"])
     assert result.exit_code == 0, result.output
     assert json.loads((run_dir / "report.json").read_text(encoding="utf-8")) == on_disk
+
+
+def test_judge_provider_failure_counts_as_judge_failure(workspace, tmp_path):
+    # The recorded fixtures hold no judge prompts: every judge call misses.
+    run_dir = tmp_path / "judged"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    before = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert before["judge_failures"] == 0
+    provider = FixtureProvider(workspace.fixture_dir)
+    report = judge_run(run_dir, workspace.config, provider=provider)
+
+    succeeded = [r for r in load_run_records(run_dir) if r.succeeded]
+    assert succeeded
+    assert provider.call_count == len(succeeded)
+    assert report.judged_count == 0
+    assert report.judge_failure_count == len(succeeded)
+    on_disk = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert on_disk == report.to_dict()
+    assert on_disk["judge_failures"] == len(succeeded)
 
 
 def test_resume_spends_no_provider_calls(workspace):
