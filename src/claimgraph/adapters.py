@@ -7,15 +7,18 @@ summing to 1 within 1e-6. Violations raise AdapterContractError.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import subprocess
 import threading
-from typing import Callable, List, Optional, Protocol, Sequence, Union
+import time
+from typing import Callable, List, Optional, Protocol, Sequence
 
 import requests
 
 from .errors import AdapterContractError
+from .retry import post_json, with_retries
 
 PROBABILITY_SUM_TOLERANCE = 1e-6
 
@@ -45,47 +48,48 @@ def validate_probabilities(raw: Sequence[float], expected_length: int) -> List[f
 
 
 class StubAdapter:
-    """Fixed or callable probability source for tests and dry runs."""
+    """Fixed probability source for tests and dry runs."""
 
-    def __init__(
-        self,
-        probabilities: Union[Sequence[float], Callable[[str, List[str]], Sequence[float]]],
-    ) -> None:
-        self._probabilities = probabilities
+    def __init__(self, probabilities: Sequence[float]) -> None:
+        self._probabilities = list(probabilities)
 
     def predict(self, prompt_text: str, labels: List[str]) -> Sequence[float]:
-        if callable(self._probabilities):
-            return self._probabilities(prompt_text, labels)
         return list(self._probabilities)
 
 
+def _reply_probabilities(payload: object) -> Sequence[float]:
+    if not isinstance(payload, dict) or "probabilities" not in payload:
+        raise AdapterContractError("adapter response lacks 'probabilities'")
+    return payload["probabilities"]
+
+
 class HttpAdapterClient:
-    """POSTs the contract request to an HTTP endpoint."""
+    """POSTs the contract request to an HTTP endpoint.
+
+    Transport errors, 429 and 5xx are retried (``claimgraph.retry``); any
+    other failure is not. Every failure raises AdapterContractError.
+    """
 
     def __init__(
         self,
         url: str,
         timeout: float = 60.0,
         session: Optional[requests.Session] = None,
+        sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         self.url = url
         self.timeout = timeout
         self.session = session or requests.Session()
+        self._sleep = sleeper
 
     def predict(self, prompt_text: str, labels: List[str]) -> Sequence[float]:
-        try:
-            resp = self.session.post(
-                self.url,
-                json={"prompt_text": prompt_text, "labels": labels},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            raise AdapterContractError(f"adapter endpoint failed: {exc}") from exc
-        if "probabilities" not in payload:
-            raise AdapterContractError("adapter response lacks 'probabilities'")
-        return payload["probabilities"]
+        body = {"prompt_text": prompt_text, "labels": labels}
+        payload = with_retries(
+            lambda: post_json(self.session, self.url, body, self.timeout, AdapterContractError),
+            AdapterContractError,
+            self._sleep,
+        )
+        return _reply_probabilities(payload)
 
 
 class LineAdapterClient:
@@ -102,6 +106,7 @@ class LineAdapterClient:
 
     def _ensure_process(self) -> subprocess.Popen:
         if self._process is None or self._process.poll() is not None:
+            self._reap()
             self._process = subprocess.Popen(
                 self.argv,
                 stdin=subprocess.PIPE,
@@ -128,14 +133,17 @@ class LineAdapterClient:
             payload = json.loads(line)
         except ValueError as exc:
             raise AdapterContractError(f"adapter line is not JSON: {exc}") from exc
-        if "probabilities" not in payload:
-            raise AdapterContractError("adapter response lacks 'probabilities'")
-        return payload["probabilities"]
+        return _reply_probabilities(payload)
+
+    def _reap(self) -> None:
+        """Close the child's pipes, so it reads EOF, and wait for it to exit."""
+        if self._process is not None:
+            with contextlib.suppress(BrokenPipeError):  # it left a request unread
+                self._process.stdin.close()
+            self._process.wait(timeout=10)
+            self._process.stdout.close()
+            self._process = None
 
     def close(self) -> None:
         with self._lock:
-            if self._process is not None and self._process.poll() is None:
-                if self._process.stdin is not None:
-                    self._process.stdin.close()
-                self._process.wait(timeout=10)
-            self._process = None
+            self._reap()

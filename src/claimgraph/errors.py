@@ -26,11 +26,11 @@ class ProviderError(ClaimGraphError):
 
 
 class RetryableProviderError(ProviderError):
-    """Transient transport failure; the gateway may retry the call."""
+    """Transport error, HTTP 429 or 5xx: the one failure ``retry.with_retries`` retries."""
 
 
 class ProviderUnavailableError(ProviderError):
-    """Provider kept failing after the configured number of retries."""
+    """Provider kept failing transiently through every attempt of the retry policy."""
 
 
 class FixtureMissError(ProviderError):

@@ -14,8 +14,6 @@ from .errors import ExplanationError
 from .gateway import LlmGateway, Stage, TemplateId, render_body, render_prompt
 from .retrieval import CorpusIndex, EmbeddingProvider, EvidenceSet, retrieve_top_k
 
-BACKGROUND_POOL_SIZE = 20
-
 
 class PriorLabel(str, Enum):
     FALSE = "false"
@@ -151,9 +149,9 @@ def generate_background(
     sub_claim: str,
     index: CorpusIndex,
     embedder: EmbeddingProvider,
-    pool_size: int = BACKGROUND_POOL_SIZE,
+    pool_size: int,
 ) -> Tuple[str, EvidenceSet]:
-    """Stance-free context for a sub-claim over a wider evidence pool (top-20)."""
+    """Stance-free context for a sub-claim over its top ``pool_size`` sentences."""
     pool = retrieve_top_k(sub_claim_index, sub_claim, index, embedder, k=pool_size)
     prompt = render_prompt(
         TemplateId.BACKGROUND,

@@ -1,8 +1,8 @@
 """Gateway facade: the one path through which prompts reach a provider.
 
 Responsibilities: per-stage token accounting, optional response caching,
-bounded retries with exponential backoff, and a cap on concurrent in-flight
-provider calls.
+retries under the policy in ``claimgraph.retry``, and a cap on concurrent
+in-flight provider calls.
 """
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ import threading
 import time
 from typing import Callable, Optional
 
-from ..errors import ProviderUnavailableError, RetryableProviderError
-from .cache import ResponseCache
+from ..errors import ProviderUnavailableError
+from ..retry import with_retries
+from .cache import FixtureProvider, ResponseCache
 from .ledger import Stage, TokenLedger
 from .provider import GenerationRequest, GenerationResponse, Provider
 
@@ -27,12 +28,8 @@ class LlmGateway:
         judge_temperature: float = 0.0,
         max_output_tokens: Optional[int] = 1024,
         max_in_flight: int = 8,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         self.provider = provider
         self.ledger = ledger if ledger is not None else TokenLedger()
         self.cache = cache
@@ -40,59 +37,40 @@ class LlmGateway:
         self.generation_temperature = generation_temperature
         self.judge_temperature = judge_temperature
         self.max_output_tokens = max_output_tokens
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self._sleep = sleeper
         self._in_flight = threading.Semaphore(max_in_flight)
 
-    def temperature_for(self, stage: Stage) -> float:
-        if Stage(stage) is Stage.JUDGE:
-            return self.judge_temperature
-        return self.generation_temperature
-
-    def build_request(
-        self, prompt_text: str, stage: Stage, temperature: Optional[float] = None
-    ) -> GenerationRequest:
+    def build_request(self, prompt_text: str, stage: Stage) -> GenerationRequest:
+        judge = Stage(stage) is Stage.JUDGE
         return GenerationRequest(
             prompt_text=prompt_text,
-            temperature=self.temperature_for(stage) if temperature is None else temperature,
+            temperature=self.judge_temperature if judge else self.generation_temperature,
             model_id=self.model_id,
             max_output_tokens=self.max_output_tokens,
         )
 
-    def complete(
-        self,
-        prompt_text: str,
-        stage: Stage,
-        temperature: Optional[float] = None,
-    ) -> GenerationResponse:
+    def complete(self, prompt_text: str, stage: Stage) -> GenerationResponse:
         """Send one prompt; returns the response and books its usage by stage.
 
         A cache hit returns the stored response without touching the provider
-        or the ledger (zero new tokens).
+        or the ledger (zero new tokens). A reply replayed by a
+        ``FixtureProvider`` is already stored, so it is not cached again.
         """
         stage = Stage(stage)
-        request = self.build_request(prompt_text, stage, temperature)
+        request = self.build_request(prompt_text, stage)
         if self.cache is not None:
             hit = self.cache.get(request)
             if hit is not None:
                 return hit
-        response = self._generate_with_retries(request)
+        response = with_retries(
+            lambda: self._generate(request), ProviderUnavailableError, self._sleep
+        )
         self.ledger.record(stage, response.usage)
-        if self.cache is not None:
+        if self.cache is not None and not isinstance(self.provider, FixtureProvider):
             self.cache.put(request, response)
         return response
 
-    def _generate_with_retries(self, request: GenerationRequest) -> GenerationResponse:
-        last_error: Optional[Exception] = None
-        for attempt in range(self.max_attempts):
-            if attempt > 0:
-                self._sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                with self._in_flight:
-                    return self.provider.generate(request)
-            except RetryableProviderError as exc:
-                last_error = exc
-        raise ProviderUnavailableError(
-            f"provider failed after {self.max_attempts} attempts: {last_error}"
-        ) from last_error
+    def _generate(self, request: GenerationRequest) -> GenerationResponse:
+        # One attempt holds one in-flight slot; backoff sleeps hold none.
+        with self._in_flight:
+            return self.provider.generate(request)

@@ -34,10 +34,6 @@ class TokenUsage:
             self.output_tokens + other.output_tokens,
         )
 
-    @property
-    def total_tokens(self) -> int:
-        return self.input_tokens + self.output_tokens
-
 
 @dataclass(frozen=True)
 class StageTotals:
@@ -103,6 +99,13 @@ class Pricing:
         object.__setattr__(self, "input_per_million", _as_decimal(self.input_per_million))
         object.__setattr__(self, "output_per_million", _as_decimal(self.output_per_million))
 
+    def cost(self, usage: TokenUsage) -> StageCost:
+        """Price one bucket's tokens, each side rounded to micro-dollars."""
+        return StageCost(
+            input_cost=_price(usage.input_tokens, self.input_per_million),
+            output_cost=_price(usage.output_tokens, self.output_per_million),
+        )
+
 
 @dataclass(frozen=True)
 class StageCost:
@@ -139,10 +142,5 @@ def _price(tokens: int, per_million: Decimal) -> Decimal:
 
 
 def estimate_cost(ledger: TokenLedger, pricing: Pricing = Pricing()) -> CostBreakdown:
-    per_stage: Dict[Stage, StageCost] = {}
-    for stage, totals in sorted(ledger.snapshot().items(), key=lambda kv: kv[0].value):
-        per_stage[stage] = StageCost(
-            input_cost=_price(totals.usage.input_tokens, pricing.input_per_million),
-            output_cost=_price(totals.usage.output_tokens, pricing.output_per_million),
-        )
-    return CostBreakdown(per_stage)
+    snapshot = sorted(ledger.snapshot().items(), key=lambda kv: kv[0].value)
+    return CostBreakdown({stage: pricing.cost(totals.usage) for stage, totals in snapshot})

@@ -15,7 +15,8 @@ from typing import Optional, Protocol
 
 import requests
 
-from ..errors import ProviderError, RetryableProviderError
+from ..errors import ProviderError
+from ..retry import post_json
 from .ledger import TokenUsage
 
 
@@ -66,8 +67,9 @@ class Provider(Protocol):
 class HttpProvider:
     """Client for an OpenAI-style chat completions endpoint.
 
-    Transient transport problems (connection errors, timeouts, 429, 5xx)
-    surface as RetryableProviderError so the gateway can back off and retry.
+    Failures are sorted by ``claimgraph.retry.post_json``: connection errors,
+    timeouts, 429 and 5xx raise RetryableProviderError, which the gateway
+    retries; any other status or a malformed payload raises ProviderError.
     """
 
     def __init__(
@@ -83,9 +85,7 @@ class HttpProvider:
         self.session = session or requests.Session()
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         body = {
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.prompt_text}],
@@ -93,23 +93,11 @@ class HttpProvider:
         }
         if request.max_output_tokens is not None:
             body["max_tokens"] = request.max_output_tokens
+        url = f"{self.base_url}/chat/completions"
+        payload = post_json(self.session, url, body, self.timeout, headers=headers)
         try:
-            resp = self.session.post(
-                f"{self.base_url}/chat/completions",
-                json=body,
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise RetryableProviderError(f"transport failure: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise RetryableProviderError(f"provider returned HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProviderError(f"provider returned HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            payload = resp.json()
             text = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider payload: {exc}") from exc
         usage = payload.get("usage") or {}
         input_tokens = usage.get("prompt_tokens", count_tokens(request.prompt_text))

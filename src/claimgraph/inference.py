@@ -6,10 +6,10 @@ nodes never appear in the serialization; they ride along as node content.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .adapters import validate_probabilities
 from .errors import AssemblyError, PredictionError, UnparseableLabelError
 from .explain import CompetingExplanations
 from .gateway import LlmGateway, Stage, TemplateId, get_template, render_body, render_prompt
@@ -250,10 +250,6 @@ def prediction_from_probabilities(
 
 def predict_with_adapter(prompt: str, scheme: VeracityScheme, adapter) -> PredictionResult:
     """Route the assembled prompt through an external classifier adapter."""
-    from .adapters import validate_probabilities  # local import to avoid a cycle
-
     raw = adapter.predict(prompt, list(scheme.labels))
     probs = validate_probabilities(raw, len(scheme))
-    if not math.isfinite(sum(probs)):
-        raise PredictionError("adapter probabilities are not finite")
     return prediction_from_probabilities(scheme, probs)

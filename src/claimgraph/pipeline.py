@@ -40,8 +40,8 @@ from .gateway import (
     TemplateId,
     TokenLedger,
     TokenUsage,
-    estimate_cost,
 )
+from .gateway.ledger import CostBreakdown
 from .gateway.scripted import ScriptedResponder
 from .graphs import (
     ClaimCenteredGraph,
@@ -700,7 +700,6 @@ def cost_report(run_dir: Union[str, Path], config: PipelineConfig) -> CostReport
     ``n*(T_ret + T_comp)`` term scales with decomposition size.
     """
     records = load_run_records(run_dir)
-    ledger = TokenLedger()
     stage_tokens: Dict[str, dict] = {}
     for record in records:
         for stage_name, entry in record.stage_usage.items():
@@ -710,11 +709,14 @@ def cost_report(run_dir: Union[str, Path], config: PipelineConfig) -> CostReport
             bucket["input_tokens"] += entry["input_tokens"]
             bucket["output_tokens"] += entry["output_tokens"]
             bucket["calls"] += entry["calls"]
-    for stage_name, entry in stage_tokens.items():
-        ledger.record(
-            Stage(stage_name), TokenUsage(entry["input_tokens"], entry["output_tokens"])
-        )
-    breakdown = estimate_cost(ledger, config.pricing)
+    breakdown = CostBreakdown(
+        {
+            Stage(name): config.pricing.cost(
+                TokenUsage(entry["input_tokens"], entry["output_tokens"])
+            )
+            for name, entry in stage_tokens.items()
+        }
+    )
     total_in = sum(e["input_tokens"] for e in stage_tokens.values())
     total_out = sum(e["output_tokens"] for e in stage_tokens.values())
     components: Dict[str, List[float]] = {key: [] for key in _COMPONENT_STAGES}

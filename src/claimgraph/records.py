@@ -32,7 +32,3 @@ class ClaimRecord:
             raise ValueError("claim_id must be non-empty")
         if not self.claim.strip():
             raise ValueError("claim text must be non-empty")
-
-    @property
-    def sentence_count(self) -> int:
-        return sum(len(r.sentences) for r in self.reports)

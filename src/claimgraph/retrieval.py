@@ -10,13 +10,14 @@ import math
 import re
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 import requests
 
 from .errors import EmbeddingError
 from .records import ClaimRecord
+from .retry import post_json, with_retries
 
 # Tokens that end with a period without ending a sentence. Matching is
 # case-sensitive on purpose: guarding lowercase "no." would swallow real
@@ -162,7 +163,9 @@ class RemoteEncoderClient:
 
     Wire contract: POST ``{endpoint}`` with ``{"texts": [...]}``, response
     ``{"embeddings": [[...], ...]}`` with one vector of ``dimension`` floats
-    per input text.
+    per input text. Transport errors, 429 and 5xx are retried
+    (``claimgraph.retry``); any other failure is not. Every failure raises
+    EmbeddingError.
     """
 
     def __init__(
@@ -170,40 +173,34 @@ class RemoteEncoderClient:
         endpoint: str,
         dimension: int,
         timeout: float = 30.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
         session: Optional[requests.Session] = None,
+        sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         self.endpoint = endpoint
         self.dimension = dimension
         self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.session = session or requests.Session()
+        self._sleep = sleeper
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, self.dimension), dtype=np.float64)
-        last_error: Optional[Exception] = None
-        for attempt in range(self.max_attempts):
-            if attempt > 0:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                resp = self.session.post(
-                    self.endpoint, json={"texts": list(texts)}, timeout=self.timeout
-                )
-                resp.raise_for_status()
-                vectors = np.asarray(resp.json()["embeddings"], dtype=np.float64)
-            except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-                last_error = exc
-                continue
-            if vectors.shape != (len(texts), self.dimension):
-                raise EmbeddingError(
-                    f"encoder returned shape {vectors.shape}, "
-                    f"expected {(len(texts), self.dimension)}"
-                )
-            return vectors
-        raise EmbeddingError(f"encoder unavailable after {self.max_attempts} attempts: {last_error}")
+        body = {"texts": list(texts)}
+        payload = with_retries(
+            lambda: post_json(self.session, self.endpoint, body, self.timeout, EmbeddingError),
+            EmbeddingError,
+            self._sleep,
+        )
+        try:
+            vectors = np.asarray(payload["embeddings"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EmbeddingError(f"malformed encoder reply: {exc!r}") from exc
+        if vectors.shape != (len(texts), self.dimension):
+            raise EmbeddingError(
+                f"encoder returned shape {vectors.shape}, "
+                f"expected {(len(texts), self.dimension)}"
+            )
+        return vectors
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]

@@ -115,7 +115,7 @@ def test_background_uses_wide_pool_and_comma_joins():
     ]
     index = build_corpus_index(candidates, emb)
     gw = FakeGateway(["background text"])
-    text, pool = generate_background(gw, 1, "about votes", index, emb)
+    text, pool = generate_background(gw, 1, "about votes", index, emb, 20)
     assert text == "background text"
     assert len(pool.items) == 20
     assert ", ".join(pool.texts) in gw.prompts[0][1]

@@ -3,13 +3,17 @@ import shutil
 import sys
 import threading
 from decimal import Decimal
+from typing import Callable, NamedTuple
 
 import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from claimgraph.adapters import HttpAdapterClient
 from claimgraph.atomic import write_text_atomic
 from claimgraph.errors import (
+    AdapterContractError,
+    EmbeddingError,
     FixtureMissError,
     ProviderError,
     ProviderUnavailableError,
@@ -32,6 +36,7 @@ from claimgraph.gateway import (
     request_key,
 )
 from claimgraph.gateway.scripted import ScriptedResponder
+from claimgraph.retrieval import RemoteEncoderClient
 
 
 class EchoProvider:
@@ -328,17 +333,18 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Stands in for ``requests.Session``: one canned outcome for every post."""
+    """Stands in for ``requests.Session``: canned outcomes in turn, the last repeating."""
 
-    def __init__(self, outcome):
-        self.outcome = outcome
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
         self.posts = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        if isinstance(self.outcome, Exception):
-            raise self.outcome
-        return self.outcome
+        outcome = self.outcomes.pop(0) if len(self.outcomes) > 1 else self.outcomes[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 def reply(content="a b c", usage=None):
@@ -412,3 +418,106 @@ def test_http_sends_max_tokens_and_authorization_only_when_set():
     assert post["json"]["temperature"] == 0.0
     assert post["headers"]["Authorization"] == "Bearer secret"
     assert post["timeout"] == 5.0
+
+
+# --- One retry policy: the gateway, the encoder and the HTTP adapter ---------
+
+
+def via_gateway(session, sleeper):
+    provider = HttpProvider("http://llm.invalid/v1", session=session)
+    return LlmGateway(provider, sleeper=sleeper).complete("one two", Stage.INFERENCE).text
+
+
+def via_encoder(session, sleeper):
+    encoder = RemoteEncoderClient(
+        "http://encoder.invalid/embed", 2, session=session, sleeper=sleeper
+    )
+    return encoder.embed_batch(["a", "b"]).tolist()
+
+
+def via_adapter(session, sleeper):
+    adapter = HttpAdapterClient("http://adapter.invalid/predict", session=session, sleeper=sleeper)
+    return adapter.predict("p", ["false", "half", "true"])
+
+
+class Client(NamedTuple):
+    call: Callable
+    good_reply: object
+    returns: object
+    give_up: type  # raised once every attempt failed
+    final: type  # raised at once for a failure that is not retried
+    missing_key: object
+    wrong_shape: object
+
+
+CLIENTS = {
+    "gateway": Client(
+        via_gateway,
+        reply("a b c").payload,
+        "a b c",
+        ProviderUnavailableError,
+        ProviderError,
+        {"choices": []},
+        ["not", "an", "object"],
+    ),
+    "encoder": Client(
+        via_encoder,
+        {"embeddings": [[1.0, 0.0], [0.0, 1.0]]},
+        [[1.0, 0.0], [0.0, 1.0]],
+        EmbeddingError,
+        EmbeddingError,
+        {"vectors": [[1.0, 0.0], [0.0, 1.0]]},
+        {"embeddings": [[1.0, 0.0, 0.0]]},
+    ),
+    "adapter": Client(
+        via_adapter,
+        {"probabilities": [0.1, 0.7, 0.2]},
+        [0.1, 0.7, 0.2],
+        AdapterContractError,
+        AdapterContractError,
+        {"labels": ["false", "half", "true"]},
+        [0.1, 0.7, 0.2],
+    ),
+}
+TRANSIENT = [
+    FakeResponse(429, {"error": "slow down"}),
+    FakeResponse(503, {"error": "unavailable"}),
+    requests.ConnectionError("refused"),
+    requests.Timeout("timed out"),
+]
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+@pytest.mark.parametrize("outcome", TRANSIENT, ids=["429", "503", "connection", "timeout"])
+def test_transient_failures_get_three_posts_then_the_give_up_error(client, outcome):
+    session, sleeps = FakeSession(outcome), []
+    with pytest.raises(CLIENTS[client].give_up):
+        CLIENTS[client].call(session, sleeps.append)
+    assert len(session.posts) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+def test_one_transient_failure_then_a_good_reply(client):
+    spec = CLIENTS[client]
+    session, sleeps = FakeSession(FakeResponse(503, {}), FakeResponse(200, spec.good_reply)), []
+    assert spec.call(session, sleeps.append) == spec.returns
+    assert len(session.posts) == 2
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+@pytest.mark.parametrize("failure", ["400", "not_json", "missing_key", "wrong_shape"])
+def test_final_failures_get_one_post_and_no_sleep(client, failure):
+    spec = CLIENTS[client]
+    outcome = {
+        "400": FakeResponse(400, {"error": "bad request"}),
+        "not_json": FakeResponse(200, ValueError("not json")),
+        "missing_key": FakeResponse(200, spec.missing_key),
+        "wrong_shape": FakeResponse(200, spec.wrong_shape),
+    }[failure]
+    session, sleeps = FakeSession(outcome), []
+    with pytest.raises(spec.final):
+        spec.call(session, sleeps.append)
+    assert len(session.posts) == 1
+    assert sleeps == []

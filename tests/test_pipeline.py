@@ -292,6 +292,15 @@ def test_resume_spends_no_provider_calls(workspace):
     assert provider.call_count == 0
 
 
+def test_fixture_replay_writes_no_copy_of_the_fixtures(workspace, tmp_path):
+    # The config names the fixture provider; its replies are already stored.
+    run_dir = tmp_path / "replay"
+    result = run_batch(workspace.records[:2], workspace.config, run_dir)
+    assert result.processed == 2
+    assert all(r.succeeded for r in load_run_records(run_dir))
+    assert list((run_dir / "cache").iterdir()) == []
+
+
 def test_config_mismatch_guard(workspace, two_records, tmp_path):
     run_dir = tmp_path / "run"
     run_batch(two_records, PipelineConfig(), run_dir)
