@@ -21,7 +21,6 @@ from .gateway import (
     Stage,
     TokenLedger,
     TokenUsage,
-    estimate_cost,
 )
 from .graphs import ClaimCenteredGraph, DependencyEdge, assemble_claim_graph
 from .inference import DefenseGraph, build_inference_prompt, graph_to_seq
@@ -89,7 +88,6 @@ __all__ = [
     "build_runtime",
     "cost_report",
     "dataset_stats",
-    "estimate_cost",
     "export_dot",
     "export_structured",
     "graph_to_seq",

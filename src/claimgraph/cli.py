@@ -139,7 +139,7 @@ def evaluate(run_dir: str, judge: bool) -> None:
     if judge:
         report = judge_run(run_dir, config)
     else:
-        report = write_reports(Path(run_dir), config)
+        report = write_reports(Path(run_dir), config, load_run_records(run_dir))
     if report is None:
         click.echo("no labelled outcomes to evaluate")
         return

@@ -1,7 +1,7 @@
 """Text generation plumbing: prompt registry, providers, cache, token ledger."""
 
 from .prompts import TemplateId, PromptTemplate, get_template, render_prompt, render_body
-from .ledger import Stage, TokenUsage, TokenLedger, Pricing, estimate_cost
+from .ledger import Stage, TokenUsage, TokenLedger, Pricing
 from .provider import (
     GenerationRequest,
     GenerationResponse,
@@ -22,7 +22,6 @@ __all__ = [
     "TokenUsage",
     "TokenLedger",
     "Pricing",
-    "estimate_cost",
     "GenerationRequest",
     "GenerationResponse",
     "request_key",

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
-from typing import Dict, Union
+from typing import Dict, Mapping, Union
 
 
 class Stage(str, Enum):
@@ -35,49 +35,38 @@ class TokenUsage:
         )
 
 
-@dataclass(frozen=True)
-class StageTotals:
-    usage: TokenUsage = TokenUsage()
-    calls: int = 0
+_FIELDS = ("input_tokens", "output_tokens", "calls")
 
 
 class TokenLedger:
-    """Thread-safe cumulative usage per stage.
+    """Thread-safe usage per stage.
 
-    Only real provider traffic should be recorded here; cache hits cost
-    nothing and must not be recorded.
+    The totals are kept in the form run records and ``cost.json`` store them:
+    ``{stage: {"input_tokens": ..., "output_tokens": ..., "calls": ...}}``.
+    Only provider calls are booked; a cache hit costs nothing and is not.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._totals: Dict[Stage, StageTotals] = {}
+        self._totals: Dict[str, Dict[str, int]] = {}
 
     def record(self, stage: Stage, usage: TokenUsage) -> None:
-        stage = Stage(stage)
-        with self._lock:
-            current = self._totals.get(stage, StageTotals())
-            self._totals[stage] = StageTotals(current.usage + usage, current.calls + 1)
+        """Book one provider call."""
+        call = {"input_tokens": usage.input_tokens, "output_tokens": usage.output_tokens, "calls": 1}
+        self.add({Stage(stage).value: call})
 
-    def stage_totals(self, stage: Stage) -> StageTotals:
+    def add(self, totals: Mapping[str, Mapping[str, int]]) -> None:
+        """Book totals already in the stored form, such as a record's ``stage_usage``."""
         with self._lock:
-            return self._totals.get(Stage(stage), StageTotals())
+            for stage, entry in totals.items():
+                bucket = self._totals.setdefault(stage, dict.fromkeys(_FIELDS, 0))
+                for key in _FIELDS:
+                    bucket[key] += entry[key]
 
-    def snapshot(self) -> Dict[Stage, StageTotals]:
+    def totals(self) -> Dict[str, Dict[str, int]]:
+        """A copy of the totals, sorted by stage."""
         with self._lock:
-            return dict(self._totals)
-
-    @property
-    def total_usage(self) -> TokenUsage:
-        with self._lock:
-            total = TokenUsage()
-            for entry in self._totals.values():
-                total = total + entry.usage
-            return total
-
-    @property
-    def total_calls(self) -> int:
-        with self._lock:
-            return sum(entry.calls for entry in self._totals.values())
+            return {stage: dict(self._totals[stage]) for stage in sorted(self._totals)}
 
 
 _MILLION = Decimal(1_000_000)
@@ -106,6 +95,17 @@ class Pricing:
             output_cost=_price(usage.output_tokens, self.output_per_million),
         )
 
+    def price(self, totals: Mapping[str, Mapping[str, int]]) -> StageCost:
+        """Price ``TokenLedger.totals()``: each stage is priced, then summed."""
+        costs = [
+            self.cost(TokenUsage(entry["input_tokens"], entry["output_tokens"]))
+            for entry in totals.values()
+        ]
+        return StageCost(
+            input_cost=sum((c.input_cost for c in costs), Decimal(0)),
+            output_cost=sum((c.output_cost for c in costs), Decimal(0)),
+        )
+
 
 @dataclass(frozen=True)
 class StageCost:
@@ -117,30 +117,8 @@ class StageCost:
         return self.input_cost + self.output_cost
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    per_stage: Dict[Stage, StageCost] = field(default_factory=dict)
-
-    @property
-    def input_cost(self) -> Decimal:
-        return sum((c.input_cost for c in self.per_stage.values()), Decimal(0))
-
-    @property
-    def output_cost(self) -> Decimal:
-        return sum((c.output_cost for c in self.per_stage.values()), Decimal(0))
-
-    @property
-    def total(self) -> Decimal:
-        return self.input_cost + self.output_cost
-
-
 def _price(tokens: int, per_million: Decimal) -> Decimal:
     # Exact rational value, then bankers-rounded to micro-dollars.
     return (Decimal(tokens) * per_million / _MILLION).quantize(
         _CENT_MICRO, rounding=ROUND_HALF_EVEN
     )
-
-
-def estimate_cost(ledger: TokenLedger, pricing: Pricing = Pricing()) -> CostBreakdown:
-    snapshot = sorted(ledger.snapshot().items(), key=lambda kv: kv[0].value)
-    return CostBreakdown({stage: pricing.cost(totals.usage) for stage, totals in snapshot})

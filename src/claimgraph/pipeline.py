@@ -36,12 +36,9 @@ from .gateway import (
     LlmGateway,
     Pricing,
     ResponseCache,
-    Stage,
     TemplateId,
     TokenLedger,
-    TokenUsage,
 )
-from .gateway.ledger import CostBreakdown
 from .gateway.scripted import ScriptedResponder
 from .graphs import (
     ClaimCenteredGraph,
@@ -192,6 +189,14 @@ class PipelineRuntime:
     @property
     def scheme(self) -> VeracityScheme:
         return self.config.scheme
+
+    def close(self) -> None:
+        """Stop the command adapter's child and close the HTTP clients' sessions."""
+        if isinstance(self.adapter, LineAdapterClient):
+            self.adapter.close()
+        for client in (self.gateway.provider, self.embedder, self.adapter):
+            if isinstance(client, (HttpProvider, RemoteEncoderClient, HttpAdapterClient)):
+                client.session.close()
 
 
 def _build_provider(config: PipelineConfig):
@@ -464,16 +469,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             "stage": record.stage_trace[-1],
             "message": f"{type(exc).__name__}: {exc}",
         }
-    record.stage_usage = {
-        stage.value: {
-            "input_tokens": totals.usage.input_tokens,
-            "output_tokens": totals.usage.output_tokens,
-            "calls": totals.calls,
-        }
-        for stage, totals in sorted(
-            gw.ledger.snapshot().items(), key=lambda kv: kv[0].value
-        )
-    }
+    record.stage_usage = gw.ledger.totals()
     return record
 
 
@@ -483,11 +479,15 @@ def _record_filename(claim_id: str) -> str:
     return f"{safe}-{digest}.json"
 
 
+def _write_json(path: Path, payload: object) -> None:
+    write_text_atomic(path, json.dumps(payload, ensure_ascii=False, indent=2))
+
+
 def _write_record(run_dir: Path, record: RunRecord) -> Path:
     runs_dir = run_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     path = runs_dir / _record_filename(record.claim_id)
-    write_text_atomic(path, json.dumps(record.to_dict(), ensure_ascii=False, indent=2))
+    _write_json(path, record.to_dict())
     return path
 
 
@@ -522,17 +522,13 @@ class BatchResult:
 def _prepare_run_dir(run_dir: Path, config: PipelineConfig, force: bool) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     config_path = run_dir / "config.json"
-    if config_path.exists():
-        existing = json.loads(config_path.read_text(encoding="utf-8"))
-        if existing.get("config_hash") != config.config_hash() and not force:
+    if config_path.exists() and not force:
+        if load_run_config(run_dir).config_hash() != config.config_hash():
             raise ConfigError(
                 "run directory was created with a different config; "
                 "use a fresh directory or pass force"
             )
-    payload = dict(config.to_dict(), config_hash=config.config_hash())
-    config_path.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2), encoding="utf-8"
-    )
+    _write_json(config_path, dict(config.to_dict(), config_hash=config.config_hash()))
 
 
 def run_batch(
@@ -546,21 +542,28 @@ def run_batch(
 
     Claims that already have a record on disk are not re-run (their provider
     calls were already spent); everything else goes through a bounded thread
-    pool. Per-claim failures are recorded, never raised.
+    pool. Per-claim failures are recorded, never raised. The reports are
+    built from the records read at the start plus the ones written here.
     """
     run_dir = Path(run_dir)
     _prepare_run_dir(run_dir, config, force)
-    done_ids = {r.claim_id for r in load_run_records(run_dir)}
-    pending = [r for r in records if r.claim_id not in done_ids]
+    done = {r.claim_id: r for r in load_run_records(run_dir)}
+    pending = [r for r in records if r.claim_id not in done]
     runtime = build_runtime(config, run_dir, provider=provider)
     processed = 0
-    if pending:
-        workers = max(1, min(config.claim_concurrency, len(pending)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(lambda c: run_claim(runtime, c), pending):
-                _write_record(run_dir, record)
-                processed += 1
-    report = write_reports(run_dir, config)
+    try:
+        if pending:
+            workers = max(1, min(config.claim_concurrency, len(pending)))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for record in pool.map(lambda c: run_claim(runtime, c), pending):
+                    _write_record(run_dir, record)
+                    done[record.claim_id] = record
+                    processed += 1
+    finally:
+        runtime.close()
+    # The order load_run_records reads them in: by file name.
+    on_disk = sorted(done.values(), key=lambda r: _record_filename(r.claim_id))
+    report = write_reports(run_dir, config, on_disk)
     return BatchResult(
         run_dir=run_dir,
         processed=processed,
@@ -600,23 +603,22 @@ def _write_report(
     run_dir: Path, outcomes: Sequence[ClaimOutcome], scheme: VeracityScheme
 ) -> EvaluationReport:
     report = evaluate_run(outcomes, scheme)
-    (run_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, indent=2), encoding="utf-8"
-    )
+    _write_json(run_dir / "report.json", report.to_dict())
     return report
 
 
-def write_reports(run_dir: Path, config: PipelineConfig) -> Optional[EvaluationReport]:
-    """Recompute report.json and cost.json from the records on disk."""
-    records = load_run_records(run_dir)
+def write_reports(
+    run_dir: Path, config: PipelineConfig, records: Sequence[RunRecord]
+) -> Optional[EvaluationReport]:
+    """Recompute report.json and cost.json from the run's records.
+
+    ``records`` are all of the run's records, in ``load_run_records`` order.
+    """
     report = None
     outcomes = outcomes_from_records(records, config.scheme)
     if outcomes:
         report = _write_report(run_dir, outcomes, config.scheme)
-    cost = cost_report(run_dir, config)
-    (run_dir / "cost.json").write_text(
-        json.dumps(cost.to_dict(), ensure_ascii=False, indent=2), encoding="utf-8"
-    )
+    _write_json(run_dir / "cost.json", _cost_report(records, config).to_dict())
     return report
 
 
@@ -693,30 +695,22 @@ class CostReport:
 
 
 def cost_report(run_dir: Union[str, Path], config: PipelineConfig) -> CostReport:
-    """Aggregate tokens, dollars, and latency over a run directory.
+    """Aggregate tokens, dollars, and latency over a run directory."""
+    return _cost_report(load_run_records(run_dir), config)
+
+
+def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostReport:
+    """Aggregate tokens, dollars, and latency over ``records``.
 
     Latency components are measured averages; T_ret and T_comp are per
     sub-claim (a claim's stage duration divided by its n) so the formula's
     ``n*(T_ret + T_comp)`` term scales with decomposition size.
     """
-    records = load_run_records(run_dir)
-    stage_tokens: Dict[str, dict] = {}
+    ledger = TokenLedger()
     for record in records:
-        for stage_name, entry in record.stage_usage.items():
-            bucket = stage_tokens.setdefault(
-                stage_name, {"input_tokens": 0, "output_tokens": 0, "calls": 0}
-            )
-            bucket["input_tokens"] += entry["input_tokens"]
-            bucket["output_tokens"] += entry["output_tokens"]
-            bucket["calls"] += entry["calls"]
-    breakdown = CostBreakdown(
-        {
-            Stage(name): config.pricing.cost(
-                TokenUsage(entry["input_tokens"], entry["output_tokens"])
-            )
-            for name, entry in stage_tokens.items()
-        }
-    )
+        ledger.add(record.stage_usage)
+    stage_tokens = ledger.totals()
+    cost = config.pricing.price(stage_tokens)
     total_in = sum(e["input_tokens"] for e in stage_tokens.values())
     total_out = sum(e["output_tokens"] for e in stage_tokens.values())
     components: Dict[str, List[float]] = {key: [] for key in _COMPONENT_STAGES}
@@ -752,12 +746,12 @@ def cost_report(run_dir: Union[str, Path], config: PipelineConfig) -> CostReport
     )
     return CostReport(
         claim_count=len(records),
-        stage_tokens=dict(sorted(stage_tokens.items())),
+        stage_tokens=stage_tokens,
         total_input_tokens=total_in,
         total_output_tokens=total_out,
-        input_cost=breakdown.input_cost,
-        output_cost=breakdown.output_cost,
-        total_cost=breakdown.total,
+        input_cost=cost.input_cost,
+        output_cost=cost.output_cost,
+        total_cost=cost.total,
         avg_tokens_per_claim=(total_in + total_out) / len(records) if records else 0.0,
         latency_components=avg_components,
         avg_subclaims=avg_n,
@@ -777,17 +771,21 @@ def judge_run(
     """
     run_dir = Path(run_dir)
     records = [r for r in load_run_records(run_dir) if r.gold_label is not None]
-    gateway = build_runtime(config, run_dir, provider=provider).gateway
+    runtime = build_runtime(config, run_dir, provider=provider)
+    gateway = runtime.gateway
     outcomes = []
-    for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
-        explanation = record.summary or ""
-        if record.succeeded and record.explanation_graph:
-            explanation = judge_payload(parse_structured(record.explanation_graph))
-        if record.succeeded and explanation:
-            try:
-                scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)
-                outcome = replace(outcome, judge=scores)
-            except (JudgeFailureError, ProviderError):
-                outcome = replace(outcome, judge_failed=True)
-        outcomes.append(outcome)
+    try:
+        for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
+            explanation = record.summary or ""
+            if record.succeeded and record.explanation_graph:
+                explanation = judge_payload(parse_structured(record.explanation_graph))
+            if record.succeeded and explanation:
+                try:
+                    scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)
+                    outcome = replace(outcome, judge=scores)
+                except (JudgeFailureError, ProviderError):
+                    outcome = replace(outcome, judge_failed=True)
+            outcomes.append(outcome)
+    finally:
+        runtime.close()
     return _write_report(run_dir, outcomes, config.scheme)

@@ -31,7 +31,6 @@ from claimgraph.gateway import (
     TokenLedger,
     TokenUsage,
     count_tokens,
-    estimate_cost,
     fixture_totals,
     request_key,
 )
@@ -78,11 +77,64 @@ def test_ledger_accumulates_per_stage():
     ledger.record(Stage.INFERENCE, TokenUsage(10, 5))
     ledger.record(Stage.INFERENCE, TokenUsage(1, 1))
     ledger.record(Stage.JUDGE, TokenUsage(7, 0))
-    totals = ledger.stage_totals(Stage.INFERENCE)
-    assert totals.usage == TokenUsage(11, 6)
-    assert totals.calls == 2
-    assert ledger.total_usage == TokenUsage(18, 6)
-    assert ledger.total_calls == 3
+    totals = ledger.totals()
+    assert totals["inference"] == {"input_tokens": 11, "output_tokens": 6, "calls": 2}
+    assert sum(e["input_tokens"] for e in totals.values()) == 18
+    assert sum(e["output_tokens"] for e in totals.values()) == 6
+    assert sum(e["calls"] for e in totals.values()) == 3
+
+
+def test_ledger_adds_stored_totals_sorted_by_stage():
+    ledger = TokenLedger()
+    ledger.record(Stage.JUDGE, TokenUsage(7, 0))
+    ledger.add({"inference": {"input_tokens": 11, "output_tokens": 6, "calls": 2}})
+    ledger.add(ledger.totals())
+    totals = ledger.totals()
+    assert list(totals) == ["inference", "judge"]
+    assert totals == {
+        "inference": {"input_tokens": 22, "output_tokens": 12, "calls": 4},
+        "judge": {"input_tokens": 14, "output_tokens": 0, "calls": 2},
+    }
+    # A copy: changing it leaves the ledger alone.
+    totals["judge"]["calls"] = 99
+    assert ledger.totals()["judge"]["calls"] == 2
+
+
+def test_ledger_is_exact_under_concurrent_bookings():
+    ledger = TokenLedger()
+    threads_count, rounds = 16, 200
+    barrier = threading.Barrier(threads_count, timeout=30)
+    stages = [Stage.INFERENCE, Stage.JUDGE]
+
+    def booker(n):
+        barrier.wait()
+        for _ in range(rounds):
+            ledger.record(stages[n % 2], TokenUsage(3, n))
+
+    threads = [threading.Thread(target=booker, args=(n,)) for n in range(threads_count)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    per_stage_calls = rounds * threads_count // 2
+    assert ledger.totals() == {
+        "inference": {
+            "input_tokens": 3 * per_stage_calls,
+            "output_tokens": rounds * sum(range(0, threads_count, 2)),
+            "calls": per_stage_calls,
+        },
+        "judge": {
+            "input_tokens": 3 * per_stage_calls,
+            "output_tokens": rounds * sum(range(1, threads_count, 2)),
+            "calls": per_stage_calls,
+        },
+    }
 
 
 def test_usage_rejects_negative_counts():
@@ -93,19 +145,19 @@ def test_usage_rejects_negative_counts():
 def test_pricing_worked_examples():
     ledger = TokenLedger()
     ledger.record(Stage.INFERENCE, TokenUsage(44_220_000, 3_420_000))
-    breakdown = estimate_cost(ledger, Pricing("0.50", "1.50"))
-    assert breakdown.input_cost == Decimal("22.110000")
-    assert breakdown.output_cost == Decimal("5.130000")
-    assert breakdown.total == Decimal("27.240000")
+    cost = Pricing("0.50", "1.50").price(ledger.totals())
+    assert cost.input_cost == Decimal("22.110000")
+    assert cost.output_cost == Decimal("5.130000")
+    assert cost.total == Decimal("27.240000")
 
 
 def test_pricing_quantizes_to_micro_dollars():
     ledger = TokenLedger()
     ledger.record(Stage.JUDGE, TokenUsage(1, 1))
-    breakdown = estimate_cost(ledger, Pricing("0.50", "1.50"))
+    cost = Pricing("0.50", "1.50").price(ledger.totals())
     # 5e-7 is a tie and lands on the even digit; 1.5e-6 ties away to 2e-6.
-    assert breakdown.input_cost == Decimal("0.000000")
-    assert breakdown.output_cost == Decimal("0.000002")
+    assert cost.input_cost == Decimal("0.000000")
+    assert cost.output_cost == Decimal("0.000002")
 
 
 @given(st.integers(0, 10**7), st.integers(0, 10**7))
@@ -116,7 +168,8 @@ def test_cost_is_additive_across_stages(a, b):
     two.record(Stage.INFERENCE, TokenUsage(a, 0))
     two.record(Stage.JUDGE, TokenUsage(b, 0))
     # Same grand totals can differ by at most one quantum per extra bucket.
-    diff = abs(estimate_cost(one).total - estimate_cost(two).total)
+    pricing = Pricing()
+    diff = abs(pricing.price(one.totals()).total - pricing.price(two.totals()).total)
     assert diff <= Decimal("0.000001")
 
 
@@ -130,15 +183,16 @@ def test_gateway_records_usage_and_caches(tmp_path):
     assert first.text == "echo: hello there"
     assert not first.cached
     assert provider.calls == 1
-    assert ledger.stage_totals(Stage.INFERENCE).calls == 1
+    assert ledger.totals()["inference"]["calls"] == 1
 
     second = gateway.complete("hello there", Stage.INFERENCE)
     assert second.cached
     assert second.text == first.text
     assert provider.calls == 1
     # Cache hits are free: nothing new in the ledger.
-    assert ledger.stage_totals(Stage.INFERENCE).calls == 1
-    assert ledger.total_usage == TokenUsage(2, 2)
+    assert ledger.totals() == {
+        "inference": {"input_tokens": 2, "output_tokens": 2, "calls": 1}
+    }
 
 
 def test_gateway_retries_then_succeeds():

@@ -1,10 +1,13 @@
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from claimgraph import pipeline
+from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError, ProviderUnavailableError
 from claimgraph.gateway import FixtureProvider
@@ -239,7 +242,7 @@ def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_pat
 def test_judge_run_scores_every_succeeded_claim(workspace, tmp_path):
     run_dir = tmp_path / "judged"
     shutil.copytree(workspace.recorded_run_dir, run_dir)
-    plain = write_reports(run_dir, workspace.config)
+    plain = write_reports(run_dir, workspace.config, load_run_records(run_dir))
     report = judge_run(run_dir, workspace.config, provider=ScriptedResponder(seed=0))
 
     succeeded = [r for r in load_run_records(run_dir) if r.succeeded]
@@ -308,6 +311,93 @@ def test_config_mismatch_guard(workspace, two_records, tmp_path):
         run_batch(two_records, PipelineConfig(k=2), run_dir)
     result = run_batch(two_records, PipelineConfig(k=2), run_dir, force=True)
     assert result.skipped == 2  # existing records are still honored
+
+
+def test_unreadable_run_config_is_a_config_error(workspace, two_records, tmp_path):
+    run_dir = tmp_path / "run"
+    run_batch(two_records[:1], PipelineConfig(), run_dir)
+    config_path = run_dir / "config.json"
+    config_path.write_text(config_path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    with pytest.raises(ConfigError, match="unreadable run config"):
+        run_batch(two_records, PipelineConfig(), run_dir)
+
+    result = CliRunner().invoke(
+        cli_main,
+        ["run", "--manifest", str(workspace.manifest_path), "--out", str(run_dir)],
+    )
+    assert result.exit_code == 1
+    assert "Error: unreadable run config" in result.output
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+
+
+def test_run_batch_reads_the_records_once(two_records, tmp_path, monkeypatch):
+    calls = []
+    load = pipeline.load_run_records
+
+    def counting(run_dir):
+        calls.append(run_dir)
+        return load(run_dir)
+
+    monkeypatch.setattr(pipeline, "load_run_records", counting)
+    run_batch(two_records[:1], PipelineConfig(), tmp_path / "run")
+    assert len(calls) == 1
+    run_batch(two_records, PipelineConfig(), tmp_path / "run")
+    assert len(calls) == 2
+
+
+def test_batch_reports_match_the_reports_rebuilt_from_disk(workspace, tmp_path):
+    run_dir = tmp_path / "run"
+    config = PipelineConfig()
+    # A resumed batch: its reports mix records read back with new ones.
+    run_batch(workspace.records[3:6], config, run_dir)
+    run_batch(workspace.records[:8], config, run_dir)
+    report = (run_dir / "report.json").read_bytes()
+    cost = (run_dir / "cost.json").read_bytes()
+    rebuilt = json.dumps(cost_report(run_dir, config).to_dict(), ensure_ascii=False, indent=2)
+    assert cost.decode("utf-8") == rebuilt
+
+    result = CliRunner().invoke(cli_main, ["evaluate", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert (run_dir / "report.json").read_bytes() == report
+    assert (run_dir / "cost.json").read_bytes() == cost
+
+
+ANSWERING_CHILD = (
+    "import sys\n"
+    "for _ in sys.stdin:\n"
+    "    print('{\"probabilities\": [0.1, 0.7, 0.2]}', flush=True)\n"
+)
+
+
+def test_run_batch_stops_the_command_adapter(two_records, tmp_path, monkeypatch):
+    children = []
+    spawn = LineAdapterClient._ensure_process
+
+    def spying(self):
+        child = spawn(self)
+        if child not in children:
+            children.append(child)
+        return child
+
+    monkeypatch.setattr(LineAdapterClient, "_ensure_process", spying)
+    config = PipelineConfig(
+        inference_path="external_adapter",
+        adapter={"type": "command", "argv": [sys.executable, "-c", ANSWERING_CHILD]},
+    )
+    try:
+        result = run_batch(two_records, config, tmp_path / "run")
+        assert result.report.failure_count == 0
+        assert len(children) == 1
+        child = children[0]
+        assert child.returncode == 0
+        assert child.stdin.closed and child.stdout.closed
+    finally:
+        for child in children:
+            if child.returncode is None:  # left running: stop it here instead
+                child.kill()
+                child.wait(timeout=10)
+                child.stdin.close()
+                child.stdout.close()
 
 
 def test_run_record_round_trip(workspace):

@@ -43,3 +43,16 @@ def test_make_fixtures_then_replay_them(tmp_path):
     # A fixture miss would still write a record, as a failure.
     records = load_run_records(tmp_path / "replay")
     assert len(records) == 2 and all(r.succeeded for r in records)
+
+
+def test_traced_benchmark_wraps_only_names_that_exist(monkeypatch):
+    # perfbench/run.py --trace 1 replaces each (owner, attr) with a span
+    # wrapper; a name missing from the owner would break the traced run.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import simprovider
+    import spans
+
+    targets = spans._targets(simprovider.CountingProvider)
+    assert targets
+    for owner, attr, *_ in targets:
+        assert attr in owner.__dict__, (owner, attr)
