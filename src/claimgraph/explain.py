@@ -35,7 +35,6 @@ class CompetingExplanations:
     true_oriented: Optional[str] = None
     analysis: Optional[str] = None
     background: Optional[str] = None
-    evidence_used: Optional[EvidenceSet] = None
 
     def __post_init__(self) -> None:
         paired = self.false_oriented is not None and self.true_oriented is not None
@@ -60,19 +59,16 @@ class CompetingExplanations:
             "true_oriented": self.true_oriented,
             "analysis": self.analysis,
             "background": self.background,
-            "evidence_used": self.evidence_used.to_dict() if self.evidence_used else None,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CompetingExplanations":
-        evidence = payload.get("evidence_used")
         return cls(
             payload["sub_claim_index"],
             payload.get("false_oriented"),
             payload.get("true_oriented"),
             payload.get("analysis"),
             payload.get("background"),
-            EvidenceSet.from_dict(evidence) if evidence else None,
         )
 
 
@@ -124,7 +120,6 @@ def generate_competing_pair(
         sub_claim_index,
         false_oriented=false_oriented,
         true_oriented=true_oriented,
-        evidence_used=evidence,
     )
 
 
@@ -140,7 +135,7 @@ def generate_lone_analysis(
         {"sub_claim": sub_claim, "evidence": render_evidence(evidence.texts)},
     )
     text = _complete_nonempty(gateway, prompt, "analysis")
-    return CompetingExplanations(sub_claim_index, analysis=text, evidence_used=evidence)
+    return CompetingExplanations(sub_claim_index, analysis=text)
 
 
 def generate_background(

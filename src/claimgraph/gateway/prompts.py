@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..errors import UnboundSlotError, UnknownTemplateError
 
@@ -168,5 +168,18 @@ def render_body(body: str, bindings: Mapping[str, str]) -> str:
     return SLOT_PATTERN.sub(_sub, body)
 
 
-def render_prompt(template_id: TemplateId, bindings: Mapping[str, str]) -> str:
-    return render_body(get_template(template_id).body, bindings)
+def render_prompt(template_id: TemplateId, bindings: Mapping[str, Optional[str]]) -> str:
+    """Render a registered template from ``bindings``.
+
+    A template line with a slot bound to ``None`` is left out, line break
+    included. Every other line renders as ``render_body`` renders it, and a
+    slot without a binding still raises UnboundSlotError.
+    """
+    body = get_template(template_id).body
+    if any(value is None for value in bindings.values()):
+        body = "\n".join(
+            line
+            for line in body.split("\n")
+            if all(bindings.get(name, "") is not None for name in SLOT_PATTERN.findall(line))
+        )
+    return render_body(body, bindings)

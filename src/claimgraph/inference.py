@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .adapters import validate_probabilities
 from .errors import AssemblyError, PredictionError, UnparseableLabelError
 from .explain import CompetingExplanations
-from .gateway import LlmGateway, Stage, TemplateId, get_template, render_body, render_prompt
+from .gateway import LlmGateway, Stage, TemplateId, render_body, render_prompt
 from .graphs import ClaimCenteredGraph, HyperGraph
 from .labels import VeracityLabel, VeracityScheme, parse_label_string
 
@@ -78,28 +78,26 @@ def hypergraph_to_seq(hyper: HyperGraph) -> str:
 
 @dataclass(frozen=True)
 class DefenseGraph:
-    """Claim-centered graph enriched with per-sub-claim explanation material."""
+    """Claim-centered graph with one explanation entry per sub-claim, in sub-claim order."""
 
     graph: ClaimCenteredGraph
     explanations: Tuple[CompetingExplanations, ...]
 
-    def validate(self) -> "DefenseGraph":
-        indices = sorted(e.sub_claim_index for e in self.explanations)
+    def __post_init__(self) -> None:
+        ordered = tuple(sorted(self.explanations, key=lambda e: e.sub_claim_index))
+        indices = [e.sub_claim_index for e in ordered]
         if indices != list(range(1, self.graph.n + 1)):
             raise AssemblyError(
                 f"explanations cover {indices}, expected 1..{self.graph.n}"
             )
-        return self
+        object.__setattr__(self, "explanations", ordered)
 
     def explanation_for(self, sub_claim_index: int) -> CompetingExplanations:
-        for entry in self.explanations:
-            if entry.sub_claim_index == sub_claim_index:
-                return entry
-        raise AssemblyError(f"no explanations for sub-claim {sub_claim_index}")
+        return self.explanations[sub_claim_index - 1]
 
 
-def _subclaim_block(index: int, text: str, entry: CompetingExplanations) -> str:
-    lines = [render_body(NODE_SUBCLAIM_LINE, {"index": index, "sub_claim": text})]
+def _explanation_lines(entry: CompetingExplanations) -> List[str]:
+    lines = []
     if entry.background is not None:
         lines.append(render_body(BACKGROUND_LINE, {"background": entry.background}))
     if entry.is_competing:
@@ -114,89 +112,63 @@ def _subclaim_block(index: int, text: str, entry: CompetingExplanations) -> str:
         )
     else:
         lines.append(render_body(ANALYSIS_LINE, {"analysis": entry.analysis}))
-    return "\n".join(lines)
+    return lines
 
 
 def build_node_content(defense: DefenseGraph) -> str:
-    defense.validate()
-    blocks = [render_body(NODE_CLAIM_LINE, {"claim": defense.graph.claim})]
+    lines = [render_body(NODE_CLAIM_LINE, {"claim": defense.graph.claim})]
     for i, text in enumerate(defense.graph.sub_claims, start=1):
-        blocks.append(_subclaim_block(i, text, defense.explanation_for(i)))
-    return "\n".join(blocks)
+        lines.append(render_body(NODE_SUBCLAIM_LINE, {"index": i, "sub_claim": text}))
+        lines.extend(_explanation_lines(defense.explanation_for(i)))
+    return "\n".join(lines)
 
 
-_QUERY_SECTION = (
-    "\n# Query (Q): What is the label of Node 0 (claim)? "
-    "Please directly output your predicted label from {{label_set}}."
-)
-
-
-def _body_without_structure() -> str:
-    body = get_template(TemplateId.INFERENCE).body
-    return body.replace("# Graph Structure: {{graph_structure}}\n", "")
-
-
-def build_graph_block(
-    defense: DefenseGraph,
-    include_structure: bool = True,
-    structure_text: Optional[str] = None,
-) -> str:
+def build_graph_block(defense: DefenseGraph, structure_text: Optional[str] = None) -> str:
     """The inference rendering without its query section.
 
     This is what the summarization prompt embeds as the claim-centered graph.
     """
-    body = get_template(TemplateId.INFERENCE).body.replace(_QUERY_SECTION, "")
-    if not include_structure:
-        body = body.replace("\n# Graph Structure: {{graph_structure}}", "")
-    bindings = {"node_content": build_node_content(defense)}
-    if include_structure:
-        bindings["graph_structure"] = (
-            structure_text if structure_text is not None else graph_to_seq(defense.graph)
-        )
-    return render_body(body, bindings)
+    return render_prompt(
+        TemplateId.INFERENCE,
+        {
+            "node_content": build_node_content(defense),
+            "graph_structure": structure_text,
+            "label_set": None,
+        },
+    )
 
 
 def build_inference_prompt(
-    defense: DefenseGraph,
-    scheme: VeracityScheme,
-    include_structure: bool = True,
-    structure_text: Optional[str] = None,
+    defense: DefenseGraph, scheme: VeracityScheme, structure_text: Optional[str] = None
 ) -> str:
     """Full prediction prompt for a defense graph.
 
-    ``include_structure=False`` drops the graph-structure section entirely
-    (structure-free ablation). ``structure_text`` overrides the default
-    dependency serialization, e.g. with a hypergraph rendering.
+    ``structure_text`` is the graph-structure line's content (a dependency or
+    hypergraph serialization); ``None`` leaves the line out, as the
+    structure-free ablation does.
     """
-    bindings = {
-        "node_content": build_node_content(defense),
-        "label_set": scheme.render_label_set(),
-    }
-    if not include_structure:
-        return render_body(_body_without_structure(), bindings)
-    bindings["graph_structure"] = (
-        structure_text if structure_text is not None else graph_to_seq(defense.graph)
+    return render_prompt(
+        TemplateId.INFERENCE,
+        {
+            "node_content": build_node_content(defense),
+            "graph_structure": structure_text,
+            "label_set": scheme.render_label_set(),
+        },
     )
-    return render_prompt(TemplateId.INFERENCE, bindings)
 
 
 def build_claim_only_prompt(
     claim: str, pair: CompetingExplanations, scheme: VeracityScheme
 ) -> str:
     """Degenerate single-node prompt for runs without decomposition."""
-    lines = [render_body(NODE_CLAIM_LINE, {"claim": claim})]
-    if pair.is_competing:
-        lines.append(
-            render_body(
-                COMPETING_LINE,
-                {"true_oriented": pair.true_oriented, "false_oriented": pair.false_oriented},
-            )
-        )
-    else:
-        lines.append(render_body(ANALYSIS_LINE, {"analysis": pair.analysis}))
-    return render_body(
-        _body_without_structure(),
-        {"node_content": "\n".join(lines), "label_set": scheme.render_label_set()},
+    lines = [render_body(NODE_CLAIM_LINE, {"claim": claim}), *_explanation_lines(pair)]
+    return render_prompt(
+        TemplateId.INFERENCE,
+        {
+            "node_content": "\n".join(lines),
+            "graph_structure": None,
+            "label_set": scheme.render_label_set(),
+        },
     )
 
 

@@ -14,7 +14,7 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
@@ -58,7 +58,7 @@ from .inference import (
     predict_with_adapter,
     predict_zero_shot,
 )
-from .labels import VeracityLabel, VeracityScheme, label_to_score, scheme_by_name
+from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord
 from .retrieval import (
     CorpusIndex,
@@ -72,6 +72,7 @@ from .retrieval import (
 from .summarize import (
     build_explanation_graph,
     export_structured,
+    fallback_verdict,
     judge_payload,
     parse_structured,
     summarize_explanations,
@@ -277,7 +278,9 @@ class RunRecord:
     ``failure["stage"]``, when set, is always the last entry of
     ``stage_trace``: the stage that was running, or the last one entered,
     when the claim failed. ``stage_usage`` counts provider calls only; cache
-    hits cost nothing and are not counted.
+    hits cost nothing and are not counted. Retrieved evidence lives only in
+    ``evidence``, one set per node; ``explanations`` holds the texts written
+    over it and does not repeat it.
     """
 
     claim_id: str
@@ -429,10 +432,8 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             if graph is None:
                 prompt = build_claim_only_prompt(claim, entries[0], runtime.scheme)
             else:
-                defense = DefenseGraph(graph, tuple(entries)).validate()
-                prompt = build_inference_prompt(
-                    defense, runtime.scheme, include_structure, structure_text
-                )
+                defense = DefenseGraph(graph, tuple(entries))
+                prompt = build_inference_prompt(defense, runtime.scheme, structure_text)
             if config.inference_path == EXTERNAL_ADAPTER:
                 result = predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
             else:
@@ -447,12 +448,10 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         if graph is None:
             # No summarization stage: the explanation consistent with the
             # predicted label is selected directly.
-            record.summary = entries[0].oriented(label_to_score(label) >= 2.5)
+            record.summary = entries[0].oriented(fallback_verdict(label))
         else:
             with _stage(record, "final_explanation_generation"):
-                outcome = summarize_explanations(
-                    gw, defense, label, include_structure, structure_text
-                )
+                outcome = summarize_explanations(gw, defense, label, structure_text)
             record.warnings.extend(outcome.warnings)
             record.verdicts = [v.to_dict() for v in outcome.verdicts]
             record.summary = outcome.summary
@@ -542,8 +541,9 @@ def run_batch(
 
     Claims that already have a record on disk are not re-run (their provider
     calls were already spent); everything else goes through a bounded thread
-    pool. Per-claim failures are recorded, never raised. The reports are
-    built from the records read at the start plus the ones written here.
+    pool, and each record is written as soon as its claim finishes. Per-claim
+    failures are recorded, never raised. The reports are built from the
+    records read at the start plus the ones written here.
     """
     run_dir = Path(run_dir)
     _prepare_run_dir(run_dir, config, force)
@@ -555,7 +555,9 @@ def run_batch(
         if pending:
             workers = max(1, min(config.claim_concurrency, len(pending)))
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for record in pool.map(lambda c: run_claim(runtime, c), pending):
+                futures = [pool.submit(run_claim, runtime, c) for c in pending]
+                for future in as_completed(futures):
+                    record = future.result()
                     _write_record(run_dir, record)
                     done[record.claim_id] = record
                     processed += 1

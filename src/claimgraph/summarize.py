@@ -111,7 +111,7 @@ def parse_summary_response(text: str) -> Tuple[Dict[int, Tuple[bool, str]], Opti
 
 
 def fallback_verdict(predicted: VeracityLabel) -> bool:
-    """Orientation implied by the claim-level label when a verdict is missing."""
+    """Orientation implied by the claim-level label (no verdict, or no sub-claims)."""
     return label_to_score(predicted) >= 2.5
 
 
@@ -119,22 +119,21 @@ def summarize_explanations(
     gateway: LlmGateway,
     defense: DefenseGraph,
     predicted: VeracityLabel,
-    include_structure: bool = True,
     structure_text: Optional[str] = None,
 ) -> SummaryOutcome:
     """One summarization call (plus at most one corrective re-ask).
 
-    Missing per-sub-claim entries degrade to fallback verdicts derived from
-    the predicted label; a missing or empty final explanation after the
-    re-ask is a hard SummarizationError.
+    The embedded graph carries ``structure_text`` as its structure line, or
+    no structure line when it is ``None``. Missing per-sub-claim entries
+    degrade to fallback verdicts derived from the predicted label; a missing
+    or empty final explanation after the re-ask is a hard SummarizationError.
     """
-    defense.validate()
     n = defense.graph.n
     prompt = render_prompt(
         TemplateId.SUMMARIZE,
         {
             "predicted_label": predicted.identifier,
-            "graph_block": build_graph_block(defense, include_structure, structure_text),
+            "graph_block": build_graph_block(defense, structure_text),
         },
     )
     response = gateway.complete(prompt, Stage.FINAL_EXPLANATION_GENERATION)
@@ -210,7 +209,6 @@ def build_explanation_graph(
     false-oriented one; a lone analysis is kept as-is. Verdicts must cover
     exactly the sub-claims 1..n.
     """
-    defense.validate()
     n = defense.graph.n
     by_index = {v.sub_claim_index: v for v in verdicts}
     if sorted(by_index) != list(range(1, n + 1)) or len(by_index) != len(verdicts):
@@ -247,7 +245,7 @@ def judge_payload(graph: ExplanationGraph) -> str:
 
 
 def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return text.translate({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n"})
 
 
 def export_dot(graph: ExplanationGraph) -> str:

@@ -138,17 +138,26 @@ def test_defense_graph_requires_full_coverage():
     graph = assemble_claim_graph("c", ["a", "b"], set())
     only_one = (CompetingExplanations(1, analysis="x"),)
     with pytest.raises(AssemblyError):
-        DefenseGraph(graph, only_one).validate()
+        DefenseGraph(graph, only_one)
     duplicated = (
         CompetingExplanations(1, analysis="x"),
         CompetingExplanations(1, analysis="y"),
     )
     with pytest.raises(AssemblyError):
-        DefenseGraph(graph, duplicated).validate()
+        DefenseGraph(graph, duplicated)
+    out_of_order = (
+        CompetingExplanations(2, analysis="second"),
+        CompetingExplanations(1, analysis="first"),
+    )
+    defense = DefenseGraph(graph, out_of_order)
+    assert [e.sub_claim_index for e in defense.explanations] == [1, 2]
+    assert defense.explanation_for(1).analysis == "first"
+    assert defense.explanation_for(2).analysis == "second"
 
 
 def test_inference_prompt_contains_structure_and_label_set():
-    prompt = build_inference_prompt(make_defense(), THREE_WAY)
+    defense = make_defense()
+    prompt = build_inference_prompt(defense, THREE_WAY, structure_text=graph_to_seq(defense.graph))
     assert "# Graph Structure: Directed Graph describes a graph among 0, 1, 2." in prompt
     assert "{false, half, true}" in prompt
     assert prompt.rstrip().endswith(
@@ -157,7 +166,7 @@ def test_inference_prompt_contains_structure_and_label_set():
 
 
 def test_inference_prompt_structure_can_be_omitted():
-    prompt = build_inference_prompt(make_defense(), THREE_WAY, include_structure=False)
+    prompt = build_inference_prompt(make_defense(), THREE_WAY)
     assert "# Graph Structure" not in prompt
     assert "Directed Graph describes" not in prompt
     assert "# Node Content:" in prompt
@@ -172,11 +181,13 @@ def test_inference_prompt_accepts_structure_override():
 
 
 def test_graph_block_is_inference_body_minus_query():
-    block = build_graph_block(make_defense())
+    defense = make_defense()
+    structure = graph_to_seq(defense.graph)
+    block = build_graph_block(defense, structure_text=structure)
     assert "# Query" not in block
     assert "# Node Content:" in block
     assert "# Graph Structure:" in block
-    full = build_inference_prompt(make_defense(), THREE_WAY)
+    full = build_inference_prompt(defense, THREE_WAY, structure_text=structure)
     assert full.startswith(block)
 
 

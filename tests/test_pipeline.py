@@ -1,6 +1,7 @@
 import json
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,39 @@ def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_pat
         "message": "RuntimeError: client bug",
     }
     assert result.report.failures_by_stage == {"claim_decomposition": 1}
+
+
+class HoldingProvider:
+    """Scripted replies; the first call for ``held`` waits until a record exists."""
+
+    def __init__(self, held: str, runs_dir: Path, patience: float = 5.0):
+        self.inner = ScriptedResponder(seed=0)
+        self.held = held
+        self.runs_dir = runs_dir
+        self.patience = patience
+        self.holding = True
+        self.released = False  # a record appeared within the patience
+
+    def generate(self, request):
+        if self.holding and self.held in request.prompt_text:
+            self.holding = False
+            deadline = time.monotonic() + self.patience
+            while not self.released and time.monotonic() < deadline:
+                time.sleep(0.01)
+                self.released = any(self.runs_dir.glob("*.json"))
+        return self.inner.generate(request)
+
+
+def test_run_batch_writes_each_record_as_it_finishes(two_records, tmp_path):
+    first, second = two_records
+    run_dir = tmp_path / "run"
+    provider = HoldingProvider(first.claim, run_dir / "runs")
+    config = PipelineConfig(claim_concurrency=2)
+    result = run_batch([first, second], config, run_dir, provider=provider)
+    # The second claim's record was on disk while the first claim still ran.
+    assert provider.released
+    assert result.processed == 2
+    assert {r.claim_id for r in load_run_records(run_dir)} == {first.claim_id, second.claim_id}
 
 
 def test_judge_run_scores_every_succeeded_claim(workspace, tmp_path):

@@ -93,3 +93,33 @@ def test_rationale_prior_appears_twice():
 def test_inference_slots_in_order():
     template = get_template(TemplateId.INFERENCE)
     assert template.slots == ("node_content", "graph_structure", "label_set")
+
+
+@pytest.mark.parametrize("template_id", list(TemplateId))
+def test_render_prompt_without_none_equals_render_body(template_id):
+    template = get_template(template_id)
+    bindings = {slot: f"<{slot}>\nsecond line" for slot in template.slots}
+    assert render_prompt(template_id, bindings) == render_body(template.body, bindings)
+
+
+@pytest.mark.parametrize("template_id", list(TemplateId))
+def test_render_prompt_still_rejects_an_unbound_slot(template_id):
+    template = get_template(template_id)
+    bindings = {slot: "x" for slot in template.slots[1:]}
+    # A None elsewhere must not let the missing slot through.
+    bindings["unrelated"] = None
+    with pytest.raises(UnboundSlotError):
+        render_prompt(template_id, bindings)
+
+
+def test_render_prompt_drops_exactly_the_line_of_a_none_slot():
+    bindings = {"node_content": "N1\nN2", "graph_structure": "S", "label_set": "{a, b}"}
+    full = render_prompt(TemplateId.INFERENCE, bindings)
+    without = render_prompt(TemplateId.INFERENCE, dict(bindings, graph_structure=None))
+    assert without.split("\n") == [
+        line for line in full.split("\n") if line != "# Graph Structure: S"
+    ]
+    assert len(without.split("\n")) == len(full.split("\n")) - 1
+    # The last line goes together with the line break before it.
+    block = render_prompt(TemplateId.INFERENCE, dict(bindings, label_set=None))
+    assert block == full[: full.index("\n# Query (Q):")]
