@@ -13,8 +13,9 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
@@ -276,11 +277,16 @@ class RunRecord:
     """Everything one claim's run produced.
 
     ``failure["stage"]``, when set, is always the last entry of
-    ``stage_trace``: the stage that was running, or the last one entered,
-    when the claim failed. ``stage_usage`` counts provider calls only; cache
-    hits cost nothing and are not counted. Retrieved evidence lives only in
-    ``evidence``, one set per node; ``explanations`` holds the texts written
-    over it and does not repeat it.
+    ``stage_trace``: the earliest stage in program order whose work raised.
+    ``stage_usage`` counts provider calls only; cache hits cost nothing and
+    are not counted. On failure it also books the overlapped calls of later
+    stages that had already started. ``durations[stage]`` is the stage's own
+    work time, summed over its pieces, each timed where it ran; time spent
+    waiting for a piece is not in it. Once a claim's stages overlap, the sum
+    of ``durations`` exceeds the claim's wall time.
+
+    Retrieved evidence lives only in ``evidence``, one set per node;
+    ``explanations`` holds the texts written over it and does not repeat it.
     """
 
     claim_id: str
@@ -318,26 +324,144 @@ class RunRecord:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
 
-@contextmanager
-def _stage(record: RunRecord, name: str):
-    """Enter a stage: trace it and add its wall time to ``durations``."""
-    record.stage_trace.append(name)
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - started
-        record.durations[name] = record.durations.get(name, 0.0) + elapsed
+class _ClaimStages:
+    """One claim's stage bookkeeping, shared by the claim thread and its call pool.
+
+    Stages are entered in program order, so ``stage_trace`` follows program
+    order whatever order the overlapped calls finish in. Each piece of a
+    stage's work times itself: ``durations[stage]`` sums the stage's own work
+    and leaves out time spent waiting at a join. ``raised`` keeps the first
+    error of each stage whose work raised.
+    """
+
+    def __init__(self, record: RunRecord) -> None:
+        self.record = record
+        self.raised: Dict[str, Exception] = {}
+        # The stage the claim thread's straight-line code is at, in program
+        # order: an error outside any stage's work is charged to it.
+        self.current: Optional[str] = None
+        self._lock = threading.Lock()
+
+    def enter(self, name: str) -> None:
+        self.record.stage_trace.append(name)
+        self.current = name
+
+    @contextmanager
+    def work(self, name: str):
+        """Time one piece of stage ``name``'s work; note the stage if it raises."""
+        started = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            with self._lock:
+                self.raised.setdefault(name, exc)
+            raise
+        finally:
+            elapsed = time.perf_counter() - started
+            with self._lock:
+                durations = self.record.durations
+                durations[name] = durations.get(name, 0.0) + elapsed
+
+    @contextmanager
+    def stage(self, name: str):
+        """Enter stage ``name`` and do its work on the claim thread."""
+        self.enter(name)
+        with self.work(name):
+            yield
+
+    def submit(self, calls: ThreadPoolExecutor, name: str, fn, *args) -> Future:
+        """Do one piece of the entered stage ``name``'s work on ``calls``."""
+
+        def task():
+            with self.work(name):
+                return fn(*args)
+
+        return calls.submit(task)
+
+    def join(self, name: str, futures: Sequence[Future]) -> list:
+        """The results of stage ``name``'s pieces, in submission order."""
+        self.current = name
+        return [future.result() for future in futures]
+
+    @contextmanager
+    def failure_captured(self, calls: ThreadPoolExecutor):
+        """Record an error raised inside as the claim's failure.
+
+        The failure is charged once every piece already running has finished
+        (pieces not yet started are cancelled), to the earliest stage in
+        program order whose work raised. The trace is cut at that stage, so
+        it stays the trace's last entry.
+        """
+        try:
+            yield
+        except Exception as exc:
+            calls.shutdown(cancel_futures=True)
+            trace = self.record.stage_trace
+            stage = next((s for s in trace if s in self.raised), self.current)
+            exc = self.raised.get(stage, exc)
+            del trace[trace.index(stage) + 1 :]
+            if isinstance(exc, ClaimGraphError):
+                message = str(exc)
+            else:
+                # Not a domain failure (a bug, a provider client's own
+                # exception): keep the type so the cause can be told apart.
+                message = f"{type(exc).__name__}: {exc}"
+            self.record.failure = {"stage": stage, "message": message}
+
+
+def _build_structure(
+    gw: LlmGateway,
+    config: PipelineConfig,
+    record: RunRecord,
+    claim: str,
+    sub_claims: Sequence[str],
+) -> ClaimCenteredGraph:
+    """Generate the configured edges or hyperedges and assemble the claim's graph.
+
+    Fills the record's structure fields; no other stage writes them.
+    """
+    llm_edges: Set[Tuple[int, int]] = set()
+    structure_text: Optional[str] = None
+    if config.graph_structure == HYPERGRAPH:
+        hyper, warnings = generate_hyperedges(gw, claim, sub_claims)
+        record.hypergraph = {
+            "hyperedges": [list(h) for h in hyper.hyperedges],
+            "provenance": list(hyper.provenance),
+        }
+        structure_text = hypergraph_to_seq(hyper)
+    else:
+        llm_edges, warnings = generate_edges(gw, claim, sub_claims)
+    record.warnings.extend(warnings)
+    graph = assemble_claim_graph(claim, sub_claims, llm_edges)
+    if config.graph_structure == DEPENDENCY:
+        structure_text = graph_to_seq(graph)
+    record.graph = graph.to_dict()
+    record.structure_text = structure_text
+    return graph
 
 
 def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     """Process one claim through every configured stage.
 
-    Every failure, domain or not, is captured on the record under ``failure``
-    and charged to the last stage entered, so a batch always produces one
-    record per claim. Without sub-claims the claim itself is the only node:
-    it gets claim-level evidence and explanations, a single-node inference
-    prompt, and the explanation matching the label as its summary.
+    Calls that do not depend on each other overlap, on a call pool of this
+    claim's own: once the claim is decomposed, the edge (or hyperedge) call
+    runs while the claim thread retrieves evidence, and then every node's
+    competing pair (or lone analysis), and its background when configured,
+    runs at once. The claim thread joins their results in program order
+    (edges, entries, backgrounds) before inference and the final
+    explanation, so records do not depend on the order calls finish in.
+    The gateway's in-flight cap still bounds provider calls across the run,
+    and no call runs after this function returns.
+
+    Every failure, domain or not, is captured on the record under
+    ``failure``, so a batch always produces one record per claim. It is
+    charged to the earliest stage in program order whose work raised, and
+    ``stage_trace`` is cut there. Pieces not yet started are cancelled;
+    ``stage_usage`` books every call that ran, overlapped ones included.
+
+    Without sub-claims the claim itself is the only node: it gets
+    claim-level evidence and explanations, a single-node inference prompt,
+    and the explanation matching the label as its summary.
     """
     config = runtime.config
     # Shares provider, cache, in-flight cap and retry policy with the run;
@@ -352,10 +476,14 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         config_hash=config.config_hash(),
         gold_label=claim_record.gold_label.identifier if claim_record.gold_label else None,
     )
-    include_structure = not config.ablated("no_edges")
-    structure_text: Optional[str] = None
+    stages = _ClaimStages(record)
+    structure: Optional[Future] = None
+    structure_stage = (
+        "hyperedge_generation" if config.graph_structure == HYPERGRAPH else "edge_generation"
+    )
     graph: Optional[ClaimCenteredGraph] = None
-    try:
+    calls = ThreadPoolExecutor(max_workers=config.provider_concurrency)
+    with calls, stages.failure_captured(calls):
         if config.ablated("no_subclaims"):
             nodes = [(0, claim)]
         else:
@@ -364,37 +492,26 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 if config.decomposition == ENHANCED
                 else TemplateId.DECOMPOSE
             )
-            with _stage(record, "claim_decomposition"):
+            with stages.stage("claim_decomposition"):
                 sub_claims = decompose_claim(gw, claim, template)
             record.sub_claims = list(sub_claims)
             record.n = len(sub_claims)
-
-            llm_edges: Set[Tuple[int, int]] = set()
-            if include_structure and config.graph_structure == HYPERGRAPH:
-                with _stage(record, "hyperedge_generation"):
-                    hyper, warnings = generate_hyperedges(gw, claim, sub_claims)
-                record.warnings.extend(warnings)
-                record.hypergraph = {
-                    "hyperedges": [list(h) for h in hyper.hyperedges],
-                    "provenance": list(hyper.provenance),
-                }
-                structure_text = hypergraph_to_seq(hyper)
-            elif include_structure:
-                with _stage(record, "edge_generation"):
-                    llm_edges, warnings = generate_edges(gw, claim, sub_claims)
-                record.warnings.extend(warnings)
-            graph = assemble_claim_graph(claim, sub_claims, llm_edges)
-            if include_structure and config.graph_structure == DEPENDENCY:
-                structure_text = graph_to_seq(graph)
-            record.graph = graph.to_dict()
-            record.structure_text = structure_text
-            nodes = list(enumerate(graph.sub_claims, start=1))
+            nodes = list(enumerate(sub_claims, start=1))
+            if config.ablated("no_edges"):
+                graph = assemble_claim_graph(claim, sub_claims, set())
+                record.graph = graph.to_dict()
+            else:
+                stages.enter(structure_stage)
+                structure = stages.submit(
+                    calls, structure_stage, _build_structure,
+                    gw, config, record, claim, sub_claims,
+                )
 
         corpus_index: Optional[CorpusIndex] = None
         if config.ablated("no_evidence"):
             evidence_sets = [EvidenceSet(i, (), config.k) for i, _text in nodes]
         else:
-            with _stage(record, "evidence_retrieval"):
+            with stages.stage("evidence_retrieval"):
                 corpus_index = build_corpus_index(
                     build_corpus(claim_record), runtime.embedder
                 )
@@ -402,38 +519,45 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                     retrieve_top_k(i, text, corpus_index, runtime.embedder, config.k)
                     for i, text in nodes
                 ]
-        record.evidence = [e.to_dict() for e in evidence_sets]
 
         explain_node = (
             generate_lone_analysis
             if config.ablated("no_competing")
             else generate_competing_pair
         )
-        with _stage(record, "explanation_generation"):
-            entries = [
-                explain_node(gw, i, text, evidence)
-                for (i, text), evidence in zip(nodes, evidence_sets)
-            ]
+        stages.enter("explanation_generation")
+        pending_entries = [
+            stages.submit(calls, "explanation_generation", explain_node, gw, i, text, evidence)
+            for (i, text), evidence in zip(nodes, evidence_sets)
+        ]
+        pending_backgrounds = []
         if config.with_background:
-            with _stage(record, "background_generation"):
-                for position, (i, text) in enumerate(nodes):
-                    background, _pool = generate_background(
-                        gw,
-                        i,
-                        text,
-                        corpus_index,
-                        runtime.embedder,
-                        config.background_pool_size,
-                    )
-                    entries[position] = replace(entries[position], background=background)
+            stages.enter("background_generation")
+            pending_backgrounds = [
+                stages.submit(
+                    calls, "background_generation", generate_background,
+                    gw, i, text, corpus_index, runtime.embedder,
+                    config.background_pool_size,
+                )
+                for i, text in nodes
+            ]
+
+        if structure is not None:
+            (graph,) = stages.join(structure_stage, [structure])
+        record.evidence = [e.to_dict() for e in evidence_sets]
+        entries = stages.join("explanation_generation", pending_entries)
+        if config.with_background:
+            backgrounds = stages.join("background_generation", pending_backgrounds)
+            for position, (background, _pool) in enumerate(backgrounds):
+                entries[position] = replace(entries[position], background=background)
         record.explanations = [e.to_dict() for e in entries]
 
-        with _stage(record, "inference"):
+        with stages.stage("inference"):
             if graph is None:
                 prompt = build_claim_only_prompt(claim, entries[0], runtime.scheme)
             else:
                 defense = DefenseGraph(graph, tuple(entries))
-                prompt = build_inference_prompt(defense, runtime.scheme, structure_text)
+                prompt = build_inference_prompt(defense, runtime.scheme, record.structure_text)
             if config.inference_path == EXTERNAL_ADAPTER:
                 result = predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
             else:
@@ -450,8 +574,8 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             # predicted label is selected directly.
             record.summary = entries[0].oriented(fallback_verdict(label))
         else:
-            with _stage(record, "final_explanation_generation"):
-                outcome = summarize_explanations(gw, defense, label, structure_text)
+            with stages.stage("final_explanation_generation"):
+                outcome = summarize_explanations(gw, defense, label, record.structure_text)
             record.warnings.extend(outcome.warnings)
             record.verdicts = [v.to_dict() for v in outcome.verdicts]
             record.summary = outcome.summary
@@ -459,15 +583,6 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 defense, outcome.verdicts, outcome.summary, label
             )
             record.explanation_graph = export_structured(explanation_graph)
-    except ClaimGraphError as exc:
-        record.failure = {"stage": record.stage_trace[-1], "message": str(exc)}
-    except Exception as exc:
-        # Not a domain failure (a bug, a provider client's own exception):
-        # keep the type so the cause can be told apart.
-        record.failure = {
-            "stage": record.stage_trace[-1],
-            "message": f"{type(exc).__name__}: {exc}",
-        }
     record.stage_usage = gw.ledger.totals()
     return record
 
@@ -627,18 +742,26 @@ def write_reports(
 LATENCY_FORMULA = "T_total = T_dec + T_rel + n*(T_ret + T_comp) + T_pred + T_final"
 
 _COMPONENT_STAGES = {
-    "T_dec": "claim_decomposition",
-    "T_rel": "edge_generation",
-    "T_ret": "evidence_retrieval",
-    "T_comp": "explanation_generation",
-    "T_pred": "inference",
-    "T_final": "final_explanation_generation",
+    "T_dec": ("claim_decomposition",),
+    "T_rel": ("edge_generation", "hyperedge_generation"),
+    "T_ret": ("evidence_retrieval",),
+    "T_comp": ("explanation_generation",),
+    "T_pred": ("inference",),
+    "T_final": ("final_explanation_generation",),
 }
 _PER_SUBCLAIM = {"T_ret", "T_comp"}
 
 
 @dataclass(frozen=True)
 class CostReport:
+    """Tokens, dollars and latency averaged over a run's records.
+
+    ``measured_latency`` is the mean over claims of their summed stage work
+    (the sum of a record's ``durations``). Once a claim's stages overlap it
+    exceeds the claim's wall time; it is the quantity ``estimated_latency``
+    models, with n counting a claim's nodes.
+    """
+
     claim_count: int
     stage_tokens: Dict[str, dict]
     total_input_tokens: int
@@ -705,8 +828,9 @@ def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostRe
     """Aggregate tokens, dollars, and latency over ``records``.
 
     Latency components are measured averages; T_ret and T_comp are per
-    sub-claim (a claim's stage duration divided by its n) so the formula's
-    ``n*(T_ret + T_comp)`` term scales with decomposition size.
+    node (a claim's stage duration divided by its n) so the formula's
+    ``n*(T_ret + T_comp)`` term scales with decomposition size. n counts a
+    claim's nodes: its sub-claims, or the claim itself without them.
     """
     ledger = TokenLedger()
     for record in records:
@@ -720,19 +844,23 @@ def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostRe
     sub_counts: List[float] = []
     sources: Dict[str, int] = {}
     for record in records:
+        # One explanation per node; a claim that failed before its
+        # explanations were joined falls back to its sub-claim count.
+        nodes = len(record.explanations) or record.n
         if record.durations:
             measured.append(sum(record.durations.values()))
-        if record.n:
-            sub_counts.append(float(record.n))
+        if nodes:
+            sub_counts.append(float(nodes))
         if record.prediction:
             source = record.prediction.get("source", "unknown")
             sources[source] = sources.get(source, 0) + 1
-        for key, stage_name in _COMPONENT_STAGES.items():
-            if stage_name not in record.durations:
+        for key, stage_names in _COMPONENT_STAGES.items():
+            ran = [record.durations[s] for s in stage_names if s in record.durations]
+            if not ran:
                 continue
-            value = record.durations[stage_name]
-            if key in _PER_SUBCLAIM and record.n:
-                value /= record.n
+            value = sum(ran)
+            if key in _PER_SUBCLAIM and nodes:
+                value /= nodes
             components[key].append(value)
     avg_components = {
         key: (sum(values) / len(values) if values else 0.0)

@@ -1,6 +1,7 @@
 import json
 import shutil
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from claimgraph import pipeline
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
-from claimgraph.errors import ConfigError, ProviderUnavailableError
+from claimgraph.errors import ConfigError, EmbeddingError, ProviderUnavailableError
 from claimgraph.gateway import FixtureProvider
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.pipeline import (
@@ -200,6 +201,27 @@ class RefusingProvider:
         return self.inner.generate(request)
 
 
+class CountingRefuser(RefusingProvider):
+    """A ``RefusingProvider`` whose calls take ``delay`` seconds; counts answered calls."""
+
+    def __init__(self, refuse, error, delay=0.0):
+        super().__init__(refuse, error)
+        self.delay = delay
+        self.answered = 0
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        time.sleep(self.delay)
+        response = super().generate(request)
+        with self.lock:
+            self.answered += 1
+        return response
+
+
+def booked_calls(record) -> int:
+    return sum(entry["calls"] for entry in record.stage_usage.values())
+
+
 @pytest.mark.parametrize(
     "ablations, template, stage",
     [
@@ -215,14 +237,140 @@ class RefusingProvider:
 )
 def test_failure_is_charged_to_the_running_stage(two_records, ablations, template, stage):
     marker = prompt_marker(template)
-    provider = RefusingProvider(
-        lambda prompt: prompt.startswith(marker), ProviderUnavailableError("refused")
+    provider = CountingRefuser(
+        lambda prompt: prompt.startswith(marker), ProviderUnavailableError("refused"), 0.01
     )
     runtime = build_runtime(PipelineConfig(ablations=ablations), provider=provider)
     record = run_claim(runtime, two_records[0])
     assert not record.succeeded
     assert record.failure == {"stage": stage, "message": "refused"}
     assert record.failure["stage"] == record.stage_trace[-1] == stage
+    # Overlapped calls already running when the claim failed were waited for
+    # and booked; none runs after the record is returned.
+    answered = provider.answered
+    assert answered == booked_calls(record)
+    time.sleep(0.05)
+    assert provider.answered == answered
+
+
+class BarrierProvider:
+    """Scripted replies; the edge prompt and the first rationale prompt meet at a barrier.
+
+    The claim succeeds only if the two calls are in flight at the same time.
+    """
+
+    def __init__(self):
+        self.inner = ScriptedResponder(seed=0)
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.edges = prompt_marker("edges")
+        self.rationale = prompt_marker("rationale")
+        self.waiting_for_rationale = True
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        meets = request.prompt_text.startswith(self.edges)
+        if request.prompt_text.startswith(self.rationale):
+            with self.lock:
+                meets, self.waiting_for_rationale = self.waiting_for_rationale, False
+        if meets:
+            self.barrier.wait()
+        return self.inner.generate(request)
+
+
+def test_edges_and_competing_pairs_are_in_flight_together(two_records):
+    provider = BarrierProvider()
+    record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
+    assert record.failure is None
+    assert record.stage_trace == STANDARD_TRACE
+    assert not provider.barrier.broken
+
+
+class RaisingEmbedder:
+    """Embeds nothing: every call raises."""
+
+    def embed(self, text):
+        raise EmbeddingError("encoder down")
+
+    def embed_batch(self, texts):
+        raise EmbeddingError("encoder down")
+
+
+@pytest.mark.parametrize("refuse_edges", [False, True], ids=["edges-ok", "edges-refused"])
+def test_retrieval_failure_is_charged_in_program_order(two_records, refuse_edges):
+    marker = prompt_marker("edges")
+    # The edge call is still in flight when retrieval raises.
+    provider = CountingRefuser(
+        lambda prompt: refuse_edges and prompt.startswith(marker),
+        ProviderUnavailableError("refused"),
+        0.05,
+    )
+    runtime = build_runtime(PipelineConfig(), provider=provider)
+    runtime.embedder = RaisingEmbedder()
+    record = run_claim(runtime, two_records[0])
+    stage = "edge_generation" if refuse_edges else "evidence_retrieval"
+    assert record.failure["stage"] == stage == record.stage_trace[-1]
+    assert record.stage_trace == STANDARD_TRACE[: STANDARD_TRACE.index(stage) + 1]
+    # The edges were joined before the failure was charged, as at a sequential run.
+    assert (record.graph is None) == refuse_edges
+    assert provider.answered == booked_calls(record)
+
+
+class InFlightProvider:
+    """Scripted replies after a short sleep; tracks how many calls are in flight."""
+
+    def __init__(self):
+        self.inner = ScriptedResponder(seed=0)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def generate(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            time.sleep(0.003)
+            return self.inner.generate(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_overlapped_calls_respect_the_provider_cap(workspace, tmp_path):
+    provider = InFlightProvider()
+    config = PipelineConfig(provider_concurrency=2, claim_concurrency=2)
+    result = run_batch(workspace.records[:4], config, tmp_path / "run", provider=provider)
+    assert result.report.failure_count == 0
+    assert provider.max_in_flight == 2
+
+
+class SlowProvider:
+    """Scripted replies after a delay chosen by the prompt's template."""
+
+    def __init__(self, delays):
+        self.inner = ScriptedResponder(seed=0)
+        self.delays = {prompt_marker(template): delay for template, delay in delays.items()}
+
+    def generate(self, request):
+        for marker, delay in self.delays.items():
+            if request.prompt_text.startswith(marker):
+                time.sleep(delay)
+        return self.inner.generate(request)
+
+
+def test_stage_durations_are_each_stages_own_work(two_records):
+    edges, rationale = 0.1, 0.02
+    provider = SlowProvider({"edges": edges, "rationale": rationale})
+    runtime = build_runtime(PipelineConfig(), provider=provider)
+    started = time.perf_counter()
+    record = run_claim(runtime, two_records[0])
+    wall = time.perf_counter() - started
+    assert record.succeeded
+    # Each competing pair is two calls; the pairs overlap, their times add up.
+    assert record.durations["explanation_generation"] >= 2 * record.n * rationale
+    assert sum(record.durations.values()) > wall
+    # The claim thread waits for the slow edge call; that wait is not edge work.
+    assert edges <= record.durations["edge_generation"] < wall
 
 
 def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_path):
@@ -484,6 +632,45 @@ def test_cost_report_empty_run(tmp_path):
     assert report.claim_count == 0
     assert report.total_cost == 0
     assert report.estimated_latency == 0.0
+
+
+STAGE_SECONDS = {
+    "claim_decomposition": 0.011,
+    "edge_generation": 0.013,
+    "hyperedge_generation": 0.029,
+    "evidence_retrieval": 0.0021,
+    "explanation_generation": 0.067,
+    "inference": 0.017,
+    "final_explanation_generation": 0.019,
+}
+
+
+@pytest.mark.parametrize(
+    "trace, nodes, n",
+    [
+        (STANDARD_TRACE, 3, 3),
+        ([s for s in STANDARD_TRACE if s != "edge_generation"], 3, 3),
+        (["evidence_retrieval", "explanation_generation", "inference"], 1, 0),
+        ([s.replace("edge_", "hyperedge_") for s in STANDARD_TRACE], 3, 3),
+    ],
+    ids=["default", "no_edges", "no_subclaims", "hypergraph"],
+)
+def test_estimated_latency_equals_measured_for_one_claim(trace, nodes, n, tmp_path):
+    record = RunRecord(
+        claim_id="c1",
+        claim="A claim.",
+        scheme="three_way",
+        config_hash="0" * 12,
+        n=n,
+        explanations=[{} for _ in range(nodes)],  # only their number counts here
+        stage_trace=list(trace),
+        durations={stage: STAGE_SECONDS[stage] for stage in trace},
+    )
+    write_reports(tmp_path, PipelineConfig(), [record])
+    cost = json.loads((tmp_path / "cost.json").read_text(encoding="utf-8"))
+    assert cost["measured_latency_sec"] == pytest.approx(sum(record.durations.values()))
+    assert abs(cost["estimated_latency_sec"] - cost["measured_latency_sec"]) < 1e-9
+    assert cost["avg_subclaims"] == nodes
 
 
 def test_cli_ingest_reports_match(workspace):

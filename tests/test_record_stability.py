@@ -7,13 +7,16 @@ digest unchanged; a change that is meant to alter records must update the
 digest it moves and say why.
 
 Each prompt digest is a sha256 over every prompt the provider receives in the
-same run, in the order it receives them. A change that is meant to alter a
+same run, sorted, so that it does not depend on the order in which a claim's
+overlapping calls reach the provider. A change that is meant to alter a
 prompt (a template body, the graph serialization, a corrective note) must
 update the prompt digest of every config it moves and say why in CHANGES.md;
 the record digests of those configs move with it.
 """
 import hashlib
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -34,7 +37,13 @@ CONFIGS = {
     "no_edges": {"ablations": ("no_edges",)},
     "no_evidence": {"ablations": ("no_evidence",)},
     "no_competing": {"ablations": ("no_competing",)},
-    "no_inference_training": {"ablations": ("no_inference_training",)},
+    # Starts from the adapter path, so the digest sees an ablation that fails
+    # to force the prompt-only path.
+    "no_inference_training": {
+        "inference_path": "external_adapter",
+        "adapter": STUB_ADAPTER,
+        "ablations": ("no_inference_training",),
+    },
     "claim_only_bare": {"ablations": ("no_subclaims", "no_evidence", "no_competing")},
 }
 
@@ -48,23 +57,23 @@ DIGESTS = {
     "no_edges": "8c3e08d137cbeffed9aff2e79a689376ac1d49ebec3f675678fd98ec70aa7805",
     "no_evidence": "155983249162e954f39cd38330c2bb8fd536a13487b6539ee445ec064ff7aa3d",
     "no_competing": "a0fcd7b11f5ed1eddba5b71431853c2489b3bbabdc47a289a8cfe6f5777cae1a",
-    "no_inference_training": "f1e185f11e7c286431e4ca5f47d527315aecd54a73162157b68584b55fb503d3",
+    "no_inference_training": "00b2d3412551134a288f74e189fb3aee8dd461e815a07edc2a9173314452585d",
     "claim_only_bare": "7d49ea65bffaf7689fb24e764a7176266936a7d9436dd26fdcb15be84925c825",
 }
 
 
 PROMPT_DIGESTS = {
-    "default": "6c127a4cc4b70b3bcfdfe39285ef95e22465cc54b66ba95a29617182d4841e9d",
-    "hypergraph": "b4c6fd3a9206c0c25e3bf1d104c835c29f0d47541664d55b540f3426318b826a",
-    "background": "d72e273ab6bf4f32d47527e323bb10e60c7b8c11cbfa26364489e2ef55d434f9",
-    "enhanced": "858fe4aefe64f1567e095ffb80028353113e26c1d6e876adb60bc68349a4740f",
-    "external_adapter": "a688005ccb30c13bddce94d21824adf3c4134b7558914cafb512e0450cb0abd1",
-    "no_subclaims": "50838cfb3d4e36951e2d47746b4cf94e10136fb5f79fb8c421d2c77a8f42338c",
-    "no_edges": "8ccf7d975d55e934f136346ca6917f84a1094c82a585983cc5a7760ebbd8a1ab",
-    "no_evidence": "940f5fb15abc67827af4ca0137288192f614c13c1a06e4e34ba8a9d971ce7d4b",
-    "no_competing": "18401b9e0bd91609b77f26d5ba3e4ef903eb3e2172e94eb77fa9329dc5de7e61",
-    "no_inference_training": "6c127a4cc4b70b3bcfdfe39285ef95e22465cc54b66ba95a29617182d4841e9d",
-    "claim_only_bare": "2caefccaa20f0bcd61b545f71ce0aa19ffeebf7019ea80b907f769cdab081221",
+    "default": "59770f268e1552cd1467f41d2ccbf7016225098628f7111f8cbfa4e6d6fc4042",
+    "hypergraph": "2283a354d8f560d693a37334beec69fb00ce8d1b5877c8fee6ca578aabee5e0a",
+    "background": "16b61fd4ffd3ce1e51db3a8736388d11cc6823812ff5ddb713a5a49794c58ad4",
+    "enhanced": "c06df29804a5ac26fce0df1fedcbfb31243173f46120ad30ed9dfe6ec5696737",
+    "external_adapter": "d204ae7a8696c5434f3bf727b907b242e3e2f0cadc36a6b74b351caef384e55b",
+    "no_subclaims": "54da5662ccaa203767217185bb955897aa09c3d9f9de2a886b08e85506dd20e3",
+    "no_edges": "c5f437bcb44a625238b69dd121ea229edd897f8089d7b18dd3763e0d565cbf85",
+    "no_evidence": "95a552daac45b93128fccbbc545687618a474669fe3eeec251a4314a8905736b",
+    "no_competing": "542306f2d816446b3bad280c4ab4d2d193d278185677fb4176bdad3d0d5cae26",
+    "no_inference_training": "59770f268e1552cd1467f41d2ccbf7016225098628f7111f8cbfa4e6d6fc4042",
+    "claim_only_bare": "f1ac87b5eaf496ac7dcf2918921a8e02e1d7ac20d1c80647136b880e66234ce7",
 }
 
 
@@ -80,21 +89,36 @@ class PromptSpy(ScriptedResponder):
         return super().generate(request)
 
 
+class ShuffledSpy(PromptSpy):
+    """A ``PromptSpy`` that sleeps 0-3 ms, set by a hash of the prompt.
+
+    A claim's overlapping calls then finish in an order unrelated to the
+    order they were sent in.
+    """
+
+    def generate(self, request):
+        delay_ms = hashlib.sha256(request.prompt_text.encode("utf-8")).digest()[0] % 4
+        time.sleep(delay_ms / 1000)
+        return super().generate(request)
+
+
 def sha256_json(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def run_digests(config: PipelineConfig, claims):
+def run_digests(config: PipelineConfig, claims, spy=None, claim_workers=1):
     """(records digest, prompts digest) of one run over ``claims``."""
-    spy = PromptSpy()
+    spy = spy if spy is not None else PromptSpy()
     runtime = build_runtime(config, provider=spy)
+    with ThreadPoolExecutor(max_workers=claim_workers) as pool:
+        records = list(pool.map(lambda claim: run_claim(runtime, claim), claims))
     payloads = []
-    for claim in claims:
-        payload = run_claim(runtime, claim).to_dict()
+    for record in records:
+        payload = record.to_dict()
         del payload["durations"]
         payloads.append(payload)
-    return sha256_json(payloads), sha256_json(spy.prompts)
+    return sha256_json(payloads), sha256_json(sorted(spy.prompts))
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +155,10 @@ def test_records_match_golden_digest(name, digests):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_prompts_match_golden_digest(name, digests):
     assert digests(name)[1] == PROMPT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_digests_do_not_depend_on_call_order(name, claims):
+    config = PipelineConfig(**CONFIGS[name])
+    expected = (DIGESTS[name], PROMPT_DIGESTS[name])
+    assert run_digests(config, claims, ShuffledSpy(), claim_workers=4) == expected
