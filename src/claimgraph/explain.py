@@ -77,12 +77,12 @@ def render_evidence(texts: Sequence[str]) -> str:
     return "\n".join(texts)
 
 
-def _complete_nonempty(gateway: LlmGateway, prompt: str, what: str) -> str:
-    response = gateway.complete(prompt, Stage.EXPLANATION_GENERATION)
+def _complete_nonempty(gateway: LlmGateway, prompt: str, stage: Stage, what: str) -> str:
+    response = gateway.complete(prompt, stage)
     text = response.text.strip()
     if text:
         return text
-    response = gateway.complete(prompt + _EMPTY_RETRY_NOTE, Stage.EXPLANATION_GENERATION)
+    response = gateway.complete(prompt + _EMPTY_RETRY_NOTE, stage)
     text = response.text.strip()
     if text:
         return text
@@ -95,15 +95,13 @@ def generate_explanation(
     evidence_texts: Sequence[str],
     prior: PriorLabel,
 ) -> str:
+    side = PriorLabel(prior).value
     prompt = render_prompt(
         TemplateId.RATIONALE,
-        {
-            "sub_claim": sub_claim,
-            "prior_label": PriorLabel(prior).value,
-            "evidence": render_evidence(evidence_texts),
-        },
+        {"sub_claim": sub_claim, "prior_label": side, "evidence": render_evidence(evidence_texts)},
     )
-    return _complete_nonempty(gateway, prompt, f"{PriorLabel(prior).value}-oriented explanation")
+    what = f"{side}-oriented explanation"
+    return _complete_nonempty(gateway, prompt, Stage.EXPLANATION_GENERATION, what)
 
 
 def generate_competing_pair(
@@ -134,7 +132,7 @@ def generate_lone_analysis(
         ANALYSIS_PROMPT,
         {"sub_claim": sub_claim, "evidence": render_evidence(evidence.texts)},
     )
-    text = _complete_nonempty(gateway, prompt, "analysis")
+    text = _complete_nonempty(gateway, prompt, Stage.EXPLANATION_GENERATION, "analysis")
     return CompetingExplanations(sub_claim_index, analysis=text)
 
 
@@ -152,5 +150,5 @@ def generate_background(
         TemplateId.BACKGROUND,
         {"sub_claim": sub_claim, "evidence": ", ".join(pool.texts)},
     )
-    text = _complete_nonempty(gateway, prompt, "background analysis")
+    text = _complete_nonempty(gateway, prompt, Stage.BACKGROUND_GENERATION, "background analysis")
     return text, pool

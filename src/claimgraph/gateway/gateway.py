@@ -41,7 +41,7 @@ class LlmGateway:
         self._in_flight = threading.Semaphore(max_in_flight)
 
     def build_request(self, prompt_text: str, stage: Stage) -> GenerationRequest:
-        judge = Stage(stage) is Stage.JUDGE
+        judge = stage == Stage.JUDGE
         return GenerationRequest(
             prompt_text=prompt_text,
             temperature=self.judge_temperature if judge else self.generation_temperature,

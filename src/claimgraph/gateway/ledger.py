@@ -9,13 +9,20 @@ from typing import Dict, Mapping, Union
 
 
 class Stage(str, Enum):
-    """Accounting buckets for provider traffic."""
+    """The one vocabulary of pipeline stages, in the order they run.
+
+    Run records' traces, durations, usage and failures, and the latency
+    model's terms, all key by their values. ``JUDGE`` is evaluation's call.
+    """
 
     CLAIM_DECOMPOSITION = "claim_decomposition"
     EDGE_GENERATION = "edge_generation"
+    HYPEREDGE_GENERATION = "hyperedge_generation"
+    EVIDENCE_RETRIEVAL = "evidence_retrieval"
     EXPLANATION_GENERATION = "explanation_generation"
-    FINAL_EXPLANATION_GENERATION = "final_explanation_generation"
+    BACKGROUND_GENERATION = "background_generation"
     INFERENCE = "inference"
+    FINAL_EXPLANATION_GENERATION = "final_explanation_generation"
     JUDGE = "judge"
 
 
@@ -53,7 +60,7 @@ class TokenLedger:
     def record(self, stage: Stage, usage: TokenUsage) -> None:
         """Book one provider call."""
         call = {"input_tokens": usage.input_tokens, "output_tokens": usage.output_tokens, "calls": 1}
-        self.add({Stage(stage).value: call})
+        self.add({stage.value: call})
 
     def add(self, totals: Mapping[str, Mapping[str, int]]) -> None:
         """Book totals already in the stored form, such as a record's ``stage_usage``."""

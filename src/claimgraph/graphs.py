@@ -320,7 +320,7 @@ def generate_hyperedges(
     n = len(sub_claims)
     warnings: List[str] = []
     for attempt in range(3):
-        response = gateway.complete(prompt, Stage.EDGE_GENERATION)
+        response = gateway.complete(prompt, Stage.HYPEREDGE_GENERATION)
         try:
             groups, parse_warnings = parse_hyperedge_response(response.text, n)
         except HyperedgeParseError as exc:

@@ -37,6 +37,7 @@ from .gateway import (
     LlmGateway,
     Pricing,
     ResponseCache,
+    Stage,
     TemplateId,
     TokenLedger,
 )
@@ -276,6 +277,8 @@ def build_runtime(
 class RunRecord:
     """Everything one claim's run produced.
 
+    Its stage names are ``Stage`` values: a stage's calls are booked in
+    ``stage_usage`` under the name its work is timed under in ``durations``.
     ``failure["stage"]``, when set, is always the last entry of
     ``stage_trace``: the earliest stage in program order whose work raised.
     ``stage_usage`` counts provider calls only; cache hits cost nothing and
@@ -336,51 +339,51 @@ class _ClaimStages:
 
     def __init__(self, record: RunRecord) -> None:
         self.record = record
-        self.raised: Dict[str, Exception] = {}
+        self.raised: Dict[Stage, Exception] = {}
         # The stage the claim thread's straight-line code is at, in program
         # order: an error outside any stage's work is charged to it.
-        self.current: Optional[str] = None
+        self.current: Optional[Stage] = None
         self._lock = threading.Lock()
 
-    def enter(self, name: str) -> None:
-        self.record.stage_trace.append(name)
-        self.current = name
+    def enter(self, stage: Stage) -> None:
+        self.record.stage_trace.append(stage.value)
+        self.current = stage
 
     @contextmanager
-    def work(self, name: str):
-        """Time one piece of stage ``name``'s work; note the stage if it raises."""
+    def work(self, stage: Stage):
+        """Time one piece of ``stage``'s work; note the stage if it raises."""
         started = time.perf_counter()
         try:
             yield
         except Exception as exc:
             with self._lock:
-                self.raised.setdefault(name, exc)
+                self.raised.setdefault(stage, exc)
             raise
         finally:
             elapsed = time.perf_counter() - started
             with self._lock:
                 durations = self.record.durations
-                durations[name] = durations.get(name, 0.0) + elapsed
+                durations[stage.value] = durations.get(stage.value, 0.0) + elapsed
 
     @contextmanager
-    def stage(self, name: str):
-        """Enter stage ``name`` and do its work on the claim thread."""
-        self.enter(name)
-        with self.work(name):
+    def stage(self, stage: Stage):
+        """Enter ``stage`` and do its work on the claim thread."""
+        self.enter(stage)
+        with self.work(stage):
             yield
 
-    def submit(self, calls: ThreadPoolExecutor, name: str, fn, *args) -> Future:
-        """Do one piece of the entered stage ``name``'s work on ``calls``."""
+    def submit(self, calls: ThreadPoolExecutor, stage: Stage, fn, *args) -> Future:
+        """Do one piece of the entered ``stage``'s work on ``calls``."""
 
         def task():
-            with self.work(name):
+            with self.work(stage):
                 return fn(*args)
 
         return calls.submit(task)
 
-    def join(self, name: str, futures: Sequence[Future]) -> list:
-        """The results of stage ``name``'s pieces, in submission order."""
-        self.current = name
+    def join(self, stage: Stage, futures: Sequence[Future]) -> list:
+        """The results of ``stage``'s pieces, in submission order."""
+        self.current = stage
         return [future.result() for future in futures]
 
     @contextmanager
@@ -397,16 +400,16 @@ class _ClaimStages:
         except Exception as exc:
             calls.shutdown(cancel_futures=True)
             trace = self.record.stage_trace
-            stage = next((s for s in trace if s in self.raised), self.current)
+            stage = next((s for s in map(Stage, trace) if s in self.raised), self.current)
             exc = self.raised.get(stage, exc)
-            del trace[trace.index(stage) + 1 :]
+            del trace[trace.index(stage.value) + 1 :]
             if isinstance(exc, ClaimGraphError):
                 message = str(exc)
             else:
                 # Not a domain failure (a bug, a provider client's own
                 # exception): keep the type so the cause can be told apart.
                 message = f"{type(exc).__name__}: {exc}"
-            self.record.failure = {"stage": stage, "message": message}
+            self.record.failure = {"stage": stage.value, "message": message}
 
 
 def _build_structure(
@@ -478,9 +481,9 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     )
     stages = _ClaimStages(record)
     structure: Optional[Future] = None
-    structure_stage = (
-        "hyperedge_generation" if config.graph_structure == HYPERGRAPH else "edge_generation"
-    )
+    structure_stage = Stage.EDGE_GENERATION
+    if config.graph_structure == HYPERGRAPH:
+        structure_stage = Stage.HYPEREDGE_GENERATION
     graph: Optional[ClaimCenteredGraph] = None
     calls = ThreadPoolExecutor(max_workers=config.provider_concurrency)
     with calls, stages.failure_captured(calls):
@@ -492,7 +495,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 if config.decomposition == ENHANCED
                 else TemplateId.DECOMPOSE
             )
-            with stages.stage("claim_decomposition"):
+            with stages.stage(Stage.CLAIM_DECOMPOSITION):
                 sub_claims = decompose_claim(gw, claim, template)
             record.sub_claims = list(sub_claims)
             record.n = len(sub_claims)
@@ -511,7 +514,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         if config.ablated("no_evidence"):
             evidence_sets = [EvidenceSet(i, (), config.k) for i, _text in nodes]
         else:
-            with stages.stage("evidence_retrieval"):
+            with stages.stage(Stage.EVIDENCE_RETRIEVAL):
                 corpus_index = build_corpus_index(
                     build_corpus(claim_record), runtime.embedder
                 )
@@ -525,17 +528,17 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             if config.ablated("no_competing")
             else generate_competing_pair
         )
-        stages.enter("explanation_generation")
+        stages.enter(Stage.EXPLANATION_GENERATION)
         pending_entries = [
-            stages.submit(calls, "explanation_generation", explain_node, gw, i, text, evidence)
+            stages.submit(calls, Stage.EXPLANATION_GENERATION, explain_node, gw, i, text, evidence)
             for (i, text), evidence in zip(nodes, evidence_sets)
         ]
         pending_backgrounds = []
         if config.with_background:
-            stages.enter("background_generation")
+            stages.enter(Stage.BACKGROUND_GENERATION)
             pending_backgrounds = [
                 stages.submit(
-                    calls, "background_generation", generate_background,
+                    calls, Stage.BACKGROUND_GENERATION, generate_background,
                     gw, i, text, corpus_index, runtime.embedder,
                     config.background_pool_size,
                 )
@@ -545,14 +548,14 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         if structure is not None:
             (graph,) = stages.join(structure_stage, [structure])
         record.evidence = [e.to_dict() for e in evidence_sets]
-        entries = stages.join("explanation_generation", pending_entries)
+        entries = stages.join(Stage.EXPLANATION_GENERATION, pending_entries)
         if config.with_background:
-            backgrounds = stages.join("background_generation", pending_backgrounds)
+            backgrounds = stages.join(Stage.BACKGROUND_GENERATION, pending_backgrounds)
             for position, (background, _pool) in enumerate(backgrounds):
                 entries[position] = replace(entries[position], background=background)
         record.explanations = [e.to_dict() for e in entries]
 
-        with stages.stage("inference"):
+        with stages.stage(Stage.INFERENCE):
             if graph is None:
                 prompt = build_claim_only_prompt(claim, entries[0], runtime.scheme)
             else:
@@ -574,7 +577,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             # predicted label is selected directly.
             record.summary = entries[0].oriented(fallback_verdict(label))
         else:
-            with stages.stage("final_explanation_generation"):
+            with stages.stage(Stage.FINAL_EXPLANATION_GENERATION):
                 outcome = summarize_explanations(gw, defense, label, record.structure_text)
             record.warnings.extend(outcome.warnings)
             record.verdicts = [v.to_dict() for v in outcome.verdicts]
@@ -739,17 +742,21 @@ def write_reports(
     return report
 
 
-LATENCY_FORMULA = "T_total = T_dec + T_rel + n*(T_ret + T_comp) + T_pred + T_final"
+LATENCY_FORMULA = "T_total = T_dec + T_rel + n*(T_ret + T_comp + T_bg) + T_pred + T_final"
 
-_COMPONENT_STAGES = {
-    "T_dec": ("claim_decomposition",),
-    "T_rel": ("edge_generation", "hyperedge_generation"),
-    "T_ret": ("evidence_retrieval",),
-    "T_comp": ("explanation_generation",),
-    "T_pred": ("inference",),
-    "T_final": ("final_explanation_generation",),
+# Each pipeline stage's term in LATENCY_FORMULA. A claim runs at most one
+# stage of each term, so a term is a mean over the claims that ran it.
+LATENCY_TERMS = {
+    Stage.CLAIM_DECOMPOSITION: "T_dec",
+    Stage.EDGE_GENERATION: "T_rel",
+    Stage.HYPEREDGE_GENERATION: "T_rel",
+    Stage.EVIDENCE_RETRIEVAL: "T_ret",
+    Stage.EXPLANATION_GENERATION: "T_comp",
+    Stage.BACKGROUND_GENERATION: "T_bg",
+    Stage.INFERENCE: "T_pred",
+    Stage.FINAL_EXPLANATION_GENERATION: "T_final",
 }
-_PER_SUBCLAIM = {"T_ret", "T_comp"}
+_PER_NODE = {"T_ret", "T_comp", "T_bg"}
 
 
 @dataclass(frozen=True)
@@ -759,7 +766,8 @@ class CostReport:
     ``measured_latency`` is the mean over claims of their summed stage work
     (the sum of a record's ``durations``). Once a claim's stages overlap it
     exceeds the claim's wall time; it is the quantity ``estimated_latency``
-    models, with n counting a claim's nodes.
+    models by ``LATENCY_FORMULA``, with n counting a claim's nodes; a term
+    no record ran, such as ``T_bg`` without background, is 0.0.
     """
 
     claim_count: int
@@ -827,10 +835,10 @@ def cost_report(run_dir: Union[str, Path], config: PipelineConfig) -> CostReport
 def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostReport:
     """Aggregate tokens, dollars, and latency over ``records``.
 
-    Latency components are measured averages; T_ret and T_comp are per
-    node (a claim's stage duration divided by its n) so the formula's
-    ``n*(T_ret + T_comp)`` term scales with decomposition size. n counts a
-    claim's nodes: its sub-claims, or the claim itself without them.
+    Latency components are measured averages; per-node terms are a claim's
+    stage duration divided by its n, so the formula's ``n*(...)`` term scales
+    with decomposition size. n counts a claim's nodes: its sub-claims, or
+    the claim itself without them.
     """
     ledger = TokenLedger()
     for record in records:
@@ -839,7 +847,7 @@ def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostRe
     cost = config.pricing.price(stage_tokens)
     total_in = sum(e["input_tokens"] for e in stage_tokens.values())
     total_out = sum(e["output_tokens"] for e in stage_tokens.values())
-    components: Dict[str, List[float]] = {key: [] for key in _COMPONENT_STAGES}
+    components: Dict[str, List[float]] = {key: [] for key in LATENCY_TERMS.values()}
     measured: List[float] = []
     sub_counts: List[float] = []
     sources: Dict[str, int] = {}
@@ -854,26 +862,15 @@ def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostRe
         if record.prediction:
             source = record.prediction.get("source", "unknown")
             sources[source] = sources.get(source, 0) + 1
-        for key, stage_names in _COMPONENT_STAGES.items():
-            ran = [record.durations[s] for s in stage_names if s in record.durations]
-            if not ran:
-                continue
-            value = sum(ran)
-            if key in _PER_SUBCLAIM and nodes:
-                value /= nodes
-            components[key].append(value)
+        for stage, seconds in record.durations.items():
+            key = LATENCY_TERMS[Stage(stage)]
+            components[key].append(seconds / nodes if key in _PER_NODE and nodes else seconds)
     avg_components = {
         key: (sum(values) / len(values) if values else 0.0)
         for key, values in components.items()
     }
     avg_n = sum(sub_counts) / len(sub_counts) if sub_counts else 0.0
-    estimated = (
-        avg_components["T_dec"]
-        + avg_components["T_rel"]
-        + avg_n * (avg_components["T_ret"] + avg_components["T_comp"])
-        + avg_components["T_pred"]
-        + avg_components["T_final"]
-    )
+    estimated = sum(avg_n * v if key in _PER_NODE else v for key, v in avg_components.items())
     return CostReport(
         claim_count=len(records),
         stage_tokens=stage_tokens,

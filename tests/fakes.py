@@ -1,0 +1,16 @@
+"""Test doubles shared by the unit tests."""
+from claimgraph.gateway import GenerationResponse, TokenUsage
+
+
+class FakeGateway:
+    """Plays back canned texts and keeps every ``(stage, prompt)`` it is sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.prompts = []
+
+    def complete(self, prompt_text, stage):
+        self.prompts.append((stage, prompt_text))
+        if not self.replies:
+            raise AssertionError("fake gateway ran out of replies")
+        return GenerationResponse(self.replies.pop(0), TokenUsage(1, 1))

@@ -15,18 +15,10 @@ from claimgraph.evaluation import (
     macro_metrics,
     parse_judge_response,
 )
-from claimgraph.gateway import GenerationResponse, Stage, TokenUsage
+from claimgraph.gateway import Stage
 from claimgraph.labels import SIX_WAY, THREE_WAY, label_to_score, map_six_to_three
 
-
-class FakeGateway:
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.prompts = []
-
-    def complete(self, prompt_text, stage, temperature=None):
-        self.prompts.append((stage, prompt_text))
-        return GenerationResponse(self.replies.pop(0), TokenUsage(1, 1))
+from fakes import FakeGateway
 
 
 def test_worked_macro_example():

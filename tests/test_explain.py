@@ -9,7 +9,7 @@ from claimgraph.explain import (
     generate_lone_analysis,
     render_evidence,
 )
-from claimgraph.gateway import GenerationResponse, Stage, TokenUsage
+from claimgraph.gateway import Stage
 from claimgraph.retrieval import (
     EvidenceCandidate,
     EvidenceSet,
@@ -18,15 +18,7 @@ from claimgraph.retrieval import (
     build_corpus_index,
 )
 
-
-class FakeGateway:
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.prompts = []
-
-    def complete(self, prompt_text, stage, temperature=None):
-        self.prompts.append((stage, prompt_text))
-        return GenerationResponse(self.replies.pop(0), TokenUsage(1, 1))
+from fakes import FakeGateway
 
 
 def small_evidence(index=1):
@@ -122,4 +114,4 @@ def test_background_uses_wide_pool_and_comma_joins():
     assert text == "background text"
     assert len(pool.items) == 20
     assert ", ".join(pool.texts) in gw.prompts[0][1]
-    assert gw.prompts[0][0] == Stage.EXPLANATION_GENERATION
+    assert gw.prompts[0][0] == Stage.BACKGROUND_GENERATION

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from claimgraph.errors import DecompositionError, EdgeParseError, GraphStructureError
-from claimgraph.gateway import GenerationResponse, Stage, TokenUsage
+from claimgraph.gateway import Stage
 from claimgraph.graphs import (
     LLM_GENERATED,
     SAFEGUARD,
@@ -20,19 +20,7 @@ from claimgraph.graphs import (
     parse_sub_claims,
 )
 
-
-class FakeGateway:
-    """Plays back canned texts and keeps every prompt for inspection."""
-
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.prompts = []
-
-    def complete(self, prompt_text, stage, temperature=None):
-        self.prompts.append((stage, prompt_text))
-        if not self.replies:
-            raise AssertionError("fake gateway ran out of replies")
-        return GenerationResponse(self.replies.pop(0), TokenUsage(1, 1))
+from fakes import FakeGateway
 
 
 def test_parse_sub_claims_strips_numbering_and_bullets():

@@ -3,7 +3,7 @@ import pytest
 from claimgraph.adapters import StubAdapter
 from claimgraph.errors import AdapterContractError, AssemblyError, PredictionError
 from claimgraph.explain import CompetingExplanations
-from claimgraph.gateway import GenerationResponse, Stage, TokenUsage
+from claimgraph.gateway import Stage
 from claimgraph.graphs import HyperGraph, assemble_claim_graph
 from claimgraph.inference import (
     DefenseGraph,
@@ -20,21 +20,13 @@ from claimgraph.inference import (
 )
 from claimgraph.labels import SIX_WAY, THREE_WAY
 
+from fakes import FakeGateway
+
 GOLDEN = (
     "Directed Graph describes a graph among 0, 1, 2, 3, 4, 5. "
     "Node 0 is connected to nodes 3, 4, and 5 by incoming edges. "
     "Node 3 is connected to nodes 1 and 2 by incoming edges."
 )
-
-
-class FakeGateway:
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.prompts = []
-
-    def complete(self, prompt_text, stage, temperature=None):
-        self.prompts.append((stage, prompt_text))
-        return GenerationResponse(self.replies.pop(0), TokenUsage(1, 1))
 
 
 def test_golden_serialization_is_byte_exact():

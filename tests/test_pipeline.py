@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import sys
 import threading
@@ -26,6 +27,8 @@ from claimgraph.pipeline import (
     run_claim,
     write_reports,
 )
+
+from test_record_stability import CONFIGS as STABILITY_CONFIGS
 
 STANDARD_TRACE = [
     "claim_decomposition",
@@ -616,7 +619,7 @@ def test_cost_report_arithmetic(workspace):
     assert report.estimated_latency == pytest.approx(
         c["T_dec"]
         + c["T_rel"]
-        + report.avg_subclaims * (c["T_ret"] + c["T_comp"])
+        + report.avg_subclaims * (c["T_ret"] + c["T_comp"] + c["T_bg"])
         + c["T_pred"]
         + c["T_final"]
     )
@@ -640,22 +643,43 @@ STAGE_SECONDS = {
     "hyperedge_generation": 0.029,
     "evidence_retrieval": 0.0021,
     "explanation_generation": 0.067,
+    "background_generation": 0.031,
     "inference": 0.017,
     "final_explanation_generation": 0.019,
 }
 
+# (stage trace, node count, n) of one claim.
+WRITTEN_SHAPES = {
+    "default": (STANDARD_TRACE, 3, 3),
+    "no_edges": ([s for s in STANDARD_TRACE if s != "edge_generation"], 3, 3),
+    "no_subclaims": (["evidence_retrieval", "explanation_generation", "inference"], 1, 0),
+    "hypergraph": ([s.replace("edge_", "hyperedge_") for s in STANDARD_TRACE], 3, 3),
+    "background": (STANDARD_TRACE[:4] + ["background_generation"] + STANDARD_TRACE[4:], 3, 3),
+}
+
+
+def scripted_shape(name, claim):
+    """The shape of one scripted ``run_claim`` under a record-stability config."""
+    record = run_claim(build_runtime(PipelineConfig(**STABILITY_CONFIGS[name])), claim)
+    assert record.failure is None
+    return list(record.durations), len(record.explanations), record.n
+
+
+def test_latency_formula_names_every_term():
+    assert set(re.findall(r"T_[a-z]+", pipeline.LATENCY_FORMULA)) == {
+        "T_total", *pipeline.LATENCY_TERMS.values()
+    }
+
 
 @pytest.mark.parametrize(
-    "trace, nodes, n",
-    [
-        (STANDARD_TRACE, 3, 3),
-        ([s for s in STANDARD_TRACE if s != "edge_generation"], 3, 3),
-        (["evidence_retrieval", "explanation_generation", "inference"], 1, 0),
-        ([s.replace("edge_", "hyperedge_") for s in STANDARD_TRACE], 3, 3),
-    ],
-    ids=["default", "no_edges", "no_subclaims", "hypergraph"],
+    "shape", [*WRITTEN_SHAPES, *(f"scripted-{name}" for name in STABILITY_CONFIGS)]
 )
-def test_estimated_latency_equals_measured_for_one_claim(trace, nodes, n, tmp_path):
+def test_estimated_latency_equals_measured_for_one_claim(shape, workspace, tmp_path):
+    if shape in WRITTEN_SHAPES:
+        trace, nodes, n = WRITTEN_SHAPES[shape]
+    else:
+        # Every stage a config times must have its term in the model.
+        trace, nodes, n = scripted_shape(shape.removeprefix("scripted-"), workspace.records[0])
     record = RunRecord(
         claim_id="c1",
         claim="A claim.",

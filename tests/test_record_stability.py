@@ -49,8 +49,8 @@ CONFIGS = {
 
 DIGESTS = {
     "default": "8508f930a32544792d9be9c995247cbc0fc6b7ae15bdeefb9226b25c469f7827",
-    "hypergraph": "c94d1c495703a6d49e2d29330156f6bf43b4618618bbb35b26568f19ca2593a2",
-    "background": "b1fd63901575cb08f30e648482ce732799f4548d6d191fdc34e52fd72db9eaa0",
+    "hypergraph": "84413c7400431ff6ed658a770f3bd19a261694e3c717df4a2293a9cbc52295e6",
+    "background": "bd930ad0a4d385cc3005cde87eca47b39b960b90e6e75455e640f48b45e9e1b4",
     "enhanced": "221fd6436796e81547fb4cd55d6ef323530fc0424ba335161a9ae296539820e4",
     "external_adapter": "88962acafdd06818d3c2530ef55318ac97753ad7b521d258d86c7ee9dfa817ad",
     "no_subclaims": "654a4309e2b24c0f068f242eaa5453be647a64b83c4337bca62b98e6a4124f6d",

@@ -1,0 +1,242 @@
+"""One stage vocabulary: the stage every model call books, and names spelled once.
+
+Each call site is fed only unusable replies. Its calls must be booked under
+its own ``Stage`` member, each re-ask must be the first prompt plus the
+site's corrective note, and the site must then give up the way it always
+has: with its error, or for edges with the safeguard fallback.
+"""
+import ast
+import hashlib
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Optional, Tuple
+
+import pytest
+
+import claimgraph
+from claimgraph.errors import (
+    DecompositionError,
+    ExplanationError,
+    HyperedgeParseError,
+    JudgeFailureError,
+    PredictionError,
+    SummarizationError,
+)
+from claimgraph.evaluation import judge_explanation
+from claimgraph.explain import (
+    CompetingExplanations,
+    generate_background,
+    generate_competing_pair,
+    generate_lone_analysis,
+)
+from claimgraph.gateway import Stage
+from claimgraph.graphs import (
+    assemble_claim_graph,
+    decompose_claim,
+    generate_edges,
+    generate_hyperedges,
+)
+from claimgraph.inference import DefenseGraph, predict_zero_shot
+from claimgraph.labels import THREE_WAY
+from claimgraph.retrieval import (
+    EvidenceCandidate,
+    EvidenceSet,
+    HashingBagOfWordsEmbedder,
+    RetrievedEvidence,
+    build_corpus_index,
+)
+from claimgraph.summarize import summarize_explanations
+
+from fakes import FakeGateway
+
+SUB_CLAIMS = ["The mayor signed the bill.", "The bill cut taxes."]
+EVIDENCE = EvidenceSet(1, (RetrievedEvidence(0, 0, "The mayor signed it.", 0.9),), 5)
+EMBEDDER = HashingBagOfWordsEmbedder(dimension=16)
+
+DECOMPOSE_NOTES = (
+    "\nNote: You must return at least two distinct sub-claims.",
+    "\nNote: Previous outputs were invalid. Return a numbered list of at least two "
+    "distinct sub-claims.",
+)
+EDGE_NOTES = (
+    '\nNote: Output must contain the "edges" key mapped to a list of index pairs.',
+    '\nNote: Previous outputs were invalid. Output a dictionary with an "edges" list '
+    "of (source, target) index pairs.",
+)
+HYPEREDGE_NOTES = (
+    '\nNote: Output must contain the "hyperedges" key mapped to a list of index lists.',
+    '\nNote: Previous outputs were invalid. Output a dictionary with a "hyperedges" '
+    "list of index lists.",
+)
+EMPTY_NOTE = ("\nNote: The rationale must not be empty.",)
+
+
+def background(gw):
+    candidates = [EvidenceCandidate(0, i, f"sentence {i} about the bill") for i in range(4)]
+    index = build_corpus_index(candidates, EMBEDDER)
+    return generate_background(gw, 1, SUB_CLAIMS[1], index, EMBEDDER, 3)
+
+
+def summary(gw):
+    entries = tuple(
+        CompetingExplanations(i, false_oriented=f"f{i}", true_oriented=f"t{i}") for i in (1, 2)
+    )
+    defense = DefenseGraph(assemble_claim_graph("The claim.", SUB_CLAIMS, set()), entries)
+    return summarize_explanations(gw, defense, THREE_WAY.label("half"))
+
+
+@dataclass(frozen=True)
+class CallSite:
+    call: Callable[[FakeGateway], object]
+    reply: str  # unusable; sent on every attempt
+    stage: Stage
+    notes: Tuple[str, ...]  # appended to the first prompt by each re-ask, in order
+    first_prompt: str  # the first 16 hex digits of the first prompt's sha256
+    error: Optional[Tuple[type, str]] = None  # how the site gives up, if it raises
+    returns: object = None  # what it returns when it gives up without raising
+
+
+CALL_SITES = {
+    "decompose_claim": CallSite(
+        lambda gw: decompose_claim(gw, "The mayor signed a tax bill."),
+        "one line only",
+        Stage.CLAIM_DECOMPOSITION,
+        DECOMPOSE_NOTES,
+        "049b9a758be3598b",
+        error=(
+            DecompositionError,
+            "decomposition kept returning fewer than two sub-claims for "
+            "'The mayor signed a tax bill.'",
+        ),
+    ),
+    "generate_edges": CallSite(
+        lambda gw: generate_edges(gw, "The claim.", SUB_CLAIMS),
+        "garbled",
+        Stage.EDGE_GENERATION,
+        EDGE_NOTES,
+        "9d9198791a1e84c3",
+        returns=(
+            set(),
+            [f"edge parse attempt {n} failed: response has no edge list key" for n in (1, 2, 3)]
+            + ["edge generation unusable after 3 attempts; keeping safeguard edges only"],
+        ),
+    ),
+    "generate_hyperedges": CallSite(
+        lambda gw: generate_hyperedges(gw, "The claim.", SUB_CLAIMS),
+        "no lists here",
+        Stage.HYPEREDGE_GENERATION,
+        HYPEREDGE_NOTES,
+        "db3a04dd5fea4a38",
+        error=(HyperedgeParseError, "hyperedge generation unusable after 3 attempts"),
+    ),
+    "generate_competing_pair": CallSite(
+        lambda gw: generate_competing_pair(gw, 1, SUB_CLAIMS[0], EVIDENCE),
+        "",
+        Stage.EXPLANATION_GENERATION,
+        EMPTY_NOTE,
+        "fac5988e08acd1e7",
+        error=(ExplanationError, "false-oriented explanation came back empty twice"),
+    ),
+    "generate_lone_analysis": CallSite(
+        lambda gw: generate_lone_analysis(gw, 1, SUB_CLAIMS[0], EVIDENCE),
+        " ",
+        Stage.EXPLANATION_GENERATION,
+        EMPTY_NOTE,
+        "bf4c8a5518ab8c78",
+        error=(ExplanationError, "analysis came back empty twice"),
+    ),
+    "generate_background": CallSite(
+        background,
+        "\n",
+        Stage.BACKGROUND_GENERATION,
+        EMPTY_NOTE,
+        "af2c86c580aebec9",
+        error=(ExplanationError, "background analysis came back empty twice"),
+    ),
+    "predict_zero_shot": CallSite(
+        lambda gw: predict_zero_shot(gw, "Which label?", THREE_WAY),
+        "no verdict",
+        Stage.INFERENCE,
+        ("\nAnswer with exactly one label.",),
+        "0c3d8f3652436cde",
+        error=(
+            PredictionError,
+            "no parseable label after re-ask: could not find a three_way label in "
+            "'no verdict'",
+        ),
+    ),
+    "summarize_explanations": CallSite(
+        summary,
+        "no structure",
+        Stage.FINAL_EXPLANATION_GENERATION,
+        (
+            "\nNote: Include an entry for every sub-claim and a non-empty "
+            "final-explanation value.",
+        ),
+        "c5eaa5979bf9fdb2",
+        error=(SummarizationError, "no usable final-explanation after re-ask"),
+    ),
+    "judge_explanation": CallSite(
+        lambda gw: judge_explanation(gw, "The claim.", THREE_WAY.label("false"), "Because."),
+        "junk",
+        Stage.JUDGE,
+        ("\nNote: Output integer scores from 1 to 5 for all four keys.",),
+        "8dd5afd822181a55",
+        error=(
+            JudgeFailureError,
+            "judge reply unusable after re-ask: judge reply lacks keys: "
+            "['misleadingness', 'informativeness', 'soundness', 'readability']",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CALL_SITES))
+def test_unusable_replies_are_re_asked_under_the_sites_stage_then_given_up(name):
+    site = CALL_SITES[name]
+    gw = FakeGateway([site.reply] * (1 + len(site.notes)))
+    if site.error is None:
+        assert site.call(gw) == site.returns
+    else:
+        error, message = site.error
+        with pytest.raises(error) as raised:
+            site.call(gw)
+        assert str(raised.value) == message
+    assert gw.replies == []
+    first = gw.prompts[0][1]
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest()[:16] == site.first_prompt
+    assert gw.prompts == [(site.stage, first + note) for note in ("",) + site.notes]
+    assert all(type(stage) is Stage for stage, _ in gw.prompts)
+
+
+def _is_enum(node: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Name) and base.id.endswith("Enum") for base in node.bases)
+
+
+def _stage_literals(tree: ast.AST):
+    """String constants equal to a stage name, outside enum bodies."""
+    names = {stage.value for stage in Stage}
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.ClassDef) and _is_enum(node):
+            continue
+        if isinstance(node, ast.Constant) and node.value in names:
+            yield node.lineno, node.value
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def test_stage_names_are_spelled_only_in_enum_bodies():
+    package = Path(claimgraph.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {value!r}" for line, value in sorted(_stage_literals(tree))]
+    assert found == []
+
+
+def test_stage_literal_scan_sees_code_but_not_enum_bodies():
+    tree = ast.parse(
+        "class T(str, Enum):\n    JUDGE = 'judge'\n\ntrace = ['inference']\n"
+    )
+    assert list(_stage_literals(tree)) == [(4, "inference")]

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from claimgraph.errors import ConsistencyError, SummarizationError
 from claimgraph.explain import CompetingExplanations
-from claimgraph.gateway import GenerationResponse, Stage, TokenUsage
+from claimgraph.gateway import Stage
 from claimgraph.graphs import assemble_claim_graph
 from claimgraph.inference import DefenseGraph
 from claimgraph.labels import THREE_WAY
@@ -24,15 +24,7 @@ from claimgraph.summarize import (
     summarize_explanations,
 )
 
-
-class FakeGateway:
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.prompts = []
-
-    def complete(self, prompt_text, stage, temperature=None):
-        self.prompts.append((stage, prompt_text))
-        return GenerationResponse(self.replies.pop(0), TokenUsage(1, 1))
+from fakes import FakeGateway
 
 
 def good_reply(n=2, predictions=("true", "false"), final="All considered, mixed."):
