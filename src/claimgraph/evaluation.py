@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EvaluationError, JudgeFailureError, SchemeMismatchError
-from .gateway import LlmGateway, Stage, TemplateId, render_prompt
+from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
 from .labels import VeracityLabel, VeracityScheme, label_to_score, max_score
 from .parsing import coerce_mapping
 
@@ -163,15 +163,11 @@ def judge_explanation(
         TemplateId.JUDGE,
         {"claim": claim, "gold_label": gold.identifier, "explanation": explanation},
     )
-    response = gateway.complete(prompt, Stage.JUDGE)
-    try:
-        return parse_judge_response(response.text)
-    except ValueError:
-        retry = gateway.complete(prompt + _JUDGE_RETRY_NOTE, Stage.JUDGE)
-        try:
-            return parse_judge_response(retry.text)
-        except ValueError as exc:
-            raise JudgeFailureError(f"judge reply unusable after re-ask: {exc}") from exc
+    scores, rejected = ask(gateway, prompt, Stage.JUDGE, (_JUDGE_RETRY_NOTE,), parse_judge_response)
+    if scores is None:
+        exc = rejected[-1]
+        raise JudgeFailureError(f"judge reply unusable after re-ask: {exc}") from exc
+    return scores
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ExplanationError
-from .gateway import LlmGateway, Stage, TemplateId, render_body, render_prompt
+from .gateway import LlmGateway, Stage, TemplateId, ask, render_body, render_prompt
 from .retrieval import CorpusIndex, EmbeddingProvider, EvidenceSet, retrieve_top_k
 
 
@@ -77,16 +77,17 @@ def render_evidence(texts: Sequence[str]) -> str:
     return "\n".join(texts)
 
 
+def _nonempty(text: str) -> str:
+    if not text.strip():
+        raise ValueError("empty reply")
+    return text.strip()
+
+
 def _complete_nonempty(gateway: LlmGateway, prompt: str, stage: Stage, what: str) -> str:
-    response = gateway.complete(prompt, stage)
-    text = response.text.strip()
-    if text:
-        return text
-    response = gateway.complete(prompt + _EMPTY_RETRY_NOTE, stage)
-    text = response.text.strip()
-    if text:
-        return text
-    raise ExplanationError(f"{what} came back empty twice")
+    text, _ = ask(gateway, prompt, stage, (_EMPTY_RETRY_NOTE,), _nonempty)
+    if text is None:
+        raise ExplanationError(f"{what} came back empty twice")
+    return text
 
 
 def generate_explanation(

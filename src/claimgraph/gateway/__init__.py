@@ -10,7 +10,7 @@ from .provider import (
     count_tokens,
 )
 from .cache import FixtureProvider, ResponseCache, fixture_totals
-from .gateway import LlmGateway
+from .gateway import LlmGateway, ask
 
 __all__ = [
     "TemplateId",
@@ -31,4 +31,5 @@ __all__ = [
     "fixture_totals",
     "ResponseCache",
     "LlmGateway",
+    "ask",
 ]

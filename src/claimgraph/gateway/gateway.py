@@ -1,20 +1,22 @@
 """Gateway facade: the one path through which prompts reach a provider.
 
 Responsibilities: per-stage token accounting, optional response caching,
-retries under the policy in ``claimgraph.retry``, and a cap on concurrent
-in-flight provider calls.
+retries under the policy in ``claimgraph.retry``, a cap on concurrent
+in-flight provider calls, and (``ask``) the one corrective re-ask loop.
 """
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from ..errors import ProviderUnavailableError
+from ..errors import ClaimGraphError, ProviderUnavailableError
 from ..retry import with_retries
 from .cache import FixtureProvider, ResponseCache
 from .ledger import Stage, TokenLedger
 from .provider import GenerationRequest, GenerationResponse, Provider
+
+T = TypeVar("T")
 
 
 class LlmGateway:
@@ -74,3 +76,22 @@ class LlmGateway:
         # One attempt holds one in-flight slot; backoff sleeps hold none.
         with self._in_flight:
             return self.provider.generate(request)
+
+
+def ask(
+    gateway: LlmGateway, prompt: str, stage: Stage, notes: Sequence[str], parse: Callable[[str], T]
+) -> Tuple[Optional[T], List[Exception]]:
+    """Send ``prompt``, then re-ask with each note in turn until ``parse`` takes a reply.
+
+    Re-ask k sends ``prompt + notes[k - 1]`` under the same stage. Returns the
+    taken value (or ``None``) and, in order, each ValueError or ClaimGraphError
+    ``parse`` raised; whatever ``gateway.complete`` raises propagates at once.
+    """
+    rejections: List[Exception] = []
+    for note in ("", *notes):
+        response = gateway.complete(prompt + note, stage)
+        try:
+            return parse(response.text), rejections
+        except (ValueError, ClaimGraphError) as exc:
+            rejections.append(exc)
+    return None, rejections

@@ -1,10 +1,16 @@
 """Prompt template registry.
 
-Every instruction sent to a text generation model comes from one of the
-templates below. Slots use the ``{{name}}`` marker syntax; rendering is a
-single substitution pass, so slot-like text inside a binding value is left
-alone. Template bodies are frozen verbatim; reformatting them breaks the
-fidelity checks in the test suite.
+Slots use the ``{{name}}`` marker syntax; rendering is a single substitution
+pass, so slot-like text inside a binding value is left alone. Template bodies
+are frozen verbatim; reformatting them breaks the fidelity checks in the test
+suite.
+
+Two kinds of instruction text live outside the registry, beside their call
+sites: ``explain.ANALYSIS_PROMPT``, the prior-free rationale used when
+competing pairs are turned off, and the corrective notes that ``gateway.ask``
+appends to a re-asked prompt. ``ANALYSIS_PROMPT`` is not one of the paper's
+prompts, and every registered template must match a frozen transcription of
+one.
 """
 from __future__ import annotations
 

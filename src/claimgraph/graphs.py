@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import (
@@ -16,7 +17,7 @@ from .errors import (
     GraphStructureError,
     HyperedgeParseError,
 )
-from .gateway import LlmGateway, Stage, TemplateId, render_prompt
+from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
 
 LLM_GENERATED = "llm_generated"
 SAFEGUARD = "safeguard"
@@ -118,13 +119,15 @@ def parse_sub_claims(text: str) -> List[str]:
     """One sub-claim per non-empty line; enumeration markers are stripped.
 
     Exact duplicate lines collapse to one, since duplicated nodes carry no
-    extra signal for the graph.
+    extra signal for the graph; fewer than two distinct lines is a ValueError.
     """
     result: List[str] = []
     for line in text.splitlines():
         cleaned = _ENUM_MARKER.sub("", line).strip()
         if cleaned and cleaned not in result:
             result.append(cleaned)
+    if len(result) < 2:
+        raise ValueError(f"need at least two distinct sub-claims, got {len(result)}")
     return result
 
 
@@ -145,18 +148,15 @@ def decompose_claim(
     A deficient response is re-asked up to two more times with a corrective
     note appended, then DecompositionError.
     """
-    base = render_prompt(template_id, {"claim": claim})
-    prompt = base
-    for attempt in range(3):
-        response = gateway.complete(prompt, Stage.CLAIM_DECOMPOSITION)
-        sub_claims = parse_sub_claims(response.text)
-        if len(sub_claims) >= 2:
-            return sub_claims
-        if attempt < 2:
-            prompt = base + _DECOMPOSE_RETRY_NOTES[attempt]
-    raise DecompositionError(
-        f"decomposition kept returning fewer than two sub-claims for {claim[:60]!r}"
+    prompt = render_prompt(template_id, {"claim": claim})
+    sub_claims, _ = ask(
+        gateway, prompt, Stage.CLAIM_DECOMPOSITION, _DECOMPOSE_RETRY_NOTES, parse_sub_claims
     )
+    if sub_claims is None:
+        raise DecompositionError(
+            f"decomposition kept returning fewer than two sub-claims for {claim[:60]!r}"
+        )
+    return sub_claims
 
 
 _PAIR = re.compile(r"[(\[]\s*(\d+)\s*,\s*(\d+)\s*[)\]]")
@@ -226,24 +226,18 @@ def generate_edges(
     unusable the result is the empty set (safeguard-only graph) plus a
     warning, not an error.
     """
-    base = render_prompt(
+    prompt = render_prompt(
         TemplateId.EDGES,
         {"claim": claim, "subclaims": format_subclaim_listing(sub_claims)},
     )
-    prompt = base
-    warnings: List[str] = []
-    for attempt in range(3):
-        response = gateway.complete(prompt, Stage.EDGE_GENERATION)
-        try:
-            pairs, parse_warnings = parse_edge_response(response.text, len(sub_claims))
-        except EdgeParseError as exc:
-            warnings.append(f"edge parse attempt {attempt + 1} failed: {exc}")
-            if attempt < 2:
-                prompt = base + _EDGE_RETRY_NOTES[attempt]
-            continue
-        return pairs, warnings + parse_warnings
-    warnings.append("edge generation unusable after 3 attempts; keeping safeguard edges only")
-    return set(), warnings
+    parse = partial(parse_edge_response, n=len(sub_claims))
+    taken, rejected = ask(gateway, prompt, Stage.EDGE_GENERATION, _EDGE_RETRY_NOTES, parse)
+    warnings = [f"edge parse attempt {k} failed: {exc}" for k, exc in enumerate(rejected, 1)]
+    if taken is None:
+        warnings.append("edge generation unusable after 3 attempts; keeping safeguard edges only")
+        return set(), warnings
+    pairs, parse_warnings = taken
+    return pairs, warnings + parse_warnings
 
 
 def assemble_claim_graph(
@@ -270,8 +264,8 @@ def parse_hyperedge_response(text: str, n: int) -> Tuple[List[Tuple[int, ...]], 
     """Extract hyperedges (index groups) from a hyperedge-generation reply.
 
     Replies may be a bare nested list or a dictionary with a "hyperedges"
-    key. Within each group, out-of-range indices are dropped; groups left
-    with fewer than two members are discarded with a warning.
+    key. Within each group, out-of-range and repeated indices are dropped;
+    groups left with fewer than two members are discarded with a warning.
     """
     try:
         region = _bracketed_region(text, _HYPEREDGES_KEY)
@@ -286,10 +280,12 @@ def parse_hyperedge_response(text: str, n: int) -> Tuple[List[Tuple[int, ...]], 
         raw = [int(tok) for tok in re.split(r"\s*,\s*", match.group(1))]
         members = []
         for idx in raw:
-            if 0 <= idx <= n:
-                members.append(idx)
-            else:
+            if not 0 <= idx <= n:
                 warnings.append(f"dropped out-of-range index {idx} from hyperedge {raw}")
+            elif idx in members:
+                warnings.append(f"dropped repeated index {idx} from hyperedge {raw}")
+            else:
+                members.append(idx)
         if len(members) >= 2:
             groups.append(tuple(members))
         else:
@@ -312,28 +308,24 @@ def generate_hyperedges(
     If parsing succeeds but no usable hyperedge survives filtering, a single
     safeguard hyperedge covering every node is substituted.
     """
-    base = render_prompt(
+    prompt = render_prompt(
         TemplateId.HYPEREDGES,
         {"claim": claim, "subclaims": format_subclaim_listing(sub_claims)},
     )
-    prompt = base
     n = len(sub_claims)
-    warnings: List[str] = []
-    for attempt in range(3):
-        response = gateway.complete(prompt, Stage.HYPEREDGE_GENERATION)
-        try:
-            groups, parse_warnings = parse_hyperedge_response(response.text, n)
-        except HyperedgeParseError as exc:
-            warnings.append(f"hyperedge parse attempt {attempt + 1} failed: {exc}")
-            if attempt < 2:
-                prompt = base + _HYPEREDGE_RETRY_NOTES[attempt]
-            continue
-        warnings.extend(parse_warnings)
-        if groups:
-            provenance = tuple(LLM_GENERATED for _ in groups)
-        else:
-            groups = [tuple(range(1, n + 1)) + (0,)]
-            provenance = (SAFEGUARD,)
-            warnings.append("no usable hyperedge; substituted safeguard hyperedge")
-        return HyperGraph(claim, tuple(sub_claims), tuple(groups), provenance), warnings
-    raise HyperedgeParseError("hyperedge generation unusable after 3 attempts")
+    parse = partial(parse_hyperedge_response, n=n)
+    taken, rejected = ask(
+        gateway, prompt, Stage.HYPEREDGE_GENERATION, _HYPEREDGE_RETRY_NOTES, parse
+    )
+    if taken is None:
+        raise HyperedgeParseError("hyperedge generation unusable after 3 attempts")
+    groups, parse_warnings = taken
+    warnings = [f"hyperedge parse attempt {k} failed: {exc}" for k, exc in enumerate(rejected, 1)]
+    warnings.extend(parse_warnings)
+    if groups:
+        provenance = tuple(LLM_GENERATED for _ in groups)
+    else:
+        groups = [tuple(range(1, n + 1)) + (0,)]
+        provenance = (SAFEGUARD,)
+        warnings.append("no usable hyperedge; substituted safeguard hyperedge")
+    return HyperGraph(claim, tuple(sub_claims), tuple(groups), provenance), warnings

@@ -7,12 +7,13 @@ nodes never appear in the serialization; they ride along as node content.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .adapters import validate_probabilities
-from .errors import AssemblyError, PredictionError, UnparseableLabelError
+from .errors import AssemblyError, PredictionError
 from .explain import CompetingExplanations
-from .gateway import LlmGateway, Stage, TemplateId, render_body, render_prompt
+from .gateway import LlmGateway, Stage, TemplateId, ask, render_body, render_prompt
 from .graphs import ClaimCenteredGraph, HyperGraph
 from .labels import VeracityLabel, VeracityScheme, parse_label_string
 
@@ -196,32 +197,17 @@ def predict_zero_shot(
     gateway: LlmGateway, prompt: str, scheme: VeracityScheme
 ) -> PredictionResult:
     """Ask the model for a label directly; one corrective re-ask on parse failure."""
-    response = gateway.complete(prompt, Stage.INFERENCE)
-    try:
-        label = parse_label_string(response.text, scheme)
-    except UnparseableLabelError:
-        retry = gateway.complete(prompt + _LABEL_RETRY_NOTE, Stage.INFERENCE)
-        try:
-            label = parse_label_string(retry.text, scheme)
-        except UnparseableLabelError as exc:
-            raise PredictionError(f"no parseable label after re-ask: {exc}") from exc
+    parse = partial(parse_label_string, scheme=scheme)
+    label, rejected = ask(gateway, prompt, Stage.INFERENCE, (_LABEL_RETRY_NOTE,), parse)
+    if label is None:
+        exc = rejected[-1]
+        raise PredictionError(f"no parseable label after re-ask: {exc}") from exc
     return PredictionResult(label=label, source=ZERO_SHOT)
 
 
-def argmax_label(scheme: VeracityScheme, probabilities: Sequence[float]) -> VeracityLabel:
-    best = max(range(len(probabilities)), key=lambda i: (probabilities[i], -i))
-    return VeracityLabel(scheme, best)
-
-
-def prediction_from_probabilities(
-    scheme: VeracityScheme, probabilities: Sequence[float], source: str = EXTERNAL_ADAPTER
-) -> PredictionResult:
-    probs = tuple(float(p) for p in probabilities)
-    return PredictionResult(label=argmax_label(scheme, probs), source=source, probabilities=probs)
-
-
 def predict_with_adapter(prompt: str, scheme: VeracityScheme, adapter) -> PredictionResult:
-    """Route the assembled prompt through an external classifier adapter."""
+    """Route the assembled prompt through an external classifier adapter; the argmax wins."""
     raw = adapter.predict(prompt, list(scheme.labels))
-    probs = validate_probabilities(raw, len(scheme))
-    return prediction_from_probabilities(scheme, probs)
+    probs = tuple(validate_probabilities(raw, len(scheme)))
+    best = max(range(len(probs)), key=lambda i: (probs[i], -i))
+    return PredictionResult(VeracityLabel(scheme, best), EXTERNAL_ADAPTER, probabilities=probs)

@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, SummarizationError
-from .gateway import LlmGateway, Stage, TemplateId, render_prompt
+from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
 from .graphs import DependencyEdge
 from .inference import DefenseGraph, build_graph_block, serialize_edges
 from .labels import VeracityLabel, label_to_score, scheme_by_name
@@ -121,7 +121,8 @@ def summarize_explanations(
     predicted: VeracityLabel,
     structure_text: Optional[str] = None,
 ) -> SummaryOutcome:
-    """One summarization call (plus at most one corrective re-ask).
+    """One summarization call, re-asked once unless the reply has a final
+    explanation and an entry for every sub-claim 1..n.
 
     The embedded graph carries ``structure_text`` as its structure line, or
     no structure line when it is ``None``. Missing per-sub-claim entries
@@ -136,18 +137,23 @@ def summarize_explanations(
             "graph_block": build_graph_block(defense, structure_text),
         },
     )
-    response = gateway.complete(prompt, Stage.FINAL_EXPLANATION_GENERATION)
-    parsed, final = parse_summary_response(response.text)
-    warnings: List[str] = []
-    if final is None or len(parsed) < n:
-        retry = gateway.complete(
-            prompt + _SUMMARY_RETRY_NOTE, Stage.FINAL_EXPLANATION_GENERATION
-        )
-        retry_parsed, retry_final = parse_summary_response(retry.text)
-        # Prefer the more usable of the two replies.
-        if (retry_final is not None, len(retry_parsed)) >= (final is not None, len(parsed)):
-            parsed, final = retry_parsed, retry_final
-        warnings.append("summary response needed a corrective re-ask")
+
+    def parse(text: str) -> Tuple[Dict[int, Tuple[bool, str]], Optional[str]]:
+        entries, final = parse_summary_response(text)
+        in_range = {i: entries[i] for i in range(1, n + 1) if i in entries}
+        if final is None or len(in_range) < n:
+            raise ValueError(in_range, final)  # what it has, to rank it below
+        return in_range, final
+
+    taken, rejected = ask(
+        gateway, prompt, Stage.FINAL_EXPLANATION_GENERATION, (_SUMMARY_RETRY_NOTE,), parse
+    )
+    warnings = ["summary response needed a corrective re-ask"] if rejected else []
+    if taken is None:
+        # Keep the more usable of the two replies; on a tie, max keeps the re-ask.
+        first, re_ask = (exc.args for exc in rejected)
+        taken = max(re_ask, first, key=lambda reply: (reply[1] is not None, len(reply[0])))
+    parsed, final = taken
     if final is None:
         raise SummarizationError("no usable final-explanation after re-ask")
     verdicts = []

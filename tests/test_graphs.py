@@ -28,6 +28,11 @@ def test_parse_sub_claims_strips_numbering_and_bullets():
     assert parse_sub_claims(text) == ["First part.", "Second part.", "Third part."]
 
 
+def test_parse_sub_claims_needs_two_distinct_lines():
+    with pytest.raises(ValueError, match="at least two distinct sub-claims, got 1"):
+        parse_sub_claims("1. Same part.\n2. Same part.")
+
+
 def test_format_subclaim_listing():
     listing = format_subclaim_listing(["A happened.", "B said so.", "C is dated"])
     assert listing == "1. A happened; 2. B said so; 3. C is dated."
@@ -188,6 +193,16 @@ def test_parse_hyperedges_groups_and_filters():
     groups, warnings = parse_hyperedge_response("[[1, 2, 0], [9, 4, 0], [3]]", n=4)
     assert groups == [(1, 2, 0), (4, 0)]
     assert len(warnings) == 2  # dropped member 9, dropped singleton group
+
+
+def test_parse_hyperedges_counts_distinct_members():
+    groups, warnings = parse_hyperedge_response('{"hyperedges": [[2, 2], [1, 3, 1]]}', n=3)
+    assert groups == [(1, 3)]
+    assert warnings == [
+        "dropped repeated index 2 from hyperedge [2, 2]",
+        "dropped hyperedge [2, 2] with fewer than two valid members",
+        "dropped repeated index 1 from hyperedge [1, 3, 1]",
+    ]
 
 
 def test_generate_hyperedges_falls_back_to_safeguard_group():

@@ -1,12 +1,15 @@
-"""One stage vocabulary: the stage every model call books, and names spelled once.
+"""The nine model-call sites: their stage, their corrective re-asks, and names spelled once.
 
 Each call site is fed only unusable replies. Its calls must be booked under
 its own ``Stage`` member, each re-ask must be the first prompt plus the
 site's corrective note, and the site must then give up the way it always
-has: with its error, or for edges with the safeguard fallback.
+has: with its error, or for edges with the safeguard fallback. Fed a usable
+reply on its last attempt instead, the site returns what that reply says; a
+provider failure on the re-ask propagates as it is.
 """
 import ast
 import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Tuple
@@ -20,9 +23,11 @@ from claimgraph.errors import (
     HyperedgeParseError,
     JudgeFailureError,
     PredictionError,
+    ProviderError,
     SummarizationError,
+    UnparseableLabelError,
 )
-from claimgraph.evaluation import judge_explanation
+from claimgraph.evaluation import JudgeScores, judge_explanation
 from claimgraph.explain import (
     CompetingExplanations,
     generate_background,
@@ -31,12 +36,13 @@ from claimgraph.explain import (
 )
 from claimgraph.gateway import Stage
 from claimgraph.graphs import (
+    HyperGraph,
     assemble_claim_graph,
     decompose_claim,
     generate_edges,
     generate_hyperedges,
 )
-from claimgraph.inference import DefenseGraph, predict_zero_shot
+from claimgraph.inference import ZERO_SHOT, DefenseGraph, PredictionResult, predict_zero_shot
 from claimgraph.labels import THREE_WAY
 from claimgraph.retrieval import (
     EvidenceCandidate,
@@ -45,7 +51,7 @@ from claimgraph.retrieval import (
     RetrievedEvidence,
     build_corpus_index,
 )
-from claimgraph.summarize import summarize_explanations
+from claimgraph.summarize import SubClaimVerdict, SummaryOutcome, summarize_explanations
 
 from fakes import FakeGateway
 
@@ -69,12 +75,26 @@ HYPEREDGE_NOTES = (
     "list of index lists.",
 )
 EMPTY_NOTE = ("\nNote: The rationale must not be empty.",)
+RE_ASKED = "summary response needed a corrective re-ask"
 
 
 def background(gw):
     candidates = [EvidenceCandidate(0, i, f"sentence {i} about the bill") for i in range(4)]
     index = build_corpus_index(candidates, EMBEDDER)
-    return generate_background(gw, 1, SUB_CLAIMS[1], index, EMBEDDER, 3)
+    text, _pool = generate_background(gw, 1, SUB_CLAIMS[1], index, EMBEDDER, 3)
+    return text
+
+
+def summary_reply(entries, final=None):
+    """A summary reply with a verdict for each ``index: prediction`` in ``entries``."""
+    verdicts = {
+        f"sub-claim {i}": {"reasoning": f"r{i}", "prediction": prediction}
+        for i, prediction in entries.items()
+    }
+    payload = {"sub-claims-veracity": verdicts}
+    if final is not None:
+        payload["final-explanation"] = final
+    return json.dumps(payload)
 
 
 def summary(gw):
@@ -92,7 +112,10 @@ class CallSite:
     stage: Stage
     notes: Tuple[str, ...]  # appended to the first prompt by each re-ask, in order
     first_prompt: str  # the first 16 hex digits of the first prompt's sha256
+    usable: Tuple[str, ...]  # the last attempt's usable reply, then any later calls' replies
+    recovered: object  # what the site returns when its last attempt is usable
     error: Optional[Tuple[type, str]] = None  # how the site gives up, if it raises
+    cause: Optional[type] = None  # the type of that error's __cause__
     returns: object = None  # what it returns when it gives up without raising
 
 
@@ -103,6 +126,8 @@ CALL_SITES = {
         Stage.CLAIM_DECOMPOSITION,
         DECOMPOSE_NOTES,
         "049b9a758be3598b",
+        usable=("1. The mayor signed it.\n2. The bill cut taxes.",),
+        recovered=["The mayor signed it.", "The bill cut taxes."],
         error=(
             DecompositionError,
             "decomposition kept returning fewer than two sub-claims for "
@@ -115,6 +140,12 @@ CALL_SITES = {
         Stage.EDGE_GENERATION,
         EDGE_NOTES,
         "9d9198791a1e84c3",
+        usable=('{"edges": [(1, 0), (2, 2), (1, 2)]}',),
+        recovered=(
+            {(1, 0), (1, 2)},
+            [f"edge parse attempt {n} failed: response has no edge list key" for n in (1, 2)]
+            + ["dropped self-loop (2, 2)"],
+        ),
         returns=(
             set(),
             [f"edge parse attempt {n} failed: response has no edge list key" for n in (1, 2, 3)]
@@ -127,6 +158,15 @@ CALL_SITES = {
         Stage.HYPEREDGE_GENERATION,
         HYPEREDGE_NOTES,
         "db3a04dd5fea4a38",
+        usable=('{"hyperedges": [[1, 2, 7], [0]]}',),
+        recovered=(
+            HyperGraph("The claim.", tuple(SUB_CLAIMS), ((1, 2),), ("llm_generated",)),
+            [f"hyperedge parse attempt {n} failed: response has no index lists" for n in (1, 2)]
+            + [
+                "dropped out-of-range index 7 from hyperedge [1, 2, 7]",
+                "dropped hyperedge [0] with fewer than two valid members",
+            ],
+        ),
         error=(HyperedgeParseError, "hyperedge generation unusable after 3 attempts"),
     ),
     "generate_competing_pair": CallSite(
@@ -135,6 +175,10 @@ CALL_SITES = {
         Stage.EXPLANATION_GENERATION,
         EMPTY_NOTE,
         "fac5988e08acd1e7",
+        usable=("No record shows it.", "It was signed."),
+        recovered=CompetingExplanations(
+            1, false_oriented="No record shows it.", true_oriented="It was signed."
+        ),
         error=(ExplanationError, "false-oriented explanation came back empty twice"),
     ),
     "generate_lone_analysis": CallSite(
@@ -143,6 +187,8 @@ CALL_SITES = {
         Stage.EXPLANATION_GENERATION,
         EMPTY_NOTE,
         "bf4c8a5518ab8c78",
+        usable=(" Signed in May. ",),
+        recovered=CompetingExplanations(1, analysis="Signed in May."),
         error=(ExplanationError, "analysis came back empty twice"),
     ),
     "generate_background": CallSite(
@@ -151,6 +197,8 @@ CALL_SITES = {
         Stage.BACKGROUND_GENERATION,
         EMPTY_NOTE,
         "af2c86c580aebec9",
+        usable=("Tax bills pass yearly.",),
+        recovered="Tax bills pass yearly.",
         error=(ExplanationError, "background analysis came back empty twice"),
     ),
     "predict_zero_shot": CallSite(
@@ -159,11 +207,14 @@ CALL_SITES = {
         Stage.INFERENCE,
         ("\nAnswer with exactly one label.",),
         "0c3d8f3652436cde",
+        usable=("Half true.",),
+        recovered=PredictionResult(THREE_WAY.label("half"), ZERO_SHOT),
         error=(
             PredictionError,
             "no parseable label after re-ask: could not find a three_way label in "
             "'no verdict'",
         ),
+        cause=UnparseableLabelError,
     ),
     "summarize_explanations": CallSite(
         summary,
@@ -174,6 +225,12 @@ CALL_SITES = {
             "final-explanation value.",
         ),
         "c5eaa5979bf9fdb2",
+        usable=(summary_reply({1: "true", 2: "false"}, "Both checked."),),
+        recovered=SummaryOutcome(
+            (SubClaimVerdict(1, True, "r1"), SubClaimVerdict(2, False, "r2")),
+            "Both checked.",
+            (RE_ASKED,),
+        ),
         error=(SummarizationError, "no usable final-explanation after re-ask"),
     ),
     "judge_explanation": CallSite(
@@ -182,11 +239,14 @@ CALL_SITES = {
         Stage.JUDGE,
         ("\nNote: Output integer scores from 1 to 5 for all four keys.",),
         "8dd5afd822181a55",
+        usable=('{"misleadingness": 2, "informativeness": 4, "soundness": 3, "readability": 5}',),
+        recovered=JudgeScores(2, 4, 3, 5),
         error=(
             JudgeFailureError,
             "judge reply unusable after re-ask: judge reply lacks keys: "
             "['misleadingness', 'informativeness', 'soundness', 'readability']",
         ),
+        cause=ValueError,
     ),
 }
 
@@ -202,11 +262,70 @@ def test_unusable_replies_are_re_asked_under_the_sites_stage_then_given_up(name)
         with pytest.raises(error) as raised:
             site.call(gw)
         assert str(raised.value) == message
+        assert type(raised.value.__cause__) is (site.cause or type(None))
     assert gw.replies == []
     first = gw.prompts[0][1]
     assert hashlib.sha256(first.encode("utf-8")).hexdigest()[:16] == site.first_prompt
     assert gw.prompts == [(site.stage, first + note) for note in ("",) + site.notes]
     assert all(type(stage) is Stage for stage, _ in gw.prompts)
+
+
+@pytest.mark.parametrize("name", list(CALL_SITES))
+def test_a_usable_reply_on_the_last_attempt_is_taken(name):
+    site = CALL_SITES[name]
+    gw = FakeGateway([site.reply] * len(site.notes) + list(site.usable))
+    assert site.call(gw) == site.recovered
+    assert gw.replies == []
+    first = gw.prompts[0][1]
+    attempts = [(site.stage, first + note) for note in ("",) + site.notes]
+    assert gw.prompts[: len(attempts)] == attempts
+
+
+@pytest.mark.parametrize("name", list(CALL_SITES))
+def test_a_provider_error_on_the_re_ask_propagates_unchanged(name):
+    site = CALL_SITES[name]
+    failure = ProviderError("provider down")
+    gw = FakeGateway([site.reply, failure])
+    with pytest.raises(ProviderError) as raised:
+        site.call(gw)
+    assert raised.value is failure
+    first = gw.prompts[0][1]
+    assert gw.prompts == [(site.stage, first), (site.stage, first + site.notes[0])]
+
+
+def _fallback(index):
+    return SubClaimVerdict(index, True, fallback=True)  # "half" leans true
+
+
+@pytest.mark.parametrize(
+    "first, re_ask, kept",
+    [
+        pytest.param(
+            summary_reply({1: "false"}, "First."),
+            summary_reply({1: "true", 2: "true"}),
+            SummaryOutcome(
+                (SubClaimVerdict(1, False, "r1"), _fallback(2)),
+                "First.",
+                (RE_ASKED, "verdict for sub-claim 2 missing; fallback applied"),
+            ),
+            id="first-is-more-usable",
+        ),
+        pytest.param(
+            summary_reply({1: "false"}, "First."),
+            summary_reply({2: "false"}, "Second."),
+            SummaryOutcome(
+                (_fallback(1), SubClaimVerdict(2, False, "r2")),
+                "Second.",
+                (RE_ASKED, "verdict for sub-claim 1 missing; fallback applied"),
+            ),
+            id="tie-keeps-the-re-ask",
+        ),
+    ],
+)
+def test_the_summary_keeps_the_more_usable_of_its_two_replies(first, re_ask, kept):
+    gw = FakeGateway([first, re_ask])
+    assert CALL_SITES["summarize_explanations"].call(gw) == kept
+    assert gw.replies == []
 
 
 def _is_enum(node: ast.ClassDef) -> bool:
@@ -240,3 +359,31 @@ def test_stage_literal_scan_sees_code_but_not_enum_bodies():
         "class T(str, Enum):\n    JUDGE = 'judge'\n\ntrace = ['inference']\n"
     )
     assert list(_stage_literals(tree)) == [(4, "inference")]
+
+
+def _complete_calls(tree: ast.AST):
+    """Line numbers of calls to an attribute named ``complete``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "complete"
+    ]
+
+
+def test_only_the_gateway_module_calls_complete():
+    """Every other module asks through ``gateway.ask``, the one re-ask loop."""
+    package = Path(claimgraph.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "gateway" / "gateway.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(package)}:{line}" for line in _complete_calls(tree)]
+    assert found == []
+
+
+def test_complete_call_scan_sees_only_calls_named_complete():
+    tree = ast.parse("gw.complete(p, s)\ngw.completed(p)\nf = gw.complete\n")
+    assert _complete_calls(tree) == [1]

@@ -130,6 +130,46 @@ def test_summarize_fallback_fills_missing_verdicts():
     assert any("fallback" in w for w in outcome.warnings)
 
 
+SUB_CLAIMS_1_AND_3 = json.dumps(
+    {
+        "sub-claims-veracity": {
+            "sub-claim 1": {"reasoning": "r1", "prediction": "true"},
+            "sub-claim 3": {"reasoning": "r3", "prediction": "true"},
+        },
+        "final-explanation": "First.",
+    }
+)
+ONLY_SUB_CLAIM_2 = json.dumps(
+    {
+        "sub-claims-veracity": {"sub-claim 2": {"reasoning": "r2", "prediction": "false"}},
+        "final-explanation": "Second.",
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "re_ask, verdicts, fallbacks, summary",
+    [
+        pytest.param(
+            good_reply(final="Second."),
+            [True, False],
+            [False, False],
+            "Second.",
+            id="complete-re-ask",
+        ),
+        # In range, each reply has one entry: a tie, so the re-ask is kept.
+        pytest.param(ONLY_SUB_CLAIM_2, [False, False], [True, False], "Second.", id="in-range-tie"),
+    ],
+)
+def test_an_out_of_range_entry_does_not_hide_a_missing_one(re_ask, verdicts, fallbacks, summary):
+    gw = FakeGateway([SUB_CLAIMS_1_AND_3, re_ask])
+    outcome = summarize_explanations(gw, make_defense(), THREE_WAY.label("false"))
+    assert gw.replies == []
+    assert [v.verdict for v in outcome.verdicts] == verdicts
+    assert [v.fallback for v in outcome.verdicts] == fallbacks
+    assert outcome.summary == summary
+
+
 def test_summarize_fails_without_final_explanation():
     no_final = '{"sub-claims-veracity": {}}'
     gw = FakeGateway([no_final, no_final])
