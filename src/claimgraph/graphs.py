@@ -206,6 +206,9 @@ def parse_edge_response(text: str, n: int) -> Tuple[Set[Pair], List[str]]:
         if not (0 <= source <= n and 0 <= target <= n):
             warnings.append(f"dropped out-of-range edge ({source}, {target})")
             continue
+        if (source, target) in pairs:
+            warnings.append(f"dropped duplicate edge ({source}, {target})")
+            continue
         pairs.add((source, target))
     return pairs, warnings
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -333,13 +334,15 @@ class _ClaimStages:
     Stages are entered in program order, so ``stage_trace`` follows program
     order whatever order the overlapped calls finish in. Each piece of a
     stage's work times itself: ``durations[stage]`` sums the stage's own work
-    and leaves out time spent waiting at a join. ``raised`` keeps the first
-    error of each stage whose work raised.
+    and leaves out time spent waiting at a join. ``raised`` keeps, for each
+    stage whose work raised, the error of its earliest piece in submission
+    order, whatever order the pieces failed in.
     """
 
     def __init__(self, record: RunRecord) -> None:
         self.record = record
-        self.raised: Dict[Stage, Exception] = {}
+        self.raised: Dict[Stage, Tuple[int, Exception]] = {}
+        self._pieces = itertools.count()
         # The stage the claim thread's straight-line code is at, in program
         # order: an error outside any stage's work is charged to it.
         self.current: Optional[Stage] = None
@@ -350,14 +353,19 @@ class _ClaimStages:
         self.current = stage
 
     @contextmanager
-    def work(self, stage: Stage):
-        """Time one piece of ``stage``'s work; note the stage if it raises."""
+    def work(self, stage: Stage, piece: int):
+        """Time one piece of ``stage``'s work; note the stage if it raises.
+
+        ``piece`` is the piece's place in submission order.
+        """
         started = time.perf_counter()
         try:
             yield
         except Exception as exc:
             with self._lock:
-                self.raised.setdefault(stage, exc)
+                earlier = self.raised.get(stage)
+                if earlier is None or piece < earlier[0]:
+                    self.raised[stage] = (piece, exc)
             raise
         finally:
             elapsed = time.perf_counter() - started
@@ -369,14 +377,15 @@ class _ClaimStages:
     def stage(self, stage: Stage):
         """Enter ``stage`` and do its work on the claim thread."""
         self.enter(stage)
-        with self.work(stage):
+        with self.work(stage, next(self._pieces)):
             yield
 
     def submit(self, calls: ThreadPoolExecutor, stage: Stage, fn, *args) -> Future:
         """Do one piece of the entered ``stage``'s work on ``calls``."""
+        piece = next(self._pieces)
 
         def task():
-            with self.work(stage):
+            with self.work(stage, piece):
                 return fn(*args)
 
         return calls.submit(task)
@@ -401,7 +410,8 @@ class _ClaimStages:
             calls.shutdown(cancel_futures=True)
             trace = self.record.stage_trace
             stage = next((s for s in map(Stage, trace) if s in self.raised), self.current)
-            exc = self.raised.get(stage, exc)
+            if stage in self.raised:
+                exc = self.raised[stage][1]
             del trace[trace.index(stage.value) + 1 :]
             if isinstance(exc, ClaimGraphError):
                 message = str(exc)
@@ -458,7 +468,9 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
 
     Every failure, domain or not, is captured on the record under
     ``failure``, so a batch always produces one record per claim. It is
-    charged to the earliest stage in program order whose work raised, and
+    charged to the earliest stage in program order whose work raised, with
+    the error of that stage's earliest piece in submission order (node 1's
+    before node 2's, as a sequential run would see them), and
     ``stage_trace`` is cut there. Pieces not yet started are cancelled;
     ``stage_usage`` books every call that ran, overlapped ones included.
 
@@ -637,6 +649,13 @@ class BatchResult:
 
 
 def _prepare_run_dir(run_dir: Path, config: PipelineConfig, force: bool) -> None:
+    """Create or check ``run_dir``, write its config and sweep orphaned temp files.
+
+    A process killed inside ``write_text_atomic`` leaves its
+    ``<name>.<random>.tmp`` file behind. Nothing reads one, but a copy of the
+    cache directory would carry it along, so the batch about to run removes
+    them; one run directory serves one batch at a time.
+    """
     run_dir.mkdir(parents=True, exist_ok=True)
     config_path = run_dir / "config.json"
     if config_path.exists() and not force:
@@ -645,6 +664,9 @@ def _prepare_run_dir(run_dir: Path, config: PipelineConfig, force: bool) -> None
                 "run directory was created with a different config; "
                 "use a fresh directory or pass force"
             )
+    for directory in (run_dir, run_dir / "runs", run_dir / "cache"):
+        for orphan in directory.glob("*.*.tmp"):
+            orphan.unlink()
     _write_json(config_path, dict(config.to_dict(), config_hash=config.config_hash()))
 
 

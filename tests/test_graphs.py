@@ -75,6 +75,12 @@ def test_parse_edges_drops_self_loops_and_out_of_range():
     assert len(warnings) == 2
 
 
+def test_parse_edges_warns_for_each_dropped_duplicate():
+    pairs, warnings = parse_edge_response('{"edges": [(1, 0), [1, 0], (0, 1), [1, 0]]}', n=2)
+    assert pairs == {(1, 0), (0, 1)}
+    assert warnings == ["dropped duplicate edge (1, 0)", "dropped duplicate edge (1, 0)"]
+
+
 def test_parse_edges_empty_list_is_valid():
     pairs, warnings = parse_edge_response('{"edges": []}', n=4)
     assert pairs == set()

@@ -256,6 +256,35 @@ def test_failure_is_charged_to_the_running_stage(two_records, ablations, templat
     assert provider.answered == answered
 
 
+class LateFirstNodeRefuser:
+    """Scripted replies; every rationale call raises, node 1's only after ``delay``."""
+
+    def __init__(self, first_sub_claim: str, delay: float):
+        self.inner = ScriptedResponder(seed=0)
+        self.rationale = prompt_marker("rationale")
+        self.first_node = f"{self.rationale}{first_sub_claim}, "
+        self.delay = delay
+
+    def generate(self, request):
+        if request.prompt_text.startswith(self.first_node):
+            time.sleep(self.delay)
+            raise ProviderUnavailableError("node 1 failed")
+        if request.prompt_text.startswith(self.rationale):
+            raise ProviderUnavailableError("a later node failed")
+        return self.inner.generate(request)
+
+
+def test_a_stage_is_charged_the_error_of_its_earliest_piece(two_records):
+    sub_claims = run_one(PipelineConfig(), two_records[0]).sub_claims
+    assert len(sub_claims) == 2
+    # Node 2's error arrives first in time; a sequential run would see node 1's.
+    for _ in range(5):
+        provider = LateFirstNodeRefuser(sub_claims[0], delay=0.1)
+        record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
+        assert record.failure == {"stage": "explanation_generation", "message": "node 1 failed"}
+        assert record.stage_trace == STANDARD_TRACE[:4]
+
+
 class BarrierProvider:
     """Scripted replies; the edge prompt and the first rationale prompt meet at a barrier.
 
@@ -478,6 +507,30 @@ def test_resume_spends_no_provider_calls(workspace):
     assert result.processed == 0
     assert result.skipped == len(workspace.records)
     assert provider.call_count == 0
+
+
+def _file_bytes(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_run_batch_sweeps_orphaned_temp_files(two_records, tmp_path):
+    run_dir = tmp_path / "run"
+    run_batch(two_records, PipelineConfig(), run_dir)
+    records, cache = _file_bytes(run_dir / "runs"), _file_bytes(run_dir / "cache")
+    assert records and cache
+    # What a kill inside write_text_atomic leaves: <name>.<random>.tmp files.
+    orphans = [
+        run_dir / "report.json.k3x9q1.tmp",
+        run_dir / "runs" / f"{sorted(records)[0]}.a8b2c7.tmp",
+        run_dir / "cache" / f"{sorted(cache)[0]}.zz01mn.tmp",
+    ]
+    for orphan in orphans:
+        orphan.write_text('{"partial', encoding="utf-8")
+    result = run_batch(two_records, PipelineConfig(), run_dir)
+    assert result.processed == 0
+    assert not any(orphan.exists() for orphan in orphans)
+    assert _file_bytes(run_dir / "runs") == records
+    assert _file_bytes(run_dir / "cache") == cache
 
 
 def test_fixture_replay_writes_no_copy_of_the_fixtures(workspace, tmp_path):
