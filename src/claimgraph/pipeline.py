@@ -10,18 +10,16 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import re
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .adapters import ClassifierAdapter, HttpAdapterClient, LineAdapterClient, StubAdapter
 from .atomic import write_text_atomic
@@ -163,6 +161,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
+        # A run's config.json also stores its hash, which is recomputed.
+        payload = {k: v for k, v in payload.items() if k != "config_hash"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -280,8 +280,12 @@ class RunRecord:
 
     Its stage names are ``Stage`` values: a stage's calls are booked in
     ``stage_usage`` under the name its work is timed under in ``durations``.
-    ``failure["stage"]``, when set, is always the last entry of
-    ``stage_trace``: the earliest stage in program order whose work raised.
+    Only the claim thread writes a record; it reads ``stage_trace``,
+    ``durations`` and ``failure`` off the claim's pieces of stage work at the
+    end, by one rule: the failure is the earliest piece, in program and then
+    submission order, that raised (or the last stage started, for an error
+    outside every piece), and ``stage_trace`` is cut at its stage, so
+    ``failure["stage"]``, when set, is always its last entry.
     ``stage_usage`` counts provider calls only; cache hits cost nothing and
     are not counted. On failure it also books the overlapped calls of later
     stages that had already started. ``durations[stage]`` is the stage's own
@@ -329,128 +333,104 @@ class RunRecord:
 
 
 class _ClaimStages:
-    """One claim's stage bookkeeping, shared by the claim thread and its call pool.
+    """One claim's list of pieces of stage work, each ``(stage, future)``.
 
-    Stages are entered in program order, so ``stage_trace`` follows program
-    order whatever order the overlapped calls finish in. Each piece of a
-    stage's work times itself: ``durations[stage]`` sums the stage's own work
-    and leaves out time spent waiting at a join. ``raised`` keeps, for each
-    stage whose work raised, the error of its earliest piece in submission
-    order, whatever order the pieces failed in.
+    Stages start in program order, so the list is in program order across
+    stages and in submission order within a stage. A piece runs on the
+    claim's call pool, or at once on the claim thread as an
+    already-completed future, and stores its own time before its future
+    completes. Only the claim thread keeps the list and writes the record.
+
+    The one rule, applied once at the end by ``settled``: on an error,
+    pieces not yet started are cancelled and running ones waited for. The
+    failure is the first piece in the list that raised; an error raised
+    outside every piece goes to the last stage started. ``stage_trace``
+    holds the pieces' stages, in order, cut at the failed stage.
+    ``durations[stage]`` sums the stage's pieces' own times.
     """
 
-    def __init__(self, record: RunRecord) -> None:
-        self.record = record
-        self.raised: Dict[Stage, Tuple[int, Exception]] = {}
-        self._pieces = itertools.count()
-        # The stage the claim thread's straight-line code is at, in program
-        # order: an error outside any stage's work is charged to it.
-        self.current: Optional[Stage] = None
-        self._lock = threading.Lock()
+    def __init__(self, workers: int) -> None:
+        self.calls = ThreadPoolExecutor(max_workers=workers)
+        self.pieces: List[Tuple[Stage, Future]] = []
+        self.seconds: Dict[int, float] = {}  # a piece's own time, by its place in pieces
 
-    def enter(self, stage: Stage) -> None:
-        self.record.stage_trace.append(stage.value)
-        self.current = stage
-
-    @contextmanager
-    def work(self, stage: Stage, piece: int):
-        """Time one piece of ``stage``'s work; note the stage if it raises.
-
-        ``piece`` is the piece's place in submission order.
-        """
+    def _timed(self, place: int, fn, args: tuple):
         started = time.perf_counter()
         try:
-            yield
-        except Exception as exc:
-            with self._lock:
-                earlier = self.raised.get(stage)
-                if earlier is None or piece < earlier[0]:
-                    self.raised[stage] = (piece, exc)
-            raise
+            return fn(*args)
         finally:
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                durations = self.record.durations
-                durations[stage.value] = durations.get(stage.value, 0.0) + elapsed
+            self.seconds[place] = time.perf_counter() - started
+
+    def submit(self, stage: Stage, fn, *args) -> Future:
+        """Start one piece of ``stage``'s work on the call pool."""
+        future = self.calls.submit(self._timed, len(self.pieces), fn, args)
+        self.pieces.append((stage, future))
+        return future
+
+    def run(self, stage: Stage, fn, *args):
+        """Do one piece of ``stage``'s work on the claim thread; return its result."""
+        future: Future = Future()
+        self.pieces.append((stage, future))
+        try:
+            future.set_result(self._timed(len(self.pieces) - 1, fn, args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future.result()
 
     @contextmanager
-    def stage(self, stage: Stage):
-        """Enter ``stage`` and do its work on the claim thread."""
-        self.enter(stage)
-        with self.work(stage, next(self._pieces)):
-            yield
-
-    def submit(self, calls: ThreadPoolExecutor, stage: Stage, fn, *args) -> Future:
-        """Do one piece of the entered ``stage``'s work on ``calls``."""
-        piece = next(self._pieces)
-
-        def task():
-            with self.work(stage, piece):
-                return fn(*args)
-
-        return calls.submit(task)
-
-    def join(self, stage: Stage, futures: Sequence[Future]) -> list:
-        """The results of ``stage``'s pieces, in submission order."""
-        self.current = stage
-        return [future.result() for future in futures]
-
-    @contextmanager
-    def failure_captured(self, calls: ThreadPoolExecutor):
-        """Record an error raised inside as the claim's failure.
-
-        The failure is charged once every piece already running has finished
-        (pieces not yet started are cancelled), to the earliest stage in
-        program order whose work raised. The trace is cut at that stage, so
-        it stays the trace's last entry.
-        """
+    def settled(self, record: RunRecord):
+        """Run the claim's stages inside; then write the record's trace, durations, failure."""
+        error: Optional[Exception] = None
         try:
             yield
         except Exception as exc:
-            calls.shutdown(cancel_futures=True)
-            trace = self.record.stage_trace
-            stage = next((s for s in map(Stage, trace) if s in self.raised), self.current)
-            if stage in self.raised:
-                exc = self.raised[stage][1]
-            del trace[trace.index(stage.value) + 1 :]
-            if isinstance(exc, ClaimGraphError):
-                message = str(exc)
+            error = exc
+        finally:
+            self.calls.shutdown(cancel_futures=True)
+        trace = list(dict.fromkeys(stage for stage, _future in self.pieces))
+        if error is not None:
+            raised = (
+                (stage, future.exception())
+                for stage, future in self.pieces
+                if not future.cancelled() and future.exception() is not None
+            )
+            stage, error = next(raised, (trace[-1], error))
+            del trace[trace.index(stage) + 1 :]
+            if isinstance(error, ClaimGraphError):
+                message = str(error)
             else:
                 # Not a domain failure (a bug, a provider client's own
                 # exception): keep the type so the cause can be told apart.
-                message = f"{type(exc).__name__}: {exc}"
-            self.record.failure = {"stage": stage.value, "message": message}
+                message = f"{type(error).__name__}: {error}"
+            record.failure = {"stage": stage.value, "message": message}
+        record.stage_trace = [stage.value for stage in trace]
+        for place, seconds in sorted(self.seconds.items()):
+            name = self.pieces[place][0].value
+            record.durations[name] = record.durations.get(name, 0.0) + seconds
 
 
 def _build_structure(
     gw: LlmGateway,
     config: PipelineConfig,
-    record: RunRecord,
     claim: str,
     sub_claims: Sequence[str],
-) -> ClaimCenteredGraph:
+) -> Tuple[ClaimCenteredGraph, Optional[dict], Optional[str], List[str]]:
     """Generate the configured edges or hyperedges and assemble the claim's graph.
 
-    Fills the record's structure fields; no other stage writes them.
+    Returns the graph, the record's ``hypergraph`` and ``structure_text``,
+    and the parser's warnings; the claim thread writes them to the record.
     """
-    llm_edges: Set[Tuple[int, int]] = set()
-    structure_text: Optional[str] = None
     if config.graph_structure == HYPERGRAPH:
         hyper, warnings = generate_hyperedges(gw, claim, sub_claims)
-        record.hypergraph = {
+        hypergraph = {
             "hyperedges": [list(h) for h in hyper.hyperedges],
             "provenance": list(hyper.provenance),
         }
-        structure_text = hypergraph_to_seq(hyper)
-    else:
-        llm_edges, warnings = generate_edges(gw, claim, sub_claims)
-    record.warnings.extend(warnings)
+        graph = assemble_claim_graph(claim, sub_claims, set())
+        return graph, hypergraph, hypergraph_to_seq(hyper), warnings
+    llm_edges, warnings = generate_edges(gw, claim, sub_claims)
     graph = assemble_claim_graph(claim, sub_claims, llm_edges)
-    if config.graph_structure == DEPENDENCY:
-        structure_text = graph_to_seq(graph)
-    record.graph = graph.to_dict()
-    record.structure_text = structure_text
-    return graph
+    return graph, None, graph_to_seq(graph), warnings
 
 
 def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
@@ -464,15 +444,16 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     (edges, entries, backgrounds) before inference and the final
     explanation, so records do not depend on the order calls finish in.
     The gateway's in-flight cap still bounds provider calls across the run,
-    and no call runs after this function returns.
+    and no call runs after this function returns. Only the claim thread
+    writes the record.
 
     Every failure, domain or not, is captured on the record under
-    ``failure``, so a batch always produces one record per claim. It is
-    charged to the earliest stage in program order whose work raised, with
-    the error of that stage's earliest piece in submission order (node 1's
-    before node 2's, as a sequential run would see them), and
-    ``stage_trace`` is cut there. Pieces not yet started are cancelled;
-    ``stage_usage`` books every call that ran, overlapped ones included.
+    ``failure`` by ``_ClaimStages``' one rule, so a batch always produces
+    one record per claim: the earliest piece that raised, in program and
+    then submission order (node 1's before node 2's, as a sequential run
+    would see them), is charged and ``stage_trace`` is cut there. Pieces not
+    yet started are cancelled; ``stage_usage`` books every call that ran,
+    overlapped ones included.
 
     Without sub-claims the claim itself is the only node: it gets
     claim-level evidence and explanations, a single-node inference prompt,
@@ -491,14 +472,10 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         config_hash=config.config_hash(),
         gold_label=claim_record.gold_label.identifier if claim_record.gold_label else None,
     )
-    stages = _ClaimStages(record)
+    stages = _ClaimStages(config.provider_concurrency)
     structure: Optional[Future] = None
-    structure_stage = Stage.EDGE_GENERATION
-    if config.graph_structure == HYPERGRAPH:
-        structure_stage = Stage.HYPEREDGE_GENERATION
     graph: Optional[ClaimCenteredGraph] = None
-    calls = ThreadPoolExecutor(max_workers=config.provider_concurrency)
-    with calls, stages.failure_captured(calls):
+    with stages.settled(record):
         if config.ablated("no_subclaims"):
             nodes = [(0, claim)]
         else:
@@ -507,8 +484,9 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 if config.decomposition == ENHANCED
                 else TemplateId.DECOMPOSE
             )
-            with stages.stage(Stage.CLAIM_DECOMPOSITION):
-                sub_claims = decompose_claim(gw, claim, template)
+            sub_claims = stages.run(
+                Stage.CLAIM_DECOMPOSITION, decompose_claim, gw, claim, template
+            )
             record.sub_claims = list(sub_claims)
             record.n = len(sub_claims)
             nodes = list(enumerate(sub_claims, start=1))
@@ -516,67 +494,67 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 graph = assemble_claim_graph(claim, sub_claims, set())
                 record.graph = graph.to_dict()
             else:
-                stages.enter(structure_stage)
-                structure = stages.submit(
-                    calls, structure_stage, _build_structure,
-                    gw, config, record, claim, sub_claims,
-                )
+                stage = Stage.EDGE_GENERATION
+                if config.graph_structure == HYPERGRAPH:
+                    stage = Stage.HYPEREDGE_GENERATION
+                structure = stages.submit(stage, _build_structure, gw, config, claim, sub_claims)
 
-        corpus_index: Optional[CorpusIndex] = None
-        if config.ablated("no_evidence"):
-            evidence_sets = [EvidenceSet(i, (), config.k) for i, _text in nodes]
-        else:
-            with stages.stage(Stage.EVIDENCE_RETRIEVAL):
-                corpus_index = build_corpus_index(
-                    build_corpus(claim_record), runtime.embedder
-                )
-                evidence_sets = [
-                    retrieve_top_k(i, text, corpus_index, runtime.embedder, config.k)
-                    for i, text in nodes
-                ]
-
-        explain_node = (
-            generate_lone_analysis
-            if config.ablated("no_competing")
-            else generate_competing_pair
-        )
-        stages.enter(Stage.EXPLANATION_GENERATION)
-        pending_entries = [
-            stages.submit(calls, Stage.EXPLANATION_GENERATION, explain_node, gw, i, text, evidence)
-            for (i, text), evidence in zip(nodes, evidence_sets)
-        ]
-        pending_backgrounds = []
-        if config.with_background:
-            stages.enter(Stage.BACKGROUND_GENERATION)
-            pending_backgrounds = [
-                stages.submit(
-                    calls, Stage.BACKGROUND_GENERATION, generate_background,
-                    gw, i, text, corpus_index, runtime.embedder,
-                    config.background_pool_size,
-                )
-                for i, text in nodes
+        def retrieve():
+            index = build_corpus_index(build_corpus(claim_record), runtime.embedder)
+            return index, [
+                retrieve_top_k(i, text, index, runtime.embedder, config.k) for i, text in nodes
             ]
 
-        if structure is not None:
-            (graph,) = stages.join(structure_stage, [structure])
+        corpus_index: Optional[CorpusIndex] = None
+        try:
+            if config.ablated("no_evidence"):
+                evidence_sets = [EvidenceSet(i, (), config.k) for i, _text in nodes]
+            else:
+                corpus_index, evidence_sets = stages.run(Stage.EVIDENCE_RETRIEVAL, retrieve)
+            explain_node = (
+                generate_lone_analysis
+                if config.ablated("no_competing")
+                else generate_competing_pair
+            )
+            pending_entries = [
+                stages.submit(Stage.EXPLANATION_GENERATION, explain_node, gw, i, text, evidence)
+                for (i, text), evidence in zip(nodes, evidence_sets)
+            ]
+            pending_backgrounds = []
+            if config.with_background:
+                pending_backgrounds = [
+                    stages.submit(
+                        Stage.BACKGROUND_GENERATION, generate_background,
+                        gw, i, text, corpus_index, runtime.embedder,
+                        config.background_pool_size,
+                    )
+                    for i, text in nodes
+                ]
+        finally:
+            # Joined whatever happens to retrieval: a sequential run would
+            # have the structure on the record before retrieving.
+            if structure is not None:
+                graph, record.hypergraph, record.structure_text, warnings = structure.result()
+                record.graph = graph.to_dict()
+                record.warnings.extend(warnings)
         record.evidence = [e.to_dict() for e in evidence_sets]
-        entries = stages.join(Stage.EXPLANATION_GENERATION, pending_entries)
-        if config.with_background:
-            backgrounds = stages.join(Stage.BACKGROUND_GENERATION, pending_backgrounds)
-            for position, (background, _pool) in enumerate(backgrounds):
-                entries[position] = replace(entries[position], background=background)
+        entries = [future.result() for future in pending_entries]
+        for position, future in enumerate(pending_backgrounds):
+            background, _pool = future.result()
+            entries[position] = replace(entries[position], background=background)
         record.explanations = [e.to_dict() for e in entries]
 
-        with stages.stage(Stage.INFERENCE):
+        def infer():
             if graph is None:
-                prompt = build_claim_only_prompt(claim, entries[0], runtime.scheme)
+                defense, prompt = None, build_claim_only_prompt(claim, entries[0], runtime.scheme)
             else:
                 defense = DefenseGraph(graph, tuple(entries))
                 prompt = build_inference_prompt(defense, runtime.scheme, record.structure_text)
             if config.inference_path == EXTERNAL_ADAPTER:
-                result = predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
-            else:
-                result = predict_zero_shot(gw, prompt, runtime.scheme)
+                return defense, predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
+            return defense, predict_zero_shot(gw, prompt, runtime.scheme)
+
+        defense, result = stages.run(Stage.INFERENCE, infer)
         label = result.label
         record.prediction = {
             "label": label.identifier,
@@ -589,8 +567,10 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             # predicted label is selected directly.
             record.summary = entries[0].oriented(fallback_verdict(label))
         else:
-            with stages.stage(Stage.FINAL_EXPLANATION_GENERATION):
-                outcome = summarize_explanations(gw, defense, label, record.structure_text)
+            outcome = stages.run(
+                Stage.FINAL_EXPLANATION_GENERATION,
+                summarize_explanations, gw, defense, label, record.structure_text,
+            )
             record.warnings.extend(outcome.warnings)
             record.verdicts = [v.to_dict() for v in outcome.verdicts]
             record.summary = outcome.summary
@@ -621,13 +601,12 @@ def _write_record(run_dir: Path, record: RunRecord) -> Path:
 
 
 def load_run_config(run_dir: Union[str, Path]) -> PipelineConfig:
-    """Config a run directory was created with (config_hash key stripped)."""
+    """Config a run directory was created with."""
     path = Path(run_dir) / "config.json"
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"unreadable run config {path}: {exc}") from exc
-    payload.pop("config_hash", None)
     return PipelineConfig.from_dict(payload)
 
 
@@ -682,26 +661,30 @@ def run_batch(
     Claims that already have a record on disk are not re-run (their provider
     calls were already spent); everything else goes through a bounded thread
     pool, and each record is written as soon as its claim finishes. Per-claim
-    failures are recorded, never raised. The reports are built from the
-    records read at the start plus the ones written here.
+    failures are recorded, never raised. A record that cannot be written
+    stops the batch at once: claims not yet started are cancelled, and the
+    error is raised once the running ones have finished and the runtime is
+    closed. The reports are built from the records read at the start plus
+    the ones written here.
     """
     run_dir = Path(run_dir)
     _prepare_run_dir(run_dir, config, force)
     done = {r.claim_id: r for r in load_run_records(run_dir)}
     pending = [r for r in records if r.claim_id not in done]
     runtime = build_runtime(config, run_dir, provider=provider)
+    pool = ThreadPoolExecutor(max_workers=max(1, min(config.claim_concurrency, len(pending))))
     processed = 0
     try:
-        if pending:
-            workers = max(1, min(config.claim_concurrency, len(pending)))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(run_claim, runtime, c) for c in pending]
-                for future in as_completed(futures):
-                    record = future.result()
-                    _write_record(run_dir, record)
-                    done[record.claim_id] = record
-                    processed += 1
+        futures = [pool.submit(run_claim, runtime, c) for c in pending]
+        for future in as_completed(futures):
+            record = future.result()
+            _write_record(run_dir, record)
+            done[record.claim_id] = record
+            processed += 1
     finally:
+        # After an error (a record that cannot be written), claims not yet
+        # started are cancelled; the running ones finish before the close.
+        pool.shutdown(cancel_futures=True)
         runtime.close()
     # The order load_run_records reads them in: by file name.
     on_disk = sorted(done.values(), key=lambda r: _record_filename(r.claim_id))

@@ -1,9 +1,11 @@
+import errno
 import json
 import re
 import shutil
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -174,6 +176,7 @@ def test_failures_are_recorded_not_raised(two_records, tmp_path):
         "stage": "claim_decomposition",
         "message": "endpoint gone",
     }
+    assert record.failure["stage"] == record.stage_trace[-1]
 
     result = run_batch(two_records, config, tmp_path / "run", provider=DeadProvider())
     assert result.processed == 2
@@ -282,6 +285,7 @@ def test_a_stage_is_charged_the_error_of_its_earliest_piece(two_records):
         provider = LateFirstNodeRefuser(sub_claims[0], delay=0.1)
         record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
         assert record.failure == {"stage": "explanation_generation", "message": "node 1 failed"}
+        assert record.failure["stage"] == record.stage_trace[-1]
         assert record.stage_trace == STANDARD_TRACE[:4]
 
 
@@ -405,6 +409,24 @@ def test_stage_durations_are_each_stages_own_work(two_records):
     assert edges <= record.durations["edge_generation"] < wall
 
 
+def test_every_pieces_time_reaches_the_record_under_thread_switching(two_records):
+    rationale = 0.002
+    provider = SlowProvider({"rationale": rationale})
+    runtime = build_runtime(PipelineConfig(provider_concurrency=8), provider=provider)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            records = list(pool.map(lambda claim: run_claim(runtime, claim), two_records * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    for record in records:
+        assert record.succeeded
+        assert list(record.durations) == record.stage_trace
+        # A lost piece time would leave the stage short of its calls' sleeps.
+        assert record.durations["explanation_generation"] >= 2 * record.n * rationale
+
+
 def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_path):
     victim = two_records[1]
     provider = RefusingProvider(lambda prompt: victim.claim in prompt, RuntimeError("client bug"))
@@ -417,6 +439,7 @@ def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_pat
         "stage": "claim_decomposition",
         "message": "RuntimeError: client bug",
     }
+    assert records[victim.claim_id].stage_trace == ["claim_decomposition"]
     assert result.report.failures_by_stage == {"claim_decomposition": 1}
 
 
@@ -451,6 +474,51 @@ def test_run_batch_writes_each_record_as_it_finishes(two_records, tmp_path):
     assert provider.released
     assert result.processed == 2
     assert {r.claim_id for r in load_run_records(run_dir)} == {first.claim_id, second.claim_id}
+
+
+def test_a_record_that_cannot_be_written_stops_the_batch(workspace, tmp_path, monkeypatch):
+    claims = workspace.records
+    started, returned, closed = [], [], []
+    run_claim_, write_record, close = (
+        pipeline.run_claim, pipeline._write_record, pipeline.PipelineRuntime.close
+    )
+
+    def starting(runtime, claim_record):
+        started.append(claim_record.claim_id)
+        record = run_claim_(runtime, claim_record)
+        returned.append(record)
+        return record
+
+    def disk_full_after_one(run_dir, record):
+        if any((run_dir / "runs").glob("*.json")):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_record(run_dir, record)
+
+    def closing(runtime):
+        closed.append(runtime)
+        close(runtime)
+
+    monkeypatch.setattr(pipeline, "run_claim", starting)
+    monkeypatch.setattr(pipeline, "_write_record", disk_full_after_one)
+    monkeypatch.setattr(pipeline.PipelineRuntime, "close", closing)
+    provider = CountingRefuser(lambda prompt: False, None)
+    run_dir = tmp_path / "run"
+    config = PipelineConfig(claim_concurrency=1)
+    with pytest.raises(OSError, match="No space left on device"):
+        run_batch(claims, config, run_dir, provider=provider)
+    assert len(closed) == 1
+    # The first record survives; the claims not yet started never ran, and
+    # the provider answered only the claims that did.
+    assert [r.claim_id for r in load_run_records(run_dir)] == started[:1]
+    assert 2 <= len(started) <= 3 < len(claims)
+    assert provider.answered == sum(booked_calls(r) for r in returned)
+
+    monkeypatch.setattr(pipeline, "_write_record", write_record)
+    started.clear()
+    result = run_batch(claims, config, run_dir)
+    assert result.processed == len(claims) - 1
+    assert sorted(started) == sorted(c.claim_id for c in claims[1:])
+    assert len(load_run_records(run_dir)) == len(claims)
 
 
 def test_judge_run_scores_every_succeeded_claim(workspace, tmp_path):
@@ -806,6 +874,19 @@ def test_cli_run_evaluate_cost_export(workspace, tmp_path):
     )
     assert result.exit_code != 0
     assert "no record" in result.output
+
+
+def test_cli_run_accepts_a_runs_own_config(workspace, tmp_path):
+    runner = CliRunner()
+    run = ["run", "--manifest", str(workspace.manifest_path), "--limit", "1"]
+    first, again = tmp_path / "first", tmp_path / "again"
+    result = runner.invoke(cli_main, [*run, "--out", str(first), "--ablation", "no_edges"])
+    assert result.exit_code == 0, result.output
+    config_path = first / "config.json"
+    result = runner.invoke(cli_main, [*run, "--out", str(again), "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    assert "processed 1, skipped 0" in result.output
+    assert (again / "config.json").read_bytes() == config_path.read_bytes()
 
 
 def test_cli_run_rejects_scheme_mismatch(workspace, tmp_path):

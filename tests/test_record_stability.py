@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from claimgraph.fixtures import build_fixture_dataset
+from claimgraph.gateway import Stage
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.ingest import load_manifest, load_records
 from claimgraph.pipeline import PipelineConfig, build_runtime, run_claim
@@ -107,6 +108,12 @@ def sha256_json(payload) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def check_stage_keys(record) -> None:
+    """Every traced stage is timed, and every timing and usage key is a stage."""
+    assert set(record.stage_trace) <= set(record.durations)
+    assert set(record.durations) | set(record.stage_usage) <= {stage.value for stage in Stage}
+
+
 def run_digests(config: PipelineConfig, claims, spy=None, claim_workers=1):
     """(records digest, prompts digest) of one run over ``claims``."""
     spy = spy if spy is not None else PromptSpy()
@@ -115,6 +122,7 @@ def run_digests(config: PipelineConfig, claims, spy=None, claim_workers=1):
         records = list(pool.map(lambda claim: run_claim(runtime, claim), claims))
     payloads = []
     for record in records:
+        check_stage_keys(record)
         payload = record.to_dict()
         del payload["durations"]
         payloads.append(payload)

@@ -1,10 +1,12 @@
-"""Smoke test of the two offline scripts, run as a user would run them."""
+"""Smoke tests of the offline scripts and of the test and benchmark tooling."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from claimgraph.pipeline import load_run_records
+from claimgraph.fixtures import build_fixture_dataset
+from claimgraph.ingest import load_manifest, load_records
+from claimgraph.pipeline import PipelineConfig, load_run_records, run_batch
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -56,3 +58,58 @@ def test_traced_benchmark_wraps_only_names_that_exist(monkeypatch):
     assert targets
     for owner, attr, *_ in targets:
         assert attr in owner.__dict__, (owner, attr)
+
+
+def test_a_traced_batch_fires_every_span_name(monkeypatch, tmp_path):
+    # A refactor that routes around a wrapped name zeroes its per-layer
+    # metric without breaking the traced run.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import simprovider
+    import spans
+
+    manifest = build_fixture_dataset(tmp_path / "data", claim_count=2)
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer, simprovider.CountingProvider):
+        records, rejects = load_records(load_manifest(manifest))
+        assert not rejects
+        provider = simprovider.CountingProvider()
+        run_batch(records, PipelineConfig(), tmp_path / "run", provider=provider)
+    wrapped = {name for _owner, _attr, name, *_ in spans._targets(simprovider.CountingProvider)}
+    assert wrapped - {span.name for span in tracer.spans} == set()
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_a_property_that_fails(x):
+    assert x < 10
+
+
+def test_the_next_test():
+    pass
+"""
+
+
+def test_a_failing_property_fails_like_any_test(tmp_path):
+    # Run under the repository's warning filters, which turn warnings into
+    # errors: hypothesis's failure report must still get through.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+            "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path),
+            "test_property.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = run.stdout + run.stderr
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
+    assert "test_property.py::test_the_next_test PASSED" in output
+    assert "1 failed, 1 passed" in output
