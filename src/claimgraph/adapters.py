@@ -13,12 +13,13 @@ import math
 import subprocess
 import threading
 import time
-from typing import Callable, List, Optional, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
 
 from .errors import AdapterContractError
-from .retry import post_json, with_retries
+from .retry import new_session, post_json, with_retries
+
+if TYPE_CHECKING:
+    import requests
 
 PROBABILITY_SUM_TOLERANCE = 1e-6
 
@@ -68,6 +69,7 @@ class HttpAdapterClient:
 
     Transport errors, 429 and 5xx are retried (``claimgraph.retry``); any
     other failure is not. Every failure raises AdapterContractError.
+    Without a ``session`` it makes one with ``claimgraph.retry.new_session``.
     """
 
     def __init__(
@@ -79,7 +81,7 @@ class HttpAdapterClient:
     ) -> None:
         self.url = url
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session or new_session()
         self._sleep = sleeper
 
     def predict(self, prompt_text: str, labels: List[str]) -> Sequence[float]:

@@ -15,6 +15,7 @@ from .pipeline import (
     cost_report,
     judge_run,
     load_run_config,
+    load_run_record,
     load_run_records,
     run_batch,
     write_reports,
@@ -161,10 +162,9 @@ def cost(run_dir: str) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def export(run_dir: str, claim_id: str, fmt: str, out_path: str) -> None:
     """Write one claim's explanation graph as DOT or structured JSON."""
-    matches = [r for r in load_run_records(run_dir) if r.claim_id == claim_id]
-    if not matches:
+    record = load_run_record(run_dir, claim_id)
+    if record is None:
         raise click.ClickException(f"no record for claim id {claim_id!r}")
-    record = matches[0]
     if not record.explanation_graph:
         raise click.ClickException(
             f"claim {claim_id!r} has no explanation graph "

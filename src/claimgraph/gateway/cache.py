@@ -69,7 +69,10 @@ class ResponseCache:
             "input_tokens": response.usage.input_tokens,
             "output_tokens": response.usage.output_tokens,
         }
-        write_text_atomic(self._path(request), json.dumps(record, ensure_ascii=False))
+        write_text_atomic(
+            self._path(request),
+            json.dumps(record, ensure_ascii=False, separators=(",", ":")),
+        )
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))

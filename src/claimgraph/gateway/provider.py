@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from ..errors import ProviderError
-from ..retry import post_json
+from ..retry import new_session, post_json
 from .ledger import TokenUsage
+
+if TYPE_CHECKING:
+    import requests
 
 
 def count_tokens(text: str) -> int:
@@ -70,6 +71,7 @@ class HttpProvider:
     Failures are sorted by ``claimgraph.retry.post_json``: connection errors,
     timeouts, 429 and 5xx raise RetryableProviderError, which the gateway
     retries; any other status or a malformed payload raises ProviderError.
+    Without a ``session`` it makes one with ``claimgraph.retry.new_session``.
     """
 
     def __init__(
@@ -82,7 +84,7 @@ class HttpProvider:
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session or new_session()
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}

@@ -324,7 +324,8 @@ class RunRecord:
         return self.failure is None and self.prediction is not None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The record's fields, shallow: every field already holds plain JSON values."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
@@ -593,10 +594,17 @@ def _write_json(path: Path, payload: object) -> None:
 
 
 def _write_record(run_dir: Path, record: RunRecord) -> Path:
+    """Write ``record`` as one line of compact JSON.
+
+    Not indented: ``json`` serves an indented dump with its pure-Python
+    encoder, about three times slower than its C one.
+    """
     runs_dir = run_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     path = runs_dir / _record_filename(record.claim_id)
-    _write_json(path, record.to_dict())
+    write_text_atomic(
+        path, json.dumps(record.to_dict(), ensure_ascii=False, separators=(",", ":"))
+    )
     return path
 
 
@@ -610,13 +618,23 @@ def load_run_config(run_dir: Union[str, Path]) -> PipelineConfig:
     return PipelineConfig.from_dict(payload)
 
 
+def _read_record(path: Path) -> RunRecord:
+    try:
+        return RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"unreadable run record {path}: {exc}") from exc
+
+
 def load_run_records(run_dir: Union[str, Path]) -> List[RunRecord]:
+    """Every record in the run, by file name; an unreadable one raises ConfigError."""
     runs_dir = Path(run_dir) / "runs"
-    records = []
-    if runs_dir.is_dir():
-        for path in sorted(runs_dir.glob("*.json")):
-            records.append(RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-    return records
+    return [_read_record(path) for path in sorted(runs_dir.glob("*.json"))]
+
+
+def load_run_record(run_dir: Union[str, Path], claim_id: str) -> Optional[RunRecord]:
+    """The record of ``claim_id`` alone, or None if it has none; other records are not read."""
+    path = Path(run_dir) / "runs" / _record_filename(claim_id)
+    return _read_record(path) if path.is_file() else None
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,16 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
-import requests
 
 from .errors import EmbeddingError
 from .records import ClaimRecord
-from .retry import post_json, with_retries
+from .retry import new_session, post_json, with_retries
+
+if TYPE_CHECKING:
+    import requests
 
 # Tokens that end with a period without ending a sentence. Matching is
 # case-sensitive on purpose: guarding lowercase "no." would swallow real
@@ -196,7 +198,8 @@ class RemoteEncoderClient:
     ``{"embeddings": [[...], ...]}`` with one vector of ``dimension`` floats
     per input text. Transport errors, 429 and 5xx are retried
     (``claimgraph.retry``); any other failure is not. Every failure raises
-    EmbeddingError.
+    EmbeddingError. Without a ``session`` it makes one with
+    ``claimgraph.retry.new_session``.
     """
 
     def __init__(
@@ -210,7 +213,7 @@ class RemoteEncoderClient:
         self.endpoint = endpoint
         self.dimension = dimension
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session or new_session()
         self._sleep = sleeper
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:

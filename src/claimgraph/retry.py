@@ -1,16 +1,29 @@
-"""The one retry policy and HTTP failure classification for outside services."""
+"""The one retry policy and HTTP failure classification for outside services.
+
+This is the one module that loads the HTTP stack. ``requests`` is imported
+on a client's first session (``new_session``) or post (``post_json``), never
+at module level, so scripted and fixture runs never load it.
+"""
 from __future__ import annotations
 
-from typing import Callable, Optional, Type, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, Optional, Type, TypeVar
 
 from .errors import ClaimGraphError, ProviderError, RetryableProviderError
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE = 0.5  # seconds before the second attempt, doubled before each later one
 
+if TYPE_CHECKING:
+    import requests
+
 T = TypeVar("T")
+
+
+def new_session() -> requests.Session:
+    """A new ``requests.Session``; the HTTP clients' default session."""
+    import requests
+
+    return requests.Session()
 
 
 def with_retries(
@@ -43,6 +56,8 @@ def post_json(
     Transport errors, 429 and 5xx raise RetryableProviderError; any other
     status but 200, or a reply that is not JSON, raises ``error``.
     """
+    import requests
+
     try:
         resp = session.post(url, json=body, headers=headers, timeout=timeout)
     except requests.RequestException as exc:

@@ -713,6 +713,44 @@ def test_run_record_round_trip(workspace):
         assert RunRecord.from_dict(record.to_dict()) == record
 
 
+def test_a_written_record_is_one_line_that_reads_back_equal(workspace, tmp_path):
+    for record in load_run_records(workspace.recorded_run_dir):
+        text = pipeline._write_record(tmp_path, record).read_text(encoding="utf-8")
+        assert "\n" not in text
+        assert RunRecord.from_dict(json.loads(text)) == record
+
+
+def _run_dir_with_a_corrupt_record(workspace, tmp_path, text='{"claim_id": '):
+    """A copy of the recorded run whose second record holds ``text``; returns (dir, first id)."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    first, second = load_run_records(run_dir)[:2]
+    path = run_dir / "runs" / pipeline._record_filename(second.claim_id)
+    path.write_text(text, encoding="utf-8")
+    return run_dir, first.claim_id
+
+
+def test_export_reads_only_its_own_claims_record(workspace, tmp_path):
+    run_dir, claim_id = _run_dir_with_a_corrupt_record(workspace, tmp_path)
+    result = CliRunner().invoke(
+        cli_main, ["export", "--run-dir", str(run_dir), "--claim-id", claim_id]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["format"] == "explanation-graph/v1"
+
+
+@pytest.mark.parametrize("text", ['{"claim_id": ', "[]", "{}"])
+def test_an_unreadable_record_is_a_one_line_error(workspace, tmp_path, text):
+    run_dir, _ = _run_dir_with_a_corrupt_record(workspace, tmp_path, text)
+    with pytest.raises(ConfigError, match="^unreadable run record .*runs"):
+        load_run_records(run_dir)
+    result = CliRunner().invoke(cli_main, ["cost", "--run-dir", str(run_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: unreadable run record ")
+    assert len(result.output.splitlines()) == 1
+
+
 def test_load_run_config(workspace):
     assert load_run_config(workspace.recorded_run_dir) == workspace.config
 
