@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .pipeline import (
     run_batch,
     write_reports,
 )
-from .summarize import export_dot, parse_structured
+from .summarize import export_dot
 
 
 class _DomainErrorGroup(click.Group):
@@ -171,7 +170,7 @@ def export(run_dir: str, claim_id: str, fmt: str, out_path: str) -> None:
             f"(failure: {record.failure or 'none recorded'})"
         )
     if fmt == "dot":
-        text = export_dot(parse_structured(record.explanation_graph))
+        text = export_dot(record.parsed_explanation_graph())
     else:
         text = record.explanation_graph
     if out_path:

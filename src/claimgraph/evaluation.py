@@ -11,6 +11,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EvaluationError, JudgeFailureError, SchemeMismatchError
 from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
+from .jsonform import as_json
 from .labels import VeracityLabel, VeracityScheme, label_to_score, max_score
 from .parsing import coerce_mapping
 
@@ -55,16 +56,6 @@ class MacroMetrics:
     per_class_recall: Tuple[float, ...]
     per_class_f1: Tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "mac_f1": self.mac_f1,
-            "per_class_precision": list(self.per_class_precision),
-            "per_class_recall": list(self.per_class_recall),
-            "per_class_f1": list(self.per_class_f1),
-        }
-
 
 def macro_metrics(matrix: ConfusionMatrix) -> MacroMetrics:
     if matrix.total == 0:
@@ -108,17 +99,9 @@ class JudgeScores:
     readability: int
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in vars(self).items():
             if not isinstance(value, int) or not 1 <= value <= 5:
                 raise ValueError(f"{name} must be an integer in 1..5, got {value!r}")
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "misleadingness": self.misleadingness,
-            "informativeness": self.informativeness,
-            "soundness": self.soundness,
-            "readability": self.readability,
-        }
 
 
 _JUDGE_KEYS = ("misleadingness", "informativeness", "soundness", "readability")
@@ -203,7 +186,7 @@ class EvaluationReport:
             "successes": self.success_count,
             "failures": self.failure_count,
             "failures_by_stage": dict(sorted(self.failures_by_stage.items())),
-            "metrics": self.metrics.to_dict() if self.metrics else None,
+            "metrics": as_json(self.metrics),
             "mean_discrepancy": self.mean_discrepancy,
             "mean_discrepancy_failures_as_max": self.mean_discrepancy_failures_as_max,
             "judge_means": self.judge_means,
@@ -273,7 +256,7 @@ def evaluate_run(outcomes: Sequence[ClaimOutcome], scheme: VeracityScheme) -> Ev
     judge_means = None
     if judged:
         judge_means = {
-            key: sum(scores.as_dict()[key] for scores in judged) / len(judged)
+            key: sum(getattr(scores, key) for scores in judged) / len(judged)
             for key in _JUDGE_KEYS
         }
     return EvaluationReport(

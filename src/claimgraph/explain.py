@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import ExplanationError
 from .gateway import LlmGateway, Stage, TemplateId, ask, render_body, render_prompt
@@ -51,25 +51,6 @@ class CompetingExplanations:
         if not self.is_competing:
             return self.analysis  # type: ignore[return-value]
         return self.true_oriented if verdict_true else self.false_oriented  # type: ignore[return-value]
-
-    def to_dict(self) -> dict:
-        return {
-            "sub_claim_index": self.sub_claim_index,
-            "false_oriented": self.false_oriented,
-            "true_oriented": self.true_oriented,
-            "analysis": self.analysis,
-            "background": self.background,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CompetingExplanations":
-        return cls(
-            payload["sub_claim_index"],
-            payload.get("false_oriented"),
-            payload.get("true_oriented"),
-            payload.get("analysis"),
-            payload.get("background"),
-        )
 
 
 def render_evidence(texts: Sequence[str]) -> str:

@@ -15,22 +15,21 @@ from typing import Optional, Union
 
 from ..atomic import write_text_atomic
 from ..errors import FixtureMissError, ProviderError
+from ..jsonform import read_json
 from .ledger import TokenUsage
 from .provider import GenerationRequest, GenerationResponse, request_key
 
-# What reading an unusable record raises: bad JSON or encoding, a missing or
-# mistyped field, a negative count, an unreadable file.
-_UNUSABLE = (ValueError, TypeError, KeyError, OSError)
-
-
 def _load(path: Path, cached: bool = False) -> GenerationResponse:
-    """Parse one stored record; raises one of ``_UNUSABLE`` if it is not usable."""
-    record = json.loads(path.read_text(encoding="utf-8"))
-    text = record["text"]
-    if not isinstance(text, str):
-        raise TypeError("text field is not a string")
-    usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
-    return GenerationResponse(text=text, usage=usage, cached=cached)
+    """One stored record; an unusable one raises ProviderError naming the file."""
+
+    def decode(record: dict) -> GenerationResponse:
+        text = record["text"]
+        if not isinstance(text, str):
+            raise TypeError("text field is not a string")
+        usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
+        return GenerationResponse(text=text, usage=usage, cached=cached)
+
+    return read_json(path, ProviderError, "stored response", decode)
 
 
 class ResponseCache:
@@ -53,7 +52,7 @@ class ResponseCache:
             return None
         try:
             return _load(path, cached=True)
-        except _UNUSABLE:
+        except ProviderError:
             # Evict and treat as a miss.
             try:
                 path.unlink()
@@ -96,15 +95,12 @@ class FixtureProvider:
             self.call_count += 1
         key = request_key(request)
         path = self.root / f"{key}.json"
-        try:
-            return _load(path)
-        except FileNotFoundError:
+        if not path.is_file():
             raise FixtureMissError(
                 f"no recorded response for request {key} "
                 f"(prompt starts {request.prompt_text[:60]!r})"
-            ) from None
-        except _UNUSABLE as exc:
-            raise ProviderError(f"unusable fixture record {path}: {exc}") from exc
+            )
+        return _load(path)
 
 
 def fixture_totals(root: Union[str, Path]) -> TokenUsage:

@@ -18,6 +18,7 @@ from .errors import (
     HyperedgeParseError,
 )
 from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
+from .jsonform import as_json
 
 LLM_GENERATED = "llm_generated"
 SAFEGUARD = "safeguard"
@@ -80,21 +81,11 @@ class ClaimCenteredGraph:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "sub_claims": list(self.sub_claims),
-            "edges": [
-                {"source": e.source, "target": e.target, "provenance": e.provenance}
-                for e in self.edges
-            ],
-        }
+        return as_json(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClaimCenteredGraph":
-        edges = tuple(
-            DependencyEdge(e["source"], e["target"], e.get("provenance", LLM_GENERATED))
-            for e in payload["edges"]
-        )
+        edges = tuple(DependencyEdge(**e) for e in payload["edges"])
         return cls(payload["claim"], tuple(payload["sub_claims"]), edges)
 
 

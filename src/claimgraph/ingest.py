@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DatasetError, UnparseableLabelError
+from .jsonform import read_json
 from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord, Report
 from .retrieval import split_report_sentences
@@ -35,22 +36,17 @@ class DatasetManifest:
 
 def load_manifest(path: Union[str, Path]) -> DatasetManifest:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DatasetError(f"unreadable manifest {path}: {exc}") from exc
-    try:
-        scheme = scheme_by_name(payload["scheme"])
-        claims = path.parent / payload["claims"]
+
+    def decode(payload: dict) -> DatasetManifest:
         return DatasetManifest(
             name=payload["name"],
-            scheme=scheme,
+            scheme=scheme_by_name(payload["scheme"]),
             split=payload["split"],
-            claims_path=claims,
+            claims_path=path.parent / payload["claims"],
             expected_stats=payload.get("expected_stats"),
         )
-    except (KeyError, ValueError) as exc:
-        raise DatasetError(f"malformed manifest {path}: {exc}") from exc
+
+    return read_json(path, DatasetError, "manifest", decode)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .inference import (
     predict_with_adapter,
     predict_zero_shot,
 )
+from .jsonform import as_json, checked_fields, read_json, unreadable
 from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord
 from .retrieval import (
@@ -71,6 +72,7 @@ from .retrieval import (
     retrieve_top_k,
 )
 from .summarize import (
+    ExplanationGraph,
     build_explanation_graph,
     export_structured,
     fallback_verdict,
@@ -129,8 +131,10 @@ class PipelineConfig:
             raise ConfigError("graph_structure must be dependency or hypergraph")
         if self.inference_path not in (ZERO_SHOT, EXTERNAL_ADAPTER):
             raise ConfigError("inference_path must be zero_shot or external_adapter")
-        if self.k < 1:
-            raise ConfigError("k must be at least 1")
+        for count in ("k", "background_pool_size", "max_output_tokens",
+                      "claim_concurrency", "provider_concurrency"):
+            if getattr(self, count) < 1:
+                raise ConfigError(f"{count} must be at least 1")
         if self.with_background and "no_evidence" in self.ablations:
             raise ConfigError("background generation needs evidence retrieval")
         if self.with_background and "no_subclaims" in self.ablations:
@@ -155,28 +159,21 @@ class PipelineConfig:
         return Pricing(self.pricing_input_per_million, self.pricing_output_per_million)
 
     def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        payload["ablations"] = list(self.ablations)
-        return payload
+        return as_json(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
+        """A config from its JSON form; a bad field raises ConfigError naming it."""
         # A run's config.json also stores its hash, which is recomputed.
         payload = {k: v for k, v in payload.items() if k != "config_hash"}
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "ablations" in payload:
-            payload = dict(payload, ablations=tuple(payload["ablations"]))
-        return cls(**payload)
+        fields = checked_fields(cls, payload, ConfigError)
+        if len(fields) < len(payload):
+            raise ConfigError(f"unknown config fields: {sorted(set(payload) - set(fields))}")
+        return cls(**fields)  # __post_init__ turns the ablations list into a tuple
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"unreadable config {path}: {exc}") from exc
+        return read_json(path, ConfigError, "config", cls.from_dict)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
@@ -204,42 +201,45 @@ class PipelineRuntime:
 
 
 def _build_provider(config: PipelineConfig):
-    spec = dict(config.provider)
+    spec = config.provider
     kind = spec.get("type", "scripted")
-    if kind == "scripted":
-        return ScriptedResponder(seed=int(spec.get("seed", 0)))
-    if kind == "fixture":
-        return FixtureProvider(spec["path"])
-    if kind == "http":
-        api_key = None
-        key_env = spec.get("api_key_env")
-        if key_env:
-            api_key = os.environ.get(str(key_env))
-        return HttpProvider(str(spec["base_url"]), api_key=api_key)
+    with unreadable(ConfigError, "provider config", spec):
+        if kind == "scripted":
+            return ScriptedResponder(seed=int(spec.get("seed", 0)))
+        if kind == "fixture":
+            return FixtureProvider(spec["path"])
+        if kind == "http":
+            api_key = None
+            key_env = spec.get("api_key_env")
+            if key_env:
+                api_key = os.environ.get(str(key_env))
+            return HttpProvider(str(spec["base_url"]), api_key=api_key)
     raise ConfigError(f"unknown provider type {kind!r}")
 
 
 def _build_embedder(config: PipelineConfig):
-    spec = dict(config.embedder)
+    spec = config.embedder
     kind = spec.get("type", "hashing")
-    if kind == "hashing":
-        return HashingBagOfWordsEmbedder(int(spec.get("dimension", 64)))
-    if kind == "remote":
-        return RemoteEncoderClient(str(spec["endpoint"]), int(spec["dimension"]))
+    with unreadable(ConfigError, "embedder config", spec):
+        if kind == "hashing":
+            return HashingBagOfWordsEmbedder(int(spec.get("dimension", 64)))
+        if kind == "remote":
+            return RemoteEncoderClient(str(spec["endpoint"]), int(spec["dimension"]))
     raise ConfigError(f"unknown embedder type {kind!r}")
 
 
 def _build_adapter(config: PipelineConfig) -> Optional[ClassifierAdapter]:
     if config.adapter is None:
         return None
-    spec = dict(config.adapter)
+    spec = config.adapter
     kind = spec.get("type")
-    if kind == "stub":
-        return StubAdapter([float(p) for p in spec["probabilities"]])
-    if kind == "http":
-        return HttpAdapterClient(str(spec["url"]))
-    if kind == "command":
-        return LineAdapterClient([str(a) for a in spec["argv"]])
+    with unreadable(ConfigError, "adapter config", spec):
+        if kind == "stub":
+            return StubAdapter([float(p) for p in spec["probabilities"]])
+        if kind == "http":
+            return HttpAdapterClient(str(spec["url"]))
+        if kind == "command":
+            return LineAdapterClient([str(a) for a in spec["argv"]])
     raise ConfigError(f"unknown adapter type {kind!r}")
 
 
@@ -252,13 +252,16 @@ def build_runtime(
 
     ``provider`` overrides the configured one (tests inject canned providers
     this way). The response cache lives inside the run directory so resumed
-    runs see earlier responses.
+    runs see earlier responses; it is created last, so a config whose
+    clients cannot be built raises ConfigError and creates nothing.
     """
+    provider = provider if provider is not None else _build_provider(config)
+    embedder, adapter = _build_embedder(config), _build_adapter(config)
     cache = None
     if config.cache_enabled and run_dir is not None:
         cache = ResponseCache(Path(run_dir) / "cache")
     gateway = LlmGateway(
-        provider if provider is not None else _build_provider(config),
+        provider,
         cache=cache,
         model_id=config.model_id,
         generation_temperature=config.generation_temperature,
@@ -266,12 +269,7 @@ def build_runtime(
         max_output_tokens=config.max_output_tokens,
         max_in_flight=config.provider_concurrency,
     )
-    return PipelineRuntime(
-        config=config,
-        gateway=gateway,
-        embedder=_build_embedder(config),
-        adapter=_build_adapter(config),
-    )
+    return PipelineRuntime(config=config, gateway=gateway, embedder=embedder, adapter=adapter)
 
 
 @dataclass
@@ -295,6 +293,8 @@ class RunRecord:
 
     Retrieved evidence lives only in ``evidence``, one set per node;
     ``explanations`` holds the texts written over it and does not repeat it.
+    Its parts are in ``jsonform.as_json``'s form, and a record file is read
+    back only through ``jsonform.read_json``, its fields type-checked.
     """
 
     claim_id: str
@@ -329,8 +329,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        return cls(**checked_fields(cls, payload, TypeError))
+
+    def parsed_explanation_graph(self) -> ExplanationGraph:
+        """The stored ``explanation_graph``; one that does not parse raises ConfigError."""
+        with unreadable(ConfigError, "explanation graph of claim", repr(self.claim_id)):
+            return parse_structured(self.explanation_graph)
 
 
 class _ClaimStages:
@@ -423,10 +427,7 @@ def _build_structure(
     """
     if config.graph_structure == HYPERGRAPH:
         hyper, warnings = generate_hyperedges(gw, claim, sub_claims)
-        hypergraph = {
-            "hyperedges": [list(h) for h in hyper.hyperedges],
-            "provenance": list(hyper.provenance),
-        }
+        hypergraph = as_json({"hyperedges": hyper.hyperedges, "provenance": hyper.provenance})
         graph = assemble_claim_graph(claim, sub_claims, set())
         return graph, hypergraph, hypergraph_to_seq(hyper), warnings
     llm_edges, warnings = generate_edges(gw, claim, sub_claims)
@@ -538,12 +539,12 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 graph, record.hypergraph, record.structure_text, warnings = structure.result()
                 record.graph = graph.to_dict()
                 record.warnings.extend(warnings)
-        record.evidence = [e.to_dict() for e in evidence_sets]
+        record.evidence = as_json(evidence_sets)
         entries = [future.result() for future in pending_entries]
         for position, future in enumerate(pending_backgrounds):
             background, _pool = future.result()
             entries[position] = replace(entries[position], background=background)
-        record.explanations = [e.to_dict() for e in entries]
+        record.explanations = as_json(entries)
 
         def infer():
             if graph is None:
@@ -573,7 +574,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 summarize_explanations, gw, defense, label, record.structure_text,
             )
             record.warnings.extend(outcome.warnings)
-            record.verdicts = [v.to_dict() for v in outcome.verdicts]
+            record.verdicts = as_json(outcome.verdicts)
             record.summary = outcome.summary
             explanation_graph = build_explanation_graph(
                 defense, outcome.verdicts, outcome.summary, label
@@ -611,18 +612,11 @@ def _write_record(run_dir: Path, record: RunRecord) -> Path:
 def load_run_config(run_dir: Union[str, Path]) -> PipelineConfig:
     """Config a run directory was created with."""
     path = Path(run_dir) / "config.json"
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"unreadable run config {path}: {exc}") from exc
-    return PipelineConfig.from_dict(payload)
+    return read_json(path, ConfigError, "run config", PipelineConfig.from_dict)
 
 
 def _read_record(path: Path) -> RunRecord:
-    try:
-        return RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"unreadable run record {path}: {exc}") from exc
+    return read_json(path, ConfigError, "run record", RunRecord.from_dict)
 
 
 def load_run_records(run_dir: Union[str, Path]) -> List[RunRecord]:
@@ -645,8 +639,8 @@ class BatchResult:
     report: Optional[EvaluationReport]
 
 
-def _prepare_run_dir(run_dir: Path, config: PipelineConfig, force: bool) -> None:
-    """Create or check ``run_dir``, write its config and sweep orphaned temp files.
+def _prepare_run_dir(run_dir: Path, config: PipelineConfig) -> None:
+    """Create ``run_dir``, write its config and sweep orphaned temp files.
 
     A process killed inside ``write_text_atomic`` leaves its
     ``<name>.<random>.tmp`` file behind. Nothing reads one, but a copy of the
@@ -654,17 +648,10 @@ def _prepare_run_dir(run_dir: Path, config: PipelineConfig, force: bool) -> None
     them; one run directory serves one batch at a time.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
-    config_path = run_dir / "config.json"
-    if config_path.exists() and not force:
-        if load_run_config(run_dir).config_hash() != config.config_hash():
-            raise ConfigError(
-                "run directory was created with a different config; "
-                "use a fresh directory or pass force"
-            )
     for directory in (run_dir, run_dir / "runs", run_dir / "cache"):
         for orphan in directory.glob("*.*.tmp"):
             orphan.unlink()
-    _write_json(config_path, dict(config.to_dict(), config_hash=config.config_hash()))
+    _write_json(run_dir / "config.json", dict(config.to_dict(), config_hash=config.config_hash()))
 
 
 def run_batch(
@@ -683,16 +670,23 @@ def run_batch(
     stops the batch at once: claims not yet started are cancelled, and the
     error is raised once the running ones have finished and the runtime is
     closed. The reports are built from the records read at the start plus
-    the ones written here.
+    the ones written here. The runtime is built before ``config.json`` is
+    written, so a config it cannot be built from leaves no stamped directory.
     """
     run_dir = Path(run_dir)
-    _prepare_run_dir(run_dir, config, force)
-    done = {r.claim_id: r for r in load_run_records(run_dir)}
-    pending = [r for r in records if r.claim_id not in done]
+    if (run_dir / "config.json").exists() and not force:
+        if load_run_config(run_dir).config_hash() != config.config_hash():
+            raise ConfigError(
+                "run directory was created with a different config; "
+                "use a fresh directory or pass force"
+            )
     runtime = build_runtime(config, run_dir, provider=provider)
-    pool = ThreadPoolExecutor(max_workers=max(1, min(config.claim_concurrency, len(pending))))
+    pool = ThreadPoolExecutor(max_workers=config.claim_concurrency)
     processed = 0
     try:
+        _prepare_run_dir(run_dir, config)
+        done = {r.claim_id: r for r in load_run_records(run_dir)}
+        pending = [r for r in records if r.claim_id not in done]
         futures = [pool.submit(run_claim, runtime, c) for c in pending]
         for future in as_completed(futures):
             record = future.result()
@@ -928,7 +922,7 @@ def judge_run(
         for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
             explanation = record.summary or ""
             if record.succeeded and record.explanation_graph:
-                explanation = judge_payload(parse_structured(record.explanation_graph))
+                explanation = judge_payload(record.parsed_explanation_graph())
             if record.succeeded and explanation:
                 try:
                     scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)

@@ -94,23 +94,6 @@ class RetrievedEvidence:
     text: str
     similarity: float
 
-    def to_dict(self) -> dict:
-        return {
-            "report_index": self.report_index,
-            "sentence_index": self.sentence_index,
-            "text": self.text,
-            "similarity": self.similarity,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RetrievedEvidence":
-        return cls(
-            payload["report_index"],
-            payload["sentence_index"],
-            payload["text"],
-            payload["similarity"],
-        )
-
 
 @dataclass(frozen=True)
 class EvidenceSet:
@@ -121,21 +104,6 @@ class EvidenceSet:
     @property
     def texts(self) -> List[str]:
         return [item.text for item in self.items]
-
-    def to_dict(self) -> dict:
-        return {
-            "sub_claim_index": self.sub_claim_index,
-            "k": self.k,
-            "items": [item.to_dict() for item in self.items],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvidenceSet":
-        return cls(
-            payload["sub_claim_index"],
-            tuple(RetrievedEvidence.from_dict(i) for i in payload["items"]),
-            payload["k"],
-        )
 
 
 class EmbeddingProvider(Protocol):

@@ -15,6 +15,7 @@ from .errors import ConsistencyError, SummarizationError
 from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
 from .graphs import DependencyEdge
 from .inference import DefenseGraph, build_graph_block, serialize_edges
+from .jsonform import as_json
 from .labels import VeracityLabel, label_to_score, scheme_by_name
 from .parsing import coerce_mapping
 
@@ -34,23 +35,6 @@ class SubClaimVerdict:
     verdict: bool
     reasoning: str = ""
     fallback: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "sub_claim_index": self.sub_claim_index,
-            "verdict": self.verdict,
-            "reasoning": self.reasoning,
-            "fallback": self.fallback,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SubClaimVerdict":
-        return cls(
-            payload["sub_claim_index"],
-            payload["verdict"],
-            payload.get("reasoning", ""),
-            payload.get("fallback", False),
-        )
 
 
 @dataclass(frozen=True)
@@ -175,13 +159,6 @@ class KeptExplanation:
     orientation: str  # true_oriented | false_oriented | analysis
     text: str
 
-    def to_dict(self) -> dict:
-        return {
-            "sub_claim_index": self.sub_claim_index,
-            "orientation": self.orientation,
-            "text": self.text,
-        }
-
 
 @dataclass(frozen=True)
 class ExplanationGraph:
@@ -290,15 +267,12 @@ def export_structured(graph: ExplanationGraph) -> str:
             {
                 "index": i,
                 "text": graph.sub_claims[i - 1],
-                "verdict": graph.verdicts[i - 1].to_dict(),
-                "kept": graph.kept[i - 1].to_dict(),
+                "verdict": as_json(graph.verdicts[i - 1]),
+                "kept": as_json(graph.kept[i - 1]),
             }
             for i in range(1, graph.n + 1)
         ],
-        "edges": [
-            {"source": e.source, "target": e.target, "provenance": e.provenance}
-            for e in sorted(graph.edges, key=lambda e: (e.source, e.target))
-        ],
+        "edges": as_json(sorted(graph.edges, key=lambda e: (e.source, e.target))),
     }
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
@@ -310,14 +284,9 @@ def parse_structured(text: str) -> ExplanationGraph:
     scheme = scheme_by_name(payload["scheme"])
     label = VeracityLabel.from_identifier(scheme, payload["label"])
     entries = sorted(payload["sub_claims"], key=lambda e: e["index"])
-    verdicts = tuple(SubClaimVerdict.from_dict(e["verdict"]) for e in entries)
-    kept = tuple(
-        KeptExplanation(e["kept"]["sub_claim_index"], e["kept"]["orientation"], e["kept"]["text"])
-        for e in entries
-    )
-    edges = tuple(
-        DependencyEdge(e["source"], e["target"], e["provenance"]) for e in payload["edges"]
-    )
+    verdicts = tuple(SubClaimVerdict(**e["verdict"]) for e in entries)
+    kept = tuple(KeptExplanation(**e["kept"]) for e in entries)
+    edges = tuple(DependencyEdge(**e) for e in payload["edges"])
     return ExplanationGraph(
         claim=payload["claim"],
         label=label,

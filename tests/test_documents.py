@@ -1,0 +1,212 @@
+"""Malformed documents: every JSON document read back is one checked read.
+
+Each reader is run through the command line on a truncated, a non-object,
+an empty and a wrong-typed document. Each must exit 1 with one ``Error:``
+line, never a traceback. A config whose runtime cannot be built must leave
+no ``config.json`` behind, so the corrected config is not refused.
+"""
+import json
+import shutil
+from dataclasses import replace
+
+import pytest
+from click.testing import CliRunner
+
+from claimgraph import pipeline
+from claimgraph.cli import main as cli_main
+from claimgraph.errors import ConfigError
+from claimgraph.pipeline import PipelineConfig, build_runtime, load_run_records, run_batch
+
+TRUNCATED, NOT_AN_OBJECT, EMPTY = '{"k": ', "[]", "{}"
+
+# An empty config is the default config, so ``{}`` is no malformed config.
+CONFIG_BODIES = {
+    "truncated": TRUNCATED,
+    "not_an_object": NOT_AN_OBJECT,
+    "k_str": '{"k": "x"}',
+    "k_float": '{"k": 2.0}',
+    "k_bool": '{"k": true}',
+    "claim_concurrency_str": '{"claim_concurrency": "4"}',
+    "provider_concurrency_zero": '{"provider_concurrency": 0}',
+    "provider_str": '{"provider": "x"}',
+    "ablations_int": '{"ablations": 5}',
+}
+# Decoded, but no runtime can be built from them; only ``run`` builds one.
+RUNTIME_BODIES = {
+    "stub_without_probabilities": json.dumps(
+        {"inference_path": "external_adapter", "adapter": {"type": "stub"}}
+    ),
+    "fixture_without_path": '{"provider": {"type": "fixture"}}',
+}
+DOCUMENT_BODIES = {"truncated": TRUNCATED, "not_an_object": NOT_AN_OBJECT, "empty": EMPTY}
+
+
+def _explained_record(run_dir):
+    return next(r for r in load_run_records(run_dir) if r.succeeded and r.explanation_graph)
+
+
+def _copy_run(workspace, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    return run_dir, _explained_record(run_dir)
+
+
+def _record_path(run_dir, record):
+    return run_dir / "runs" / pipeline._record_filename(record.claim_id)
+
+
+def run_with_config(workspace, tmp_path, body):
+    path = tmp_path / "config.json"
+    path.write_text(body, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--manifest", str(workspace.manifest_path), "--out", str(out)]
+    return argv + ["--config", str(path), "--limit", "1"]
+
+
+def cost_with_run_config(workspace, tmp_path, body):
+    run_dir, _ = _copy_run(workspace, tmp_path)
+    (run_dir / "config.json").write_text(body, encoding="utf-8")
+    return ["cost", "--run-dir", str(run_dir)]
+
+
+def ingest_manifest(workspace, tmp_path, body):
+    path = tmp_path / "manifest.json"
+    path.write_text(body, encoding="utf-8")
+    return ["ingest", "--manifest", str(path)]
+
+
+def evaluate_record(workspace, tmp_path, body):
+    run_dir, record = _copy_run(workspace, tmp_path)
+    _record_path(run_dir, record).write_text(body, encoding="utf-8")
+    return ["evaluate", "--run-dir", str(run_dir)]
+
+
+def _with_explanation_graph(workspace, tmp_path, body):
+    run_dir, record = _copy_run(workspace, tmp_path)
+    pipeline._write_record(run_dir, replace(record, explanation_graph=body))
+    return run_dir, record
+
+
+def export_explanation_graph(workspace, tmp_path, body):
+    run_dir, record = _with_explanation_graph(workspace, tmp_path, body)
+    return ["export", "--run-dir", str(run_dir), "--claim-id", record.claim_id, "--format", "dot"]
+
+
+def judge_explanation_graph(workspace, tmp_path, body):
+    run_dir, _ = _with_explanation_graph(workspace, tmp_path, body)
+    return ["evaluate", "--run-dir", str(run_dir), "--judge"]
+
+
+def _explanation_graph_with(workspace, **fields):
+    graph = json.loads(_explained_record(workspace.recorded_run_dir).explanation_graph)
+    return json.dumps(dict(graph, **fields))
+
+
+def _record_with(workspace, **fields):
+    return json.dumps(dict(_explained_record(workspace.recorded_run_dir).to_dict(), **fields))
+
+
+MANIFEST = '{"name": "t", "scheme": "three_way", "split": "test", "claims": 5}'
+GRAPH_BODIES = dict(
+    DOCUMENT_BODIES, sub_claims_int=lambda ws: _explanation_graph_with(ws, sub_claims=5)
+)
+# (reader, bodies, what its one error line starts with, if fixed); a callable
+# body is built from the recorded run.
+READERS = [
+    (run_with_config, dict(CONFIG_BODIES, **RUNTIME_BODIES), None),
+    (cost_with_run_config, CONFIG_BODIES, None),
+    (ingest_manifest, dict(DOCUMENT_BODIES, claims_int=MANIFEST), "Error: unreadable manifest "),
+    (
+        evaluate_record,
+        dict(DOCUMENT_BODIES, durations_list=lambda ws: _record_with(ws, durations=[])),
+        "Error: unreadable run record ",
+    ),
+    (export_explanation_graph, GRAPH_BODIES, "Error: unreadable explanation graph of claim "),
+    (judge_explanation_graph, GRAPH_BODIES, "Error: unreadable explanation graph of claim "),
+]
+CASES = [
+    pytest.param(reader, body, said, id=f"{reader.__name__}-{name}")
+    for reader, bodies, said in READERS
+    for name, body in bodies.items()
+]
+
+
+@pytest.mark.parametrize("reader, body, said", CASES)
+def test_a_malformed_document_is_one_error_line(workspace, tmp_path, reader, body, said):
+    if callable(body):
+        body = body(workspace)
+    result = CliRunner().invoke(cli_main, reader(workspace, tmp_path, body))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(said or "Error: "), result.output
+    assert not (tmp_path / "out" / "config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", 2.0),
+        ("k", True),
+        ("max_output_tokens", False),
+        ("generation_temperature", True),
+        ("claim_concurrency", "4"),
+        ("provider", "x"),
+        ("adapter", []),
+        ("ablations", 5),
+        ("cache_enabled", 1),
+    ],
+)
+def test_a_config_value_of_the_wrong_json_type_names_its_field(field, value):
+    with pytest.raises(ConfigError, match=f"PipelineConfig field '{field}' must be"):
+        PipelineConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize(
+    "field", ["k", "background_pool_size", "max_output_tokens", "claim_concurrency",
+              "provider_concurrency"]
+)
+def test_a_count_below_one_names_its_field(field):
+    with pytest.raises(ConfigError, match=f"^{field} must be at least 1$"):
+        PipelineConfig.from_dict({field: 0})
+
+
+def test_float_fields_take_ints_and_keep_them():
+    config = PipelineConfig.from_dict({"generation_temperature": 1})
+    assert config == PipelineConfig(generation_temperature=1)
+    assert type(config.generation_temperature) is int
+
+
+EXTERNAL = {"inference_path": "external_adapter"}
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"provider": {"type": "fixture"}}, "path"),
+        ({"provider": {"type": "http"}}, "base_url"),
+        ({"provider": {"type": "scripted", "seed": "x"}}, "seed"),
+        ({"embedder": {"type": "remote", "dimension": 8}}, "endpoint"),
+        ({"embedder": {"type": "remote", "endpoint": "http://e"}}, "dimension"),
+        ({"embedder": {"type": "hashing", "dimension": 0}}, "dimension"),
+        (dict(EXTERNAL, adapter={"type": "stub"}), "probabilities"),
+        (dict(EXTERNAL, adapter={"type": "stub", "probabilities": 0.5}), "probabilities"),
+        (dict(EXTERNAL, adapter={"type": "http"}), "url"),
+        (dict(EXTERNAL, adapter={"type": "command"}), "argv"),
+    ],
+)
+def test_a_runtime_that_cannot_be_built_names_the_key(changes, key):
+    with pytest.raises(ConfigError, match=f"^unreadable [a-z]+ config .*'{key}'"):
+        build_runtime(PipelineConfig(**changes))
+
+
+def test_a_config_whose_runtime_cannot_be_built_never_stamps_the_run_dir(workspace, tmp_path):
+    run_dir = tmp_path / "run"
+    broken = PipelineConfig(**EXTERNAL, adapter={"type": "stub"})
+    with pytest.raises(ConfigError, match="'probabilities'"):
+        run_batch(workspace.records[:1], broken, run_dir)
+    assert not run_dir.exists()
+    fixed = PipelineConfig(**EXTERNAL, adapter={"type": "stub", "probabilities": [0.2, 0.3, 0.5]})
+    result = run_batch(workspace.records[:1], fixed, run_dir)
+    assert result.processed == 1
+    assert pipeline.load_run_config(run_dir) == fixed

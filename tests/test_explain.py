@@ -51,20 +51,6 @@ def test_oriented_selects_by_verdict():
     assert not lone.is_competing
 
 
-def test_round_trip_through_dict():
-    pair = CompetingExplanations(
-        2,
-        false_oriented="f",
-        true_oriented="t",
-        background="context",
-    )
-    assert CompetingExplanations.from_dict(pair.to_dict()) == pair
-    # Records written before the explanations stopped repeating their
-    # evidence still load; the copy is ignored.
-    legacy = dict(pair.to_dict(), evidence_used=small_evidence(2).to_dict())
-    assert CompetingExplanations.from_dict(legacy) == pair
-
-
 def test_competing_pair_calls_false_then_true_on_same_evidence():
     gw = FakeGateway(["the false case", "the true case"])
     pair = generate_competing_pair(gw, 1, "the sub-claim", small_evidence())

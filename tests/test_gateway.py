@@ -351,16 +351,36 @@ def test_fixture_replays_the_older_verbose_record_format(tmp_path):
     assert ResponseCache(tmp_path).get(request).text == "recorded reply"
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        "{not json",
-        '{"text": "t", "input_tokens": 1}',
-        '{"text": 3, "input_tokens": 1, "output_tokens": 1}',
-        '{"text": "t", "input_tokens": -1, "output_tokens": 1}',
-        '["text"]',
-    ],
-)
+CORRUPT_BODIES = [
+    "{not json",
+    '{"text": "t", "input_tokens": 1}',
+    '{"text": 3, "input_tokens": 1, "output_tokens": 1}',
+    '{"text": "t", "input_tokens": -1, "output_tokens": 1}',
+    '["text"]',
+    "[]",
+    "{}",
+]
+
+
+@pytest.mark.parametrize("body", CORRUPT_BODIES)
+def test_a_corrupt_cache_entry_is_evicted_and_counts_as_a_miss(tmp_path, body):
+    provider = EchoProvider()
+    ledger = TokenLedger()
+    cache = ResponseCache(tmp_path)
+    gateway = make_gateway(provider, ledger=ledger, cache=cache)
+    request = GenerationRequest("hello", gateway.generation_temperature, gateway.model_id, 1024)
+    path = tmp_path / f"{request_key(request)}.json"
+    path.write_text(body, encoding="utf-8")
+    assert cache.get(request) is None and not path.exists()
+    path.write_text(body, encoding="utf-8")
+    response = gateway.complete("hello", Stage.INFERENCE)
+    assert not response.cached
+    assert provider.calls == 1
+    assert ledger.totals()["inference"]["calls"] == 1
+    assert cache.get(request).text == "echo: hello"  # the fresh reply replaced it
+
+
+@pytest.mark.parametrize("body", CORRUPT_BODIES)
 def test_corrupt_fixture_raises_and_stays_on_disk(tmp_path, body):
     request = GenerationRequest("p", 0.8, "m", 10)
     path = tmp_path / f"{request_key(request)}.json"

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from claimgraph.records import ClaimRecord, Report
 from claimgraph.retrieval import (
     EvidenceCandidate,
-    EvidenceSet,
     HashingBagOfWordsEmbedder,
     build_corpus,
     build_corpus_index,
@@ -117,13 +116,6 @@ def test_build_corpus_enumerates_report_sentences():
     )
     corpus = build_corpus(record)
     assert [(c.report_index, c.sentence_index) for c in corpus] == [(0, 0), (0, 1), (1, 0)]
-
-
-def test_evidence_set_round_trips():
-    emb = HashingBagOfWordsEmbedder(dimension=8)
-    index = make_index([["alpha beta", "gamma"]], emb)
-    result = retrieve_top_k(3, "alpha", index, emb, k=2)
-    assert EvidenceSet.from_dict(result.to_dict()) == result
 
 
 WORDS = ["alpha", "beta", "gamma", "delta", "votes", "count"]

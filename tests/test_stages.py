@@ -387,3 +387,48 @@ def test_only_the_gateway_module_calls_complete():
 def test_complete_call_scan_sees_only_calls_named_complete():
     tree = ast.parse("gw.complete(p, s)\ngw.completed(p)\nf = gw.complete\n")
     assert _complete_calls(tree) == [1]
+
+
+def _json_file_reads(tree: ast.AST):
+    """Line numbers of ``json.load(...)`` and of ``json.loads(<x>.read_text(...))``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        ):
+            continue
+        argument = node.args[0] if node.args else None
+        reads_a_file = (
+            isinstance(argument, ast.Call)
+            and isinstance(argument.func, ast.Attribute)
+            and argument.func.attr == "read_text"
+        )
+        if node.func.attr == "load" or (node.func.attr == "loads" and reads_a_file):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_reader_turns_a_files_text_into_json():
+    """Every JSON file is read through ``jsonform.read_json``, the one checked reader."""
+    package = Path(claimgraph.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "jsonform.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(package)}:{line}" for line in _json_file_reads(tree)]
+    assert found == []
+
+
+def test_json_file_read_scan_flags_file_reads_but_not_text_parsing():
+    tree = ast.parse(
+        "json.loads(path.read_text(encoding='utf-8'))\n"
+        "json.load(handle)\n"
+        "json.loads(line)\n"
+        "json.dumps(payload)\n"
+        "json.loads(Path(p).read_text())\n"
+    )
+    assert _json_file_reads(tree) == [1, 2, 5]
