@@ -11,6 +11,14 @@ from claimgraph.ingest import load_manifest, load_records
 from claimgraph.pipeline import PipelineConfig, cost_report, run_batch
 
 
+def _count(text: str) -> int:
+    """A --limit value: a whole number of claims, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--manifest", type=Path, required=True)
@@ -18,7 +26,7 @@ def main() -> None:
     parser.add_argument("--fixtures", type=Path, default=None)
     parser.add_argument("--ablation", action="append", default=[])
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--limit", type=int, default=None)
+    parser.add_argument("--limit", type=_count, default=None)
     args = parser.parse_args()
 
     manifest = load_manifest(args.manifest)

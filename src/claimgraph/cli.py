@@ -9,6 +9,7 @@ import click
 
 from .errors import ClaimGraphError
 from .ingest import dataset_stats, load_manifest, load_records, write_reject_log
+from .jsonform import write_text
 from .pipeline import (
     PipelineConfig,
     cost_report,
@@ -23,12 +24,12 @@ from .summarize import export_dot
 
 
 class _DomainErrorGroup(click.Group):
-    """Surface domain failures as exit-code-1 messages, not tracebacks."""
+    """Surface domain and file-system failures as exit-code-1 messages, not tracebacks."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except ClaimGraphError as exc:
+        except (ClaimGraphError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -79,7 +80,7 @@ def _apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
 @click.option("--background/--no-background", "with_background", default=None)
 @click.option("--inference", "inference_path", type=click.Choice(["zero_shot", "external_adapter"]), default=None)
 @click.option("--model-id", default=None)
-@click.option("--limit", type=int, default=None)
+@click.option("--limit", type=click.IntRange(min=0), default=None)
 @click.option("--force", is_flag=True, default=False)
 def run(
     manifest_path: str,
@@ -174,7 +175,7 @@ def export(run_dir: str, claim_id: str, fmt: str, out_path: str) -> None:
     else:
         text = record.explanation_graph
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        write_text(out_path, text)
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)

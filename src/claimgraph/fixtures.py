@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import List, Union
 
 from .ingest import dataset_stats, load_manifest, load_records
+from .jsonform import write_json, write_text
 from .labels import THREE_WAY, VeracityScheme
 
 _TOPICS = [
@@ -102,9 +103,7 @@ def build_fixture_dataset(
             }
         )
     claims_path = out_dir / "claims.jsonl"
-    with claims_path.open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_text(claims_path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
     manifest_path = out_dir / "manifest.json"
     manifest = {
@@ -113,14 +112,10 @@ def build_fixture_dataset(
         "split": "test",
         "claims": claims_path.name,
     }
-    manifest_path.write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2), encoding="utf-8"
-    )
+    write_json(manifest_path, manifest, indent=2)
     loaded, rejects = load_records(load_manifest(manifest_path))
     if rejects:
         raise AssertionError(f"fixture generator produced rejects: {rejects}")
     manifest["expected_stats"] = dataset_stats(loaded).to_dict()
-    manifest_path.write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2), encoding="utf-8"
-    )
+    write_json(manifest_path, manifest, indent=2)
     return manifest_path

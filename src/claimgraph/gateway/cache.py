@@ -8,14 +8,12 @@ is a fixture set that ``FixtureProvider`` replays.
 """
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
 from typing import Optional, Union
 
-from ..atomic import write_text_atomic
 from ..errors import FixtureMissError, ProviderError
-from ..jsonform import read_json
+from ..jsonform import read_json, write_json
 from .ledger import TokenUsage
 from .provider import GenerationRequest, GenerationResponse, request_key
 
@@ -68,10 +66,7 @@ class ResponseCache:
             "input_tokens": response.usage.input_tokens,
             "output_tokens": response.usage.output_tokens,
         }
-        write_text_atomic(
-            self._path(request),
-            json.dumps(record, ensure_ascii=False, separators=(",", ":")),
-        )
+        write_json(self._path(request), record)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))

@@ -42,7 +42,7 @@ class TokenUsage:
         )
 
 
-_FIELDS = ("input_tokens", "output_tokens", "calls")
+USAGE_FIELDS = ("input_tokens", "output_tokens", "calls")
 
 
 class TokenLedger:
@@ -66,8 +66,8 @@ class TokenLedger:
         """Book totals already in the stored form, such as a record's ``stage_usage``."""
         with self._lock:
             for stage, entry in totals.items():
-                bucket = self._totals.setdefault(stage, dict.fromkeys(_FIELDS, 0))
-                for key in _FIELDS:
+                bucket = self._totals.setdefault(stage, dict.fromkeys(USAGE_FIELDS, 0))
+                for key in USAGE_FIELDS:
                     bucket[key] += entry[key]
 
     def totals(self) -> Dict[str, Dict[str, int]]:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DatasetError, UnparseableLabelError
-from .jsonform import read_json
+from .jsonform import read_json, unreadable, write_text
 from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord, Report
 from .retrieval import split_report_sentences
@@ -108,10 +108,8 @@ def load_records(
     records: List[ClaimRecord] = []
     rejects: List[RejectedRecord] = []
     seen_ids: set = set()
-    try:
+    with unreadable(DatasetError, "claims file", manifest.claims_path):
         lines = manifest.claims_path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetError(f"unreadable claims file {manifest.claims_path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -141,7 +139,7 @@ def write_reject_log(path: Union[str, Path], rejects: Sequence[RejectedRecord]) 
         json.dumps({"id": r.claim_id, "reason": r.reason}, ensure_ascii=False)
         for r in rejects
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,58 @@
-"""The one JSON form of record parts, and the one checked reader of JSON files."""
+"""The one JSON form of record parts, the one writer of files and the one checked reader.
+
+Every file the program writes is replaced atomically by ``write_text`` (or
+``write_json``); every JSON file it reads back goes through ``read_json``.
+"""
 from __future__ import annotations
 
 import dataclasses
 import functools
 import json
+import os
 import typing
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Tuple, TypeVar, Union
+from typing import Callable, Iterator, Optional, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 Error = Callable[[str], Exception]
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
+# The JSON types a value may have, each with the shape of its items (None: unchecked).
+Shape = Tuple[Tuple[type, Optional["Shape"]], ...]
+
+
+def _shape(hint) -> Shape:
+    """What an annotation admits: a float admits an int, a tuple is a list, and
+    ``List[X]``, ``Tuple[X, ...]`` and ``Dict[str, X]`` hold Xs."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin is Union:
+        return sum(map(_shape, args), ())
+    items = {list: args[:1], tuple: args[:1], dict: args[1:]}.get(origin)
+    kinds = {float: (int, float), tuple: (list,)}.get(origin, (origin,))
+    return tuple((kind, _shape(items[0]) if items else None) for kind in kinds)
+
 
 @functools.lru_cache(maxsize=None)
-def _fields(kind: type) -> Tuple[Tuple[str, tuple], ...]:
-    """Each field of dataclass ``kind``: its name and the JSON types its annotation admits."""
-
-    def json_types(hint) -> tuple:
-        origin = typing.get_origin(hint) or hint
-        if origin is Union:
-            return sum(map(json_types, typing.get_args(hint)), ())
-        return {float: (int, float), tuple: (list,)}.get(origin, (origin,))
-
+def _fields(kind: type) -> Tuple[Tuple[str, Shape], ...]:
+    """Each field of dataclass ``kind``: its name and the shape its annotation admits."""
     hints = typing.get_type_hints(kind)
-    return tuple((f.name, json_types(hints[f.name])) for f in dataclasses.fields(kind))
+    return tuple((f.name, _shape(hints[f.name])) for f in dataclasses.fields(kind))
+
+
+def _misfit(shape: Shape, value) -> Optional[str]:
+    """Why ``shape`` does not admit ``value``, or None; a bool is only a bool (or an object)."""
+    for kind, items in shape:
+        if isinstance(value, kind) and (type(value) is not bool or kind in (bool, object)):
+            if items is not None:
+                for key, item in value.items() if kind is dict else enumerate(value):
+                    fault = _misfit(items, item)
+                    if fault:
+                        return f"item {key!r} {fault}"
+            return None
+    expected = " or ".join(kind.__name__ for kind, _items in shape)
+    return f"must be {expected}, not {type(value).__name__}"
 
 
 def as_json(value):
@@ -39,24 +65,24 @@ def as_json(value):
         return [as_json(item) for item in value]
     if kind is dict:
         return {key: as_json(item) for key, item in value.items()}
-    return {name: as_json(getattr(value, name)) for name, _types in _fields(kind)}
+    return {name: as_json(getattr(value, name)) for name, _admits in _fields(kind)}
 
 
 def checked_fields(kind: type, payload: dict, error: Error) -> dict:
     """The entries of ``payload`` that name fields of dataclass ``kind``.
 
-    A value whose JSON type the field's annotation does not admit raises
-    ``error`` naming the field. A float field admits an int; only a bool
-    field admits a bool.
+    A value the field's annotation does not admit raises ``error`` naming
+    the field, and the item for one inside a ``List[X]``, ``Tuple[X, ...]``
+    or ``Dict[str, X]``. A float field admits an int; only a bool field
+    admits a bool.
     """
     fields = {}
-    for name, allowed in _fields(kind):
+    for name, shape in _fields(kind):
         if name in payload:
-            value = fields[name] = payload[name]
-            if not isinstance(value, allowed) or (type(value) is bool and bool not in allowed):
-                expected = " or ".join(t.__name__ for t in allowed)
-                got = type(value).__name__
-                raise error(f"{kind.__name__} field {name!r} must be {expected}, not {got}")
+            fault = _misfit(shape, payload[name])
+            if fault:
+                raise error(f"{kind.__name__} field {name!r} {fault}")
+            fields[name] = payload[name]
     return fields
 
 
@@ -81,3 +107,37 @@ def read_json(path: Union[str, Path], error: Error, what: str, decode: Callable[
         if not isinstance(payload, dict):
             raise TypeError(f"not a JSON object but {type(payload).__name__}")
         return decode(payload)
+
+
+def sweep_temp_files(*directories: Path) -> None:
+    """Remove the temp files that writers killed inside ``write_text`` left in ``directories``."""
+    for directory in directories:
+        for orphan in directory.glob("*.*.tmp"):
+            orphan.unlink()
+
+
+def write_text(path: Union[str, Path], text: str) -> None:
+    """Replace ``path`` with ``text``; readers see the old file or the whole new one.
+
+    The text goes to a new temp file ``<name>.<random>.tmp`` beside ``path``,
+    which is renamed over it. The temp file is created exclusively, so
+    concurrent writers of one path never share one, and with mode 0o666
+    before umask, the permissions a plain write gives.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: Union[str, Path], payload: object, indent: Optional[int] = None) -> None:
+    """Write ``payload`` through ``write_text``: compact on one line, as records
+    and cache entries are, or indented by ``indent`` for documents people read."""
+    separators = (",", ":") if indent is None else None
+    write_text(path, json.dumps(payload, ensure_ascii=False, indent=indent, separators=separators))

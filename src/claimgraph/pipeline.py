@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .adapters import ClassifierAdapter, HttpAdapterClient, LineAdapterClient, StubAdapter
-from .atomic import write_text_atomic
 from .errors import ClaimGraphError, ConfigError, JudgeFailureError, ProviderError
 from .evaluation import ClaimOutcome, EvaluationReport, evaluate_run, judge_explanation
 from .explain import (
@@ -40,6 +39,7 @@ from .gateway import (
     TemplateId,
     TokenLedger,
 )
+from .gateway.ledger import USAGE_FIELDS
 from .gateway.scripted import ScriptedResponder
 from .graphs import (
     ClaimCenteredGraph,
@@ -59,7 +59,7 @@ from .inference import (
     predict_with_adapter,
     predict_zero_shot,
 )
-from .jsonform import as_json, checked_fields, read_json, unreadable
+from .jsonform import as_json, checked_fields, read_json, sweep_temp_files, unreadable, write_json
 from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord
 from .retrieval import (
@@ -315,7 +315,7 @@ class RunRecord:
     explanation_graph: Optional[str] = None
     stage_trace: List[str] = field(default_factory=list)
     durations: Dict[str, float] = field(default_factory=dict)
-    stage_usage: Dict[str, dict] = field(default_factory=dict)
+    stage_usage: Dict[str, Dict[str, int]] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     failure: Optional[dict] = None
 
@@ -329,7 +329,17 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        return cls(**checked_fields(cls, payload, TypeError))
+        """A record from its JSON form, checked down to the items: each stage
+        named is a stage of a claim, and each usage entry holds the ledger's counts."""
+        record = cls(**checked_fields(cls, payload, TypeError))
+        stages = {*record.stage_trace, *record.durations, *record.stage_usage}
+        unknown = sorted(stages - {stage.value for stage in LATENCY_TERMS})
+        if unknown:
+            raise ValueError(f"not a stage of a claim: {', '.join(unknown)}")
+        for stage, usage in record.stage_usage.items():
+            if set(usage) != set(USAGE_FIELDS):
+                raise ValueError(f"stage_usage of {stage} must hold {', '.join(USAGE_FIELDS)}")
+        return record
 
     def parsed_explanation_graph(self) -> ExplanationGraph:
         """The stored ``explanation_graph``; one that does not parse raises ConfigError."""
@@ -590,12 +600,8 @@ def _record_filename(claim_id: str) -> str:
     return f"{safe}-{digest}.json"
 
 
-def _write_json(path: Path, payload: object) -> None:
-    write_text_atomic(path, json.dumps(payload, ensure_ascii=False, indent=2))
-
-
 def _write_record(run_dir: Path, record: RunRecord) -> Path:
-    """Write ``record`` as one line of compact JSON.
+    """Write ``record`` atomically as one line of compact JSON (``write_json``).
 
     Not indented: ``json`` serves an indented dump with its pure-Python
     encoder, about three times slower than its C one.
@@ -603,9 +609,7 @@ def _write_record(run_dir: Path, record: RunRecord) -> Path:
     runs_dir = run_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     path = runs_dir / _record_filename(record.claim_id)
-    write_text_atomic(
-        path, json.dumps(record.to_dict(), ensure_ascii=False, separators=(",", ":"))
-    )
+    write_json(path, record.to_dict())
     return path
 
 
@@ -642,16 +646,16 @@ class BatchResult:
 def _prepare_run_dir(run_dir: Path, config: PipelineConfig) -> None:
     """Create ``run_dir``, write its config and sweep orphaned temp files.
 
-    A process killed inside ``write_text_atomic`` leaves its
-    ``<name>.<random>.tmp`` file behind. Nothing reads one, but a copy of the
-    cache directory would carry it along, so the batch about to run removes
-    them; one run directory serves one batch at a time.
+    A process killed inside ``jsonform.write_text`` leaves its temp file
+    behind in the run directory, ``runs/`` or ``cache/``. Nothing reads one,
+    but a copy of the cache directory would carry it along, so the batch
+    about to run removes them (``sweep_temp_files``); one run directory
+    serves one batch at a time.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
-    for directory in (run_dir, run_dir / "runs", run_dir / "cache"):
-        for orphan in directory.glob("*.*.tmp"):
-            orphan.unlink()
-    _write_json(run_dir / "config.json", dict(config.to_dict(), config_hash=config.config_hash()))
+    sweep_temp_files(run_dir, run_dir / "runs", run_dir / "cache")
+    payload = dict(config.to_dict(), config_hash=config.config_hash())
+    write_json(run_dir / "config.json", payload, indent=2)
 
 
 def run_batch(
@@ -740,7 +744,7 @@ def _write_report(
     run_dir: Path, outcomes: Sequence[ClaimOutcome], scheme: VeracityScheme
 ) -> EvaluationReport:
     report = evaluate_run(outcomes, scheme)
-    _write_json(run_dir / "report.json", report.to_dict())
+    write_json(run_dir / "report.json", report.to_dict(), indent=2)
     return report
 
 
@@ -755,7 +759,7 @@ def write_reports(
     outcomes = outcomes_from_records(records, config.scheme)
     if outcomes:
         report = _write_report(run_dir, outcomes, config.scheme)
-    _write_json(run_dir / "cost.json", _cost_report(records, config).to_dict())
+    write_json(run_dir / "cost.json", _cost_report(records, config).to_dict(), indent=2)
     return report
 
 

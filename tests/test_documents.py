@@ -1,7 +1,8 @@
 """Malformed documents: every JSON document read back is one checked read.
 
 Each reader is run through the command line on a truncated, a non-object,
-an empty and a wrong-typed document. Each must exit 1 with one ``Error:``
+an empty and a wrong-typed document, and run records also on wrong nested
+values. Each must exit 1 with one ``Error:``
 line, never a traceback. A config whose runtime cannot be built must leave
 no ``config.json`` behind, so the corrected config is not refused.
 """
@@ -15,7 +16,13 @@ from click.testing import CliRunner
 from claimgraph import pipeline
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError
-from claimgraph.pipeline import PipelineConfig, build_runtime, load_run_records, run_batch
+from claimgraph.pipeline import (
+    PipelineConfig,
+    RunRecord,
+    build_runtime,
+    load_run_records,
+    run_batch,
+)
 
 TRUNCATED, NOT_AN_OBJECT, EMPTY = '{"k": ', "[]", "{}"
 
@@ -75,10 +82,18 @@ def ingest_manifest(workspace, tmp_path, body):
     return ["ingest", "--manifest", str(path)]
 
 
-def evaluate_record(workspace, tmp_path, body):
+def _run_with_record(workspace, tmp_path, body):
     run_dir, record = _copy_run(workspace, tmp_path)
     _record_path(run_dir, record).write_text(body, encoding="utf-8")
-    return ["evaluate", "--run-dir", str(run_dir)]
+    return str(run_dir)
+
+
+def evaluate_record(workspace, tmp_path, body):
+    return ["evaluate", "--run-dir", _run_with_record(workspace, tmp_path, body)]
+
+
+def cost_with_record(workspace, tmp_path, body):
+    return ["cost", "--run-dir", _run_with_record(workspace, tmp_path, body)]
 
 
 def _with_explanation_graph(workspace, tmp_path, body):
@@ -107,6 +122,18 @@ def _record_with(workspace, **fields):
 
 
 MANIFEST = '{"name": "t", "scheme": "three_way", "split": "test", "claims": 5}'
+USAGE = {"input_tokens": 1, "output_tokens": 1}
+# Records whose nested values are wrong: each stage must be a stage of a
+# claim, each duration a number, each usage entry the ledger's int counts.
+RECORD_BODIES = {
+    "duration_str": lambda ws: _record_with(ws, durations={"inference": "x"}),
+    "duration_of_no_stage": lambda ws: _record_with(ws, durations={"bogus_stage": 0.1}),
+    "trace_of_no_stage": lambda ws: _record_with(ws, stage_trace=["bogus_stage"]),
+    "usage_without_calls": lambda ws: _record_with(ws, stage_usage={"inference": USAGE}),
+    "usage_calls_str": lambda ws: _record_with(
+        ws, stage_usage={"inference": dict(USAGE, calls="1")}
+    ),
+}
 GRAPH_BODIES = dict(
     DOCUMENT_BODIES, sub_claims_int=lambda ws: _explanation_graph_with(ws, sub_claims=5)
 )
@@ -121,6 +148,7 @@ READERS = [
         dict(DOCUMENT_BODIES, durations_list=lambda ws: _record_with(ws, durations=[])),
         "Error: unreadable run record ",
     ),
+    (cost_with_record, RECORD_BODIES, "Error: unreadable run record "),
     (export_explanation_graph, GRAPH_BODIES, "Error: unreadable explanation graph of claim "),
     (judge_explanation_graph, GRAPH_BODIES, "Error: unreadable explanation graph of claim "),
 ]
@@ -169,6 +197,42 @@ def test_a_config_value_of_the_wrong_json_type_names_its_field(field, value):
 def test_a_count_below_one_names_its_field(field):
     with pytest.raises(ConfigError, match=f"^{field} must be at least 1$"):
         PipelineConfig.from_dict({field: 0})
+
+
+@pytest.mark.parametrize(
+    "payload, fault",
+    [
+        ({"ablations": [5]}, "field 'ablations' item 0 must be str, not int"),
+        ({"provider": {"type": "fixture", "path": 5}}, None),
+        ({"adapter": {"type": "stub", "probabilities": [True]}}, None),
+    ],
+)
+def test_config_items_are_checked_where_the_annotation_types_them(payload, fault):
+    if fault is None:
+        assert PipelineConfig.from_dict(payload) == PipelineConfig(**payload)
+    else:
+        with pytest.raises(ConfigError, match=f"^PipelineConfig {fault}$"):
+            PipelineConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "fields, fault",
+    [
+        (
+            {"durations": {"inference": True}},
+            "field 'durations' item 'inference' must be int or float, not bool",
+        ),
+        (
+            {"stage_usage": {"inference": {"calls": 1.0}}},
+            "field 'stage_usage' item 'inference' item 'calls' must be int, not float",
+        ),
+        ({"evidence": [{}, []]}, "field 'evidence' item 1 must be dict, not list"),
+    ],
+)
+def test_record_items_are_checked_down_to_the_leaves(fields, fault):
+    payload = dict(claim_id="c", claim="x", scheme="three_way", config_hash="h", **fields)
+    with pytest.raises(TypeError, match=f"^RunRecord {fault}$"):
+        RunRecord.from_dict(payload)
 
 
 def test_float_fields_take_ints_and_keep_them():

@@ -3,6 +3,7 @@ import shutil
 import sys
 import threading
 from decimal import Decimal
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -10,7 +11,7 @@ import requests
 from hypothesis import given, strategies as st
 
 from claimgraph.adapters import HttpAdapterClient
-from claimgraph.atomic import write_text_atomic
+from claimgraph.jsonform import write_text
 from claimgraph.errors import (
     AdapterContractError,
     EmbeddingError,
@@ -284,8 +285,22 @@ def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory
     with pytest.raises(OSError):
-        write_text_atomic(target, "text")
+        write_text(target, "text")
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_atomic_write_closes_its_file_whether_or_not_it_succeeds(tmp_path):
+    open_fds = Path("/proc/self/fd")
+    if not open_fds.is_dir():
+        pytest.skip("counting open file descriptors needs /proc/self/fd")
+    before = len(list(open_fds.iterdir()))
+    for _ in range(20):
+        write_text(tmp_path / "file", "text")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(tmp_path / "file", "\ud800")  # a lone surrogate has no UTF-8 form
+    assert len(list(open_fds.iterdir())) == before
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "text"
 
 
 def record_through_run_cache(tmp_path, prompt):

@@ -69,6 +69,17 @@ def test_manifest_unreadable_file(tmp_path):
         load_manifest(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("fault", ["missing", "not_utf8"])
+def test_an_unreadable_claims_file_names_it(tmp_path, fault):
+    manifest = load_manifest(write_dataset(tmp_path, [GOOD_ROW]))
+    if fault == "missing":
+        manifest.claims_path.unlink()
+    else:
+        manifest.claims_path.write_bytes(b'{"id": "c1", "claim": "\xff"}\n')
+    with pytest.raises(DatasetError, match="^unreadable claims file .*claims.jsonl: "):
+        load_records(manifest)
+
+
 def test_content_reports_are_sentence_split():
     record = parse_claim_record(GOOD_ROW, THREE_WAY)
     assert record.reports[0].sentences == ("Work ended in 2015.", "Opening followed.")

@@ -2,6 +2,7 @@ import errno
 import json
 import re
 import shutil
+import stat
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from claimgraph import pipeline
+from claimgraph import jsonform, pipeline
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError, EmbeddingError, ProviderUnavailableError
@@ -586,7 +587,7 @@ def test_run_batch_sweeps_orphaned_temp_files(two_records, tmp_path):
     run_batch(two_records, PipelineConfig(), run_dir)
     records, cache = _file_bytes(run_dir / "runs"), _file_bytes(run_dir / "cache")
     assert records and cache
-    # What a kill inside write_text_atomic leaves: <name>.<random>.tmp files.
+    # What a kill inside jsonform.write_text leaves: <name>.<random>.tmp files.
     orphans = [
         run_dir / "report.json.k3x9q1.tmp",
         run_dir / "runs" / f"{sorted(records)[0]}.a8b2c7.tmp",
@@ -925,6 +926,61 @@ def test_cli_run_accepts_a_runs_own_config(workspace, tmp_path):
     assert result.exit_code == 0, result.output
     assert "processed 1, skipped 0" in result.output
     assert (again / "config.json").read_bytes() == config_path.read_bytes()
+
+
+def test_cli_run_rejects_a_negative_limit(workspace, tmp_path):
+    run_dir = tmp_path / "run"
+    result = CliRunner().invoke(
+        cli_main,
+        ["run", "--manifest", str(workspace.manifest_path), "--out", str(run_dir), "--limit", "-1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--limit'" in result.output
+    assert not run_dir.exists()
+
+
+def _mode(path: Path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def test_every_file_a_run_or_export_writes_has_a_plain_writes_mode(two_records, tmp_path):
+    run_dir, out = tmp_path / "run", tmp_path / "graph.json"
+    run_batch(two_records, PipelineConfig(), run_dir)
+    claim_id = load_run_records(run_dir)[0].claim_id
+    export = ["export", "--run-dir", str(run_dir), "--claim-id", claim_id, "--out", str(out)]
+    result = CliRunner().invoke(cli_main, export)
+    assert result.exit_code == 0, result.output
+    written = [out, *(path for path in run_dir.rglob("*") if path.is_file())]
+    assert {path.parent.name for path in written} == {tmp_path.name, "run", "runs", "cache"}
+    plain = {}
+    for directory in {path.parent for path in written}:
+        probe = directory / "plain.probe"
+        probe.write_text("x", encoding="utf-8")
+        plain[directory] = _mode(probe)
+        probe.unlink()
+    assert {path: _mode(path) for path in written} == {path: plain[path.parent] for path in written}
+
+
+def test_a_failed_export_write_leaves_the_old_file_whole(workspace, tmp_path, monkeypatch):
+    out = tmp_path / "graph.json"
+    out.write_text("old graph", encoding="utf-8")
+    claim_id = next(
+        r.claim_id for r in load_run_records(workspace.recorded_run_dir) if r.explanation_graph
+    )
+
+    def disk_full(source, target):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(jsonform.os, "replace", disk_full)
+    result = CliRunner().invoke(
+        cli_main,
+        ["export", "--run-dir", str(workspace.recorded_run_dir), "--claim-id", claim_id,
+         "--out", str(out)],
+    )
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == ["Error: [Errno 28] No space left on device"]
+    assert out.read_text(encoding="utf-8") == "old graph"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_cli_run_rejects_scheme_mismatch(workspace, tmp_path):

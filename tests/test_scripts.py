@@ -47,6 +47,18 @@ def test_make_fixtures_then_replay_them(tmp_path):
     assert len(records) == 2 and all(r.succeeded for r in records)
 
 
+def test_run_fixture_batch_rejects_a_negative_limit(tmp_path):
+    result = run_script(
+        "run_fixture_batch.py",
+        "--manifest", tmp_path / "manifest.json",
+        "--out", tmp_path / "run",
+        "--limit", -1,
+    )
+    assert result.returncode == 2
+    assert "argument --limit: must be at least 0, not -1" in result.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_traced_benchmark_wraps_only_names_that_exist(monkeypatch):
     # perfbench/run.py --trace 1 replaces each (owner, attr) with a span
     # wrapper; a name missing from the owner would break the traced run.

@@ -10,6 +10,7 @@ provider failure on the re-ask propagates as it is.
 import ast
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Tuple
@@ -432,3 +433,67 @@ def test_json_file_read_scan_flags_file_reads_but_not_text_parsing():
         "json.loads(Path(p).read_text())\n"
     )
     assert _json_file_reads(tree) == [1, 2, 5]
+
+
+_WRITE_MODE = re.compile(r"[rbt+]*[wax][rwaxbt+]*")
+
+
+def _file_writes(tree: ast.AST):
+    """Line numbers of calls that create or replace a file.
+
+    These are ``<x>.write_text`` and ``<x>.write_bytes`` (a bare
+    ``write_text(...)`` is jsonform's, imported), ``json.dump``, ``fdopen``,
+    ``mkstemp``, ``os.open``, and ``open`` or ``<x>.open`` with a w, a or x mode.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, attribute = node.func, isinstance(node.func, ast.Attribute)
+        name = func.attr if attribute else getattr(func, "id", None)
+        owner = getattr(func.value, "id", None) if attribute else None
+        arguments = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+        modes = [str(a.value) for a in arguments if isinstance(a, ast.Constant)]
+        if (
+            name in ("fdopen", "mkstemp")
+            or (attribute and name in ("write_text", "write_bytes") and owner != "jsonform")
+            or (name, owner) in (("dump", "json"), ("open", "os"))
+            or (name == "open" and any(_WRITE_MODE.fullmatch(mode) for mode in modes))
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_writer_creates_or_replaces_files():
+    """Every file is written through ``jsonform.write_text``: atomic, one temp-file rule."""
+    package = Path(claimgraph.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "jsonform.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(package)}:{line}" for line in _file_writes(tree)]
+    assert found == []
+
+
+def test_file_write_scan_flags_file_writes_but_not_pipes_reads_or_the_writer():
+    tree = ast.parse(
+        "path.write_text(text, encoding='utf-8')\n"
+        "Path(p).write_bytes(data)\n"
+        "json.dump(payload, handle)\n"
+        "os.fdopen(fd, 'w')\n"
+        "tempfile.mkstemp(dir=d)\n"
+        "open(p, 'w', encoding='ascii')\n"
+        "path.open(mode='a')\n"
+        "open(p, 'xb')\n"
+        "os.open(p, flags, 0o666)\n"
+        "mkstemp()\n"
+        "self._process.stdin.write(line)\n"
+        "open(p, encoding='ascii')\n"
+        "path.open('rb')\n"
+        "write_text(path, text)\n"
+        "jsonform.write_text(path, text)\n"
+        "json.dumps(payload)\n"
+        "subprocess.Popen(argv, stdin=subprocess.PIPE, text=True)\n"
+    )
+    assert _file_writes(tree) == list(range(1, 11))
