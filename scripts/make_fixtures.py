@@ -4,8 +4,8 @@ fixtures, produced by running the batch once against the scripted responder.
 
 The output root ends up with three siblings:
   data/               manifest.json + claims.jsonl
-  recorded_run/       the run directory; its cache/ holds one JSON file per
-                      unique provider exchange
+  recorded_run/       the run directory; its cache/responses.jsonl holds one
+                      JSON line per unique provider exchange
   provider_fixtures/  a copy of recorded_run/cache, replayed by the
                       "fixture" provider type
 """

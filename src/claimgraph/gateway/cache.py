@@ -1,87 +1,119 @@
 """The one content-addressed response store: cache, fixture replay, totals.
 
-A store is a directory of ``<request_key>.json`` records, each holding
-``model_id``, ``temperature``, ``text``, ``input_tokens`` and
-``output_tokens`` (extra fields are ignored). The gateway writes every
-provider reply into its run directory's ``cache/``; a copy of that directory
-is a fixture set that ``FixtureProvider`` replays.
+A store is a directory holding one append-only log, ``responses.jsonl``.
+Each stored reply is one compact JSON line,
+``[request_key, input_tokens, output_tokens, text]``. The log is created by
+the first put and read once when the store is opened, into a dict that
+lookups use; a put of a key the store does not hold appends its line.
+
+A line that does not decode, such as the torn last line of a writer killed
+mid-append, is skipped: its entry is a miss, and the next append starts on
+a fresh line. Legacy ``<request_key>.json`` files from before the log, each
+holding ``text``, ``input_tokens`` and ``output_tokens`` (extra fields are
+ignored), stay readable but are never written; a log line for the same key
+wins. The gateway writes every provider reply into its run directory's
+``cache/``; a copy of that directory is a fixture set that
+``FixtureProvider`` replays.
 """
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import FixtureMissError, ProviderError
-from ..jsonform import read_json, write_json
+from ..jsonform import append_json, read_json, read_json_lines
 from .ledger import TokenUsage
 from .provider import GenerationRequest, GenerationResponse, request_key
 
-def _load(path: Path, cached: bool = False) -> GenerationResponse:
-    """One stored record; an unusable one raises ProviderError naming the file."""
+LOG_NAME = "responses.jsonl"
+
+# A stored reply, or the path of a legacy entry, read when it is asked for.
+Entry = Union[GenerationResponse, Path]
+
+
+def _load(path: Path) -> GenerationResponse:
+    """One legacy entry file; an unusable one raises ProviderError naming the file."""
 
     def decode(record: dict) -> GenerationResponse:
         text = record["text"]
         if not isinstance(text, str):
             raise TypeError("text field is not a string")
         usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
-        return GenerationResponse(text=text, usage=usage, cached=cached)
+        return GenerationResponse(text=text, usage=usage)
 
     return read_json(path, ProviderError, "stored response", decode)
 
 
-class ResponseCache:
-    """One JSON file per request hash under ``root``.
+def _from_line(line: object) -> Tuple[str, GenerationResponse]:
+    """A log line, ``[request_key, input_tokens, output_tokens, text]``, as (key, reply)."""
+    if type(line) is not list or [type(item) for item in line] != [str, int, int, str]:
+        raise ValueError("not a [request_key, input_tokens, output_tokens, text] line")
+    key, input_tokens, output_tokens, text = line
+    return key, GenerationResponse(text, TokenUsage(input_tokens, output_tokens))
 
-    A corrupted entry (unreadable JSON, missing fields, negative counts) is
-    evicted on read so the caller falls through to a fresh provider call.
+
+def _entries(root: Path) -> Dict[str, Entry]:
+    """Every entry of the store at ``root``, by request key."""
+    entries: Dict[str, Entry] = {path.stem: path for path in root.glob("*.json")}
+    entries.update(read_json_lines(root / LOG_NAME, _from_line))
+    return entries
+
+
+def _reply(entry: Entry) -> GenerationResponse:
+    return _load(entry) if isinstance(entry, Path) else entry
+
+
+class ResponseCache:
+    """The store under ``root``, read once when it is opened.
+
+    An entry that cannot be used (a skipped log line, an unusable legacy
+    file) is a miss, so the caller falls through to a fresh provider call,
+    whose put logs the reply in its place.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, request: GenerationRequest) -> Path:
-        return self.root / f"{request_key(request)}.json"
+        self._entries = _entries(self.root)
+        self._lock = threading.Lock()
 
     def get(self, request: GenerationRequest) -> Optional[GenerationResponse]:
-        path = self._path(request)
-        if not path.exists():
+        entry = self._entries.get(request_key(request))
+        if entry is None:
             return None
         try:
-            return _load(path, cached=True)
+            reply = _reply(entry)
         except ProviderError:
-            # Evict and treat as a miss.
-            try:
-                path.unlink()
-            except OSError:
-                pass
             return None
+        return GenerationResponse(reply.text, reply.usage, cached=True)
 
     def put(self, request: GenerationRequest, response: GenerationResponse) -> None:
-        record = {
-            "model_id": request.model_id,
-            "temperature": request.temperature,
-            "text": response.text,
-            "input_tokens": response.usage.input_tokens,
-            "output_tokens": response.usage.output_tokens,
-        }
-        write_json(self._path(request), record)
+        key = request_key(request)
+        with self._lock:
+            if isinstance(self._entries.get(key), GenerationResponse):
+                return
+            usage = response.usage
+            append_json(
+                self.root / LOG_NAME, [key, usage.input_tokens, usage.output_tokens, response.text]
+            )
+            self._entries[key] = response
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+        return len(self._entries)
 
 
 class FixtureProvider:
     """Strict replay over a store, typically a copy of a recorded run's cache.
 
     Unknown requests raise FixtureMissError; nothing is fabricated. An
-    unusable record raises ProviderError naming the file and stays on disk.
-    ``call_count`` counts every ``generate`` call, hit or miss.
+    unusable legacy file raises ProviderError naming the file and stays on
+    disk. ``call_count`` counts every ``generate`` call, hit or miss.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        self._entries = _entries(self.root)
         self.call_count = 0
         self._count_lock = threading.Lock()
 
@@ -89,18 +121,18 @@ class FixtureProvider:
         with self._count_lock:
             self.call_count += 1
         key = request_key(request)
-        path = self.root / f"{key}.json"
-        if not path.is_file():
+        entry = self._entries.get(key)
+        if entry is None:
             raise FixtureMissError(
                 f"no recorded response for request {key} "
                 f"(prompt starts {request.prompt_text[:60]!r})"
             )
-        return _load(path)
+        return _reply(entry)
 
 
 def fixture_totals(root: Union[str, Path]) -> TokenUsage:
-    """Sum the token counts over every record in a store directory."""
+    """Sum the token counts over every entry in a store directory."""
     total = TokenUsage()
-    for path in sorted(Path(root).glob("*.json")):
-        total = total + _load(path).usage
+    for entry in _entries(Path(root)).values():
+        total = total + _reply(entry).usage
     return total

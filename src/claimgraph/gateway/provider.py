@@ -42,7 +42,7 @@ class GenerationResponse:
 
 
 def request_key(request: GenerationRequest) -> str:
-    """sha256 of (model_id, prompt_text, temperature), the store's file name.
+    """sha256 of (model_id, prompt_text, temperature), the key of a stored reply.
 
     ``max_output_tokens`` is left out: a run directory refuses a config with
     another hash unless forced, so the config fixes it for every request the

@@ -2,6 +2,9 @@
 
 Every file the program writes is replaced atomically by ``write_text`` (or
 ``write_json``); every JSON file it reads back goes through ``read_json``.
+The one exception is an append-only JSON-lines log, such as the response
+store's: ``append_json`` adds one compact line to it, and ``read_json_lines``
+reads it back, skipping any line that does not decode.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import os
 import typing
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Tuple, TypeVar, Union
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 Error = Callable[[str], Exception]
@@ -100,13 +103,33 @@ def read_json(path: Union[str, Path], error: Error, what: str, decode: Callable[
 
     Every JSON file the program reads back comes through here: a config
     (``--config`` or a run's ``config.json``), a run record, a dataset
-    manifest, and a response-store entry (cache or fixture).
+    manifest, and a legacy response-store entry file (cache or fixture).
     """
     with unreadable(error, what, path):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise TypeError(f"not a JSON object but {type(payload).__name__}")
         return decode(payload)
+
+
+def read_json_lines(path: Union[str, Path], decode: Callable[[object], T]) -> List[T]:
+    """Each line of the JSON-lines log at ``path`` decoded by ``decode``; a missing log has none.
+
+    A line that does not parse or that ``decode`` refuses (ValueError or
+    TypeError), such as the torn last line of an appender killed mid-write,
+    is skipped.
+    """
+    try:
+        lines = Path(path).read_bytes().splitlines()
+    except FileNotFoundError:
+        return []
+    entries = []
+    for line in lines:
+        try:
+            entries.append(decode(json.loads(line)))
+        except (ValueError, TypeError):
+            continue
+    return entries
 
 
 def sweep_temp_files(*directories: Path) -> None:
@@ -138,6 +161,26 @@ def write_text(path: Union[str, Path], text: str) -> None:
 
 def write_json(path: Union[str, Path], payload: object, indent: Optional[int] = None) -> None:
     """Write ``payload`` through ``write_text``: compact on one line, as records
-    and cache entries are, or indented by ``indent`` for documents people read."""
+    are, or indented by ``indent`` for documents people read."""
     separators = (",", ":") if indent is None else None
     write_text(path, json.dumps(payload, ensure_ascii=False, indent=indent, separators=separators))
+
+
+def append_json(path: Union[str, Path], payload: object) -> None:
+    """Append ``payload`` to the JSON-lines log at ``path`` as one compact line.
+
+    The log is created by the first append, with mode 0o666 before umask,
+    the permissions a plain write gives. The line goes out in one
+    ``O_APPEND`` write, so concurrent appenders never split each other's
+    lines; after a torn last line it starts on a fresh one.
+    """
+    line = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        end = os.lseek(fd, 0, os.SEEK_END)
+        torn = end > 0 and os.pread(fd, 1, end - 1) != b"\n"
+        data = b"\n" * torn + line + b"\n"
+        if os.write(fd, data) != len(data):
+            raise OSError(f"short append to {path}")
+    finally:
+        os.close(fd)

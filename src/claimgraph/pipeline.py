@@ -272,6 +272,23 @@ def build_runtime(
     return PipelineRuntime(config=config, gateway=gateway, embedder=embedder, adapter=adapter)
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """What ``RunRecord.prediction`` must hold when a record is read back."""
+
+    label: str
+    source: str
+    probabilities: Optional[List[float]]
+
+
+@dataclass(frozen=True)
+class Failure:
+    """What ``RunRecord.failure`` must hold when a record is read back."""
+
+    stage: str
+    message: str
+
+
 @dataclass
 class RunRecord:
     """Everything one claim's run produced.
@@ -330,9 +347,14 @@ class RunRecord:
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
         """A record from its JSON form, checked down to the items: each stage
-        named is a stage of a claim, and each usage entry holds the ledger's counts."""
+        named is a stage of a claim, each usage entry holds the ledger's counts,
+        and ``prediction`` and ``failure`` hold a ``Prediction``'s and a ``Failure``'s fields."""
         record = cls(**checked_fields(cls, payload, TypeError))
-        stages = {*record.stage_trace, *record.durations, *record.stage_usage}
+        for part, kind in ((record.prediction, Prediction), (record.failure, Failure)):
+            if part is not None:
+                kind(**checked_fields(kind, part, TypeError))  # a missing field raises too
+        failed_at = [record.failure["stage"]] if record.failure else []
+        stages = {*record.stage_trace, *record.durations, *record.stage_usage, *failed_at}
         unknown = sorted(stages - {stage.value for stage in LATENCY_TERMS})
         if unknown:
             raise ValueError(f"not a stage of a claim: {', '.join(unknown)}")

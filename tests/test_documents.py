@@ -145,7 +145,13 @@ READERS = [
     (ingest_manifest, dict(DOCUMENT_BODIES, claims_int=MANIFEST), "Error: unreadable manifest "),
     (
         evaluate_record,
-        dict(DOCUMENT_BODIES, durations_list=lambda ws: _record_with(ws, durations=[])),
+        dict(
+            DOCUMENT_BODIES,
+            durations_list=lambda ws: _record_with(ws, durations=[]),
+            prediction_empty=lambda ws: _record_with(ws, prediction={}),
+            prediction_label_int=lambda ws: _record_with(ws, prediction={"label": 3}),
+            failure_stage_int=lambda ws: _record_with(ws, failure={"stage": 5}),
+        ),
         "Error: unreadable run record ",
     ),
     (cost_with_record, RECORD_BODIES, "Error: unreadable run record "),

@@ -1,7 +1,11 @@
 import json
+import os
 import shutil
+import signal
+import subprocess
 import sys
 import threading
+import time
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -229,13 +233,14 @@ def test_judge_stage_runs_at_temperature_zero():
 
 
 def test_cache_evicts_corrupted_entries(tmp_path):
-    cache = ResponseCache(tmp_path)
     request = GenerationRequest("p", 0.8, "m", 10)
-    cache.put(request, GenerationResponse("good", TokenUsage(1, 1)))
-    path = next(tmp_path.glob("*.json"))
-    path.write_text("{not json", encoding="utf-8")
-    assert cache.get(request) is None
-    assert not path.exists()
+    ResponseCache(tmp_path).put(request, GenerationResponse("good", TokenUsage(1, 1)))
+    (path,) = tmp_path.iterdir()
+    path.write_text("{not json\n", encoding="utf-8")  # the entry's one line, corrupted
+    cache = ResponseCache(tmp_path)
+    assert cache.get(request) is None and len(cache) == 0
+    cache.put(request, GenerationResponse("fresh", TokenUsage(1, 1)))
+    assert ResponseCache(tmp_path).get(request).text == "fresh"
 
 
 def test_cache_round_trip_marks_cached(tmp_path):
@@ -281,6 +286,36 @@ def test_concurrent_puts_of_one_key_leave_one_entry(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def test_concurrent_puts_of_distinct_keys_all_read_back_whole(tmp_path):
+    cache = ResponseCache(tmp_path)
+    threads_count, rounds = 8, 50
+    barrier = threading.Barrier(threads_count, timeout=30)
+
+    def writer(n):
+        barrier.wait()
+        for i in range(rounds):
+            request = GenerationRequest(f"writer {n} prompt {i}", 0.8, "m", 10)
+            cache.put(request, GenerationResponse(f"{n}:{i} " * (i + 1), TokenUsage(n, i)))
+
+    threads = [threading.Thread(target=writer, args=(n,)) for n in range(threads_count)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    reopened = ResponseCache(tmp_path)
+    assert len(reopened) == len(cache) == threads_count * rounds
+    for n in range(threads_count):
+        for i in range(rounds):
+            hit = reopened.get(GenerationRequest(f"writer {n} prompt {i}", 0.8, "m", 10))
+            assert (hit.text, hit.usage) == (f"{n}:{i} " * (i + 1), TokenUsage(n, i))
+
+
 def test_atomic_write_removes_its_temp_file_on_error(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory
@@ -301,6 +336,65 @@ def test_atomic_write_closes_its_file_whether_or_not_it_succeeds(tmp_path):
     assert len(list(open_fds.iterdir())) == before
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
     assert (tmp_path / "file").read_text(encoding="utf-8") == "text"
+
+
+def test_a_torn_last_line_is_a_miss_and_the_next_put_starts_a_fresh_line(tmp_path):
+    asked = [GenerationRequest(f"p{i}", 0.8, "m", 10) for i in range(3)]
+    texts = ["reply 0", "reply\n1", "naïve ☃"]
+    cache = ResponseCache(tmp_path)
+    for i, (request, text) in enumerate(zip(asked, texts)):
+        cache.put(request, GenerationResponse(text, TokenUsage(i, 1)))
+    log = tmp_path / "responses.jsonl"
+    # What a kill inside the last append leaves: it ends inside the snowman's UTF-8 bytes.
+    log.write_bytes(log.read_bytes()[:-4])
+    reopened = ResponseCache(tmp_path)
+    assert [reopened.get(r) and reopened.get(r).text for r in asked] == [*texts[:2], None]
+    reopened.put(asked[2], GenerationResponse("again", TokenUsage(2, 1)))
+    final = ResponseCache(tmp_path)
+    assert [final.get(r).text for r in asked] == [*texts[:2], "again"]
+    assert fixture_totals(tmp_path) == TokenUsage(3, 3)
+
+
+KILLED_WRITER = """
+import sys
+from claimgraph.gateway import GenerationRequest, GenerationResponse, ResponseCache, TokenUsage
+
+cache = ResponseCache(sys.argv[1])
+i = 0
+while True:
+    text = str(i) * (i % 3000)
+    cache.put(GenerationRequest(f"prompt {i}", 0.8, "m", 10), GenerationResponse(text, TokenUsage(i, 1)))
+    i += 1
+"""
+
+
+def test_a_writer_killed_mid_loop_leaves_a_store_that_serves_only_whole_entries(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    log = tmp_path / "responses.jsonl"
+    child = subprocess.Popen([sys.executable, "-c", KILLED_WRITER, str(tmp_path)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while (not log.exists() or log.stat().st_size < 2_000_000) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+    cache = ResponseCache(tmp_path)
+    stored = len(cache)
+    assert stored > 100
+    for i in range(stored + 1):
+        hit = cache.get(GenerationRequest(f"prompt {i}", 0.8, "m", 10))
+        if i < stored:
+            assert (hit.text, hit.usage) == (str(i) * (i % 3000), TokenUsage(i, 1))
+        else:
+            assert hit is None
+    request = GenerationRequest("after the kill", 0.8, "m", 10)
+    cache.put(request, GenerationResponse("whole", TokenUsage(1, 1)))
+    assert ResponseCache(tmp_path).get(request).text == "whole"
 
 
 def record_through_run_cache(tmp_path, prompt):
@@ -334,15 +428,15 @@ def test_fixture_miss_is_loud(tmp_path):
 
 
 def test_fixture_records_are_inspectable(tmp_path):
-    _live, request, fixture_dir = record_through_run_cache(tmp_path, "inspect me")
-    (path,) = fixture_dir.glob("*.json")
-    assert path.name == f"{request_key(request)}.json"
-    record = json.loads(path.read_text(encoding="utf-8"))
-    # The compact run-dir record: the prompt itself is not stored.
-    assert set(record) == {"model_id", "temperature", "text", "input_tokens", "output_tokens"}
-    assert record["model_id"] == request.model_id
-    assert record["temperature"] == request.temperature
-    assert record["input_tokens"] == 2
+    live, request, fixture_dir = record_through_run_cache(tmp_path, "inspect me")
+    (path,) = fixture_dir.iterdir()
+    assert path.name == "responses.jsonl"
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    # The compact log line: the prompt itself is not stored, only its key.
+    key, input_tokens, output_tokens, text = json.loads(line)
+    assert key == request_key(request)
+    assert (input_tokens, output_tokens) == (2, live.usage.output_tokens)
+    assert text == live.text
 
 
 def test_fixture_replays_the_older_verbose_record_format(tmp_path):
@@ -377,22 +471,34 @@ CORRUPT_BODIES = [
 ]
 
 
+# Each corrupt body's counterpart as a log line for the request KEY.
+CORRUPT_LINES = {
+    "{not json": '["KEY",1,1,"t',
+    '{"text": "t", "input_tokens": 1}': '["KEY",1,"t"]',
+    '{"text": 3, "input_tokens": 1, "output_tokens": 1}': '["KEY",1,1,3]',
+    '{"text": "t", "input_tokens": -1, "output_tokens": 1}': '["KEY",-1,1,"t"]',
+    '["text"]': '{"key":"KEY","text":"t","input_tokens":1,"output_tokens":1}',
+    "[]": "[]",
+    "{}": "{}",
+}
+
+
 @pytest.mark.parametrize("body", CORRUPT_BODIES)
 def test_a_corrupt_cache_entry_is_evicted_and_counts_as_a_miss(tmp_path, body):
     provider = EchoProvider()
     ledger = TokenLedger()
+    request = make_gateway(provider).build_request("hello", Stage.INFERENCE)
+    line = CORRUPT_LINES[body].replace("KEY", request_key(request))
+    (tmp_path / "responses.jsonl").write_text(line + "\n", encoding="utf-8")
     cache = ResponseCache(tmp_path)
+    assert cache.get(request) is None
     gateway = make_gateway(provider, ledger=ledger, cache=cache)
-    request = GenerationRequest("hello", gateway.generation_temperature, gateway.model_id, 1024)
-    path = tmp_path / f"{request_key(request)}.json"
-    path.write_text(body, encoding="utf-8")
-    assert cache.get(request) is None and not path.exists()
-    path.write_text(body, encoding="utf-8")
     response = gateway.complete("hello", Stage.INFERENCE)
     assert not response.cached
     assert provider.calls == 1
     assert ledger.totals()["inference"]["calls"] == 1
-    assert cache.get(request).text == "echo: hello"  # the fresh reply replaced it
+    assert cache.get(request).text == "echo: hello"
+    assert ResponseCache(tmp_path).get(request).text == "echo: hello"  # the fresh line wins
 
 
 @pytest.mark.parametrize("body", CORRUPT_BODIES)

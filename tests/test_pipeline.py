@@ -578,6 +578,18 @@ def test_resume_spends_no_provider_calls(workspace):
     assert provider.call_count == 0
 
 
+def test_a_rerun_after_a_lost_record_replays_it_from_the_cache(two_records, tmp_path):
+    run_dir = tmp_path / "run"
+    run_batch(two_records, PipelineConfig(), run_dir)
+    lost = run_dir / "runs" / pipeline._record_filename(two_records[0].claim_id)
+    lost.unlink()
+    provider = CountingRefuser(lambda prompt: False, None)
+    result = run_batch(two_records, PipelineConfig(), run_dir, provider=provider)
+    assert (result.processed, result.skipped) == (1, 1)
+    assert provider.answered == 0
+    assert lost.exists()
+
+
 def _file_bytes(directory: Path) -> dict:
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 

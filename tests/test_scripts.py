@@ -29,10 +29,11 @@ def test_make_fixtures_then_replay_them(tmp_path):
     made = run_script("make_fixtures.py", "--out", tmp_path, "--claims", 2)
     assert made.returncode == 0, made.stderr
     fixture_dir = tmp_path / "provider_fixtures"
-    recorded = sorted(p.name for p in (tmp_path / "recorded_run" / "cache").glob("*.json"))
+    recorded = (tmp_path / "recorded_run" / "cache" / "responses.jsonl").read_bytes()
     assert recorded
-    assert sorted(p.name for p in fixture_dir.glob("*.json")) == recorded
-    assert f"({len(recorded)} exchanges recorded)" in made.stdout
+    assert [p.name for p in fixture_dir.iterdir()] == ["responses.jsonl"]
+    assert (fixture_dir / "responses.jsonl").read_bytes() == recorded
+    assert f"({len(recorded.splitlines())} exchanges recorded)" in made.stdout
 
     replayed = run_script(
         "run_fixture_batch.py",
