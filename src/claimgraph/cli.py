@@ -166,10 +166,10 @@ def export(run_dir: str, claim_id: str, fmt: str, out_path: str) -> None:
     if record is None:
         raise click.ClickException(f"no record for claim id {claim_id!r}")
     if not record.explanation_graph:
-        raise click.ClickException(
-            f"claim {claim_id!r} has no explanation graph "
-            f"(failure: {record.failure or 'none recorded'})"
-        )
+        cause = "no failure recorded"
+        if record.failure is not None:
+            cause = f"failed at {record.failure.stage.value}: {record.failure.message}"
+        raise click.ClickException(f"claim {claim_id!r} has no explanation graph ({cause})")
     if fmt == "dot":
         text = export_dot(record.parsed_explanation_graph())
     else:

@@ -18,7 +18,7 @@ from .errors import (
     HyperedgeParseError,
 )
 from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
-from .jsonform import as_json
+from .jsonform import as_json, from_json
 
 LLM_GENERATED = "llm_generated"
 SAFEGUARD = "safeguard"
@@ -85,8 +85,7 @@ class ClaimCenteredGraph:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClaimCenteredGraph":
-        edges = tuple(DependencyEdge(**e) for e in payload["edges"])
-        return cls(payload["claim"], tuple(payload["sub_claims"]), edges)
+        return from_json(cls, payload)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""The one JSON form of record parts, the one writer of files and the one checked reader.
+"""The one JSON form of record parts each way, the one writer of files and the one checked reader.
 
-Every file the program writes is replaced atomically by ``write_text`` (or
-``write_json``); every JSON file it reads back goes through ``read_json``.
-The one exception is an append-only JSON-lines log, such as the response
-store's: ``append_json`` adds one compact line to it, and ``read_json_lines``
-reads it back, skipping any line that does not decode.
+Record parts have one encoder, ``as_json``, and one decoder, its inverse
+``from_json``. Every file the program writes is replaced atomically by
+``write_text`` (or ``write_json``); every JSON file it reads back goes
+through ``read_json``. The one exception is an append-only JSON-lines log,
+such as the response store's: ``append_json`` adds one compact line to it,
+and ``read_json_lines`` reads it back, skipping any line that does not decode.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import json
 import os
 import typing
 from contextlib import contextmanager
+from enum import Enum, EnumMeta
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple, TypeVar, Union
 
@@ -22,45 +24,10 @@ Error = Callable[[str], Exception]
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
-# The JSON types a value may have, each with the shape of its items (None: unchecked).
-Shape = Tuple[Tuple[type, Optional["Shape"]], ...]
-
-
-def _shape(hint) -> Shape:
-    """What an annotation admits: a float admits an int, a tuple is a list, and
-    ``List[X]``, ``Tuple[X, ...]`` and ``Dict[str, X]`` hold Xs."""
-    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
-    if origin is Union:
-        return sum(map(_shape, args), ())
-    items = {list: args[:1], tuple: args[:1], dict: args[1:]}.get(origin)
-    kinds = {float: (int, float), tuple: (list,)}.get(origin, (origin,))
-    return tuple((kind, _shape(items[0]) if items else None) for kind in kinds)
-
-
-@functools.lru_cache(maxsize=None)
-def _fields(kind: type) -> Tuple[Tuple[str, Shape], ...]:
-    """Each field of dataclass ``kind``: its name and the shape its annotation admits."""
-    hints = typing.get_type_hints(kind)
-    return tuple((f.name, _shape(hints[f.name])) for f in dataclasses.fields(kind))
-
-
-def _misfit(shape: Shape, value) -> Optional[str]:
-    """Why ``shape`` does not admit ``value``, or None; a bool is only a bool (or an object)."""
-    for kind, items in shape:
-        if isinstance(value, kind) and (type(value) is not bool or kind in (bool, object)):
-            if items is not None:
-                for key, item in value.items() if kind is dict else enumerate(value):
-                    fault = _misfit(items, item)
-                    if fault:
-                        return f"item {key!r} {fault}"
-            return None
-    expected = " or ".join(kind.__name__ for kind, _items in shape)
-    return f"must be {expected}, not {type(value).__name__}"
-
 
 def as_json(value):
     """``value`` as plain JSON values: a dataclass becomes the dict of its
-    fields and a tuple a list, recursively; scalars return at once."""
+    fields, a tuple a list and an Enum its value, recursively; scalars return at once."""
     kind = type(value)
     if kind in _SCALARS:
         return value
@@ -68,25 +35,80 @@ def as_json(value):
         return [as_json(item) for item in value]
     if kind is dict:
         return {key: as_json(item) for key, item in value.items()}
-    return {name: as_json(getattr(value, name)) for name, _admits in _fields(kind)}
+    if isinstance(value, Enum):
+        return value.value
+    return {name: as_json(getattr(value, name)) for name, _of, _required in _plan(kind)[2]}
 
 
-def checked_fields(kind: type, payload: dict, error: Error) -> dict:
-    """The entries of ``payload`` that name fields of dataclass ``kind``.
+@functools.lru_cache(maxsize=None)
+def _plan(hint) -> tuple:
+    """How ``from_json`` reads annotation ``hint``: ``(admits, build, inner)``.
 
-    A value the field's annotation does not admit raises ``error`` naming
-    the field, and the item for one inside a ``List[X]``, ``Tuple[X, ...]``
-    or ``Dict[str, X]``. A float field admits an int; only a bool field
-    admits a bool.
+    ``admits`` are its JSON types (a float admits an int, a tuple is a list, a
+    dataclass a dict, an Enum its values' types, ``object`` all), ``build`` what
+    it becomes (None: itself) and ``inner`` the plans of its members or items,
+    or each field's ``(name, plan, required)``."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin is Union:
+        arms = tuple(map(_plan, args))
+        return sum((arm[0] for arm in arms), ()), Union, arms
+    if dataclasses.is_dataclass(origin):
+        hints, missing = typing.get_type_hints(origin), dataclasses.MISSING
+        return (dict,), origin, tuple(
+            (f.name, _plan(hints[f.name]), f.default is f.default_factory is missing)
+            for f in dataclasses.fields(origin)
+        )
+    if isinstance(origin, EnumMeta):
+        return tuple({type(member.value): None for member in origin}), origin, None
+    admits = {float: (int, float), tuple: (list,), object: (object, bool)}.get(origin, (origin,))
+    if origin in (list, tuple, dict) and args:
+        return admits, origin, _plan(args[1] if origin is dict else args[0])
+    return admits, None, None
+
+
+def _fits(admits: Tuple[type, ...], value) -> bool:
+    """Whether ``value``'s JSON type is one of ``admits``; a bool only where bool is."""
+    return bool in admits if type(value) is bool else isinstance(value, admits)
+
+
+def from_json(kind, value, error: Error = TypeError):
+    """The ``kind`` whose ``as_json`` form is ``value``, rebuilt by its annotations.
+
+    Keys naming no field are ignored, a ``Union`` takes its first member that
+    admits the value and ``object`` is unchecked. A fault raises ``error`` with
+    its path: ``RunRecord field 'evidence' item 0 field 'k' must be int, not str``.
     """
+    return _decode(_plan(kind), value, kind.__name__, error)
+
+
+def _decode(plan: tuple, value, path: str, error: Error):
+    admits, build, inner = plan
+    if not _fits(admits, value):
+        expected = " or ".join(kind.__name__ for kind in admits)
+        raise error(f"{path} must be {expected}, not {type(value).__name__}")
+    if build is None:
+        return value
+    if build is Union:
+        return _decode(next(arm for arm in inner if _fits(arm[0], value)), value, path, error)
+    if build is list or build is tuple:
+        items = [_decode(inner, v, f"{path} item {i!r}", error) for i, v in enumerate(value)]
+        return items if build is list else tuple(items)
+    if build is dict:
+        return {k: _decode(inner, v, f"{path} item {k!r}", error) for k, v in value.items()}
+    if isinstance(build, EnumMeta):
+        if value not in {member.value for member in build}:
+            raise error(f"{path} must be a {build.__name__} value, not {value!r}")
+        return build(value)
     fields = {}
-    for name, shape in _fields(kind):
-        if name in payload:
-            fault = _misfit(shape, payload[name])
-            if fault:
-                raise error(f"{kind.__name__} field {name!r} {fault}")
-            fields[name] = payload[name]
-    return fields
+    for name, field_plan, required in inner:
+        if name not in value:
+            if required:
+                raise error(f"{path} field {name!r} is missing")
+        elif field_plan[1] is None and _fits(field_plan[0], value[name]):
+            fields[name] = value[name]  # the common case: a leaf that fits needs no path
+        else:
+            fields[name] = _decode(field_plan, value[name], f"{path} field {name!r}", error)
+    return build(**fields)
 
 
 @contextmanager

@@ -25,6 +25,7 @@ from .adapters import ClassifierAdapter, HttpAdapterClient, LineAdapterClient, S
 from .errors import ClaimGraphError, ConfigError, JudgeFailureError, ProviderError
 from .evaluation import ClaimOutcome, EvaluationReport, evaluate_run, judge_explanation
 from .explain import (
+    CompetingExplanations,
     generate_background,
     generate_competing_pair,
     generate_lone_analysis,
@@ -59,7 +60,7 @@ from .inference import (
     predict_with_adapter,
     predict_zero_shot,
 )
-from .jsonform import as_json, checked_fields, read_json, sweep_temp_files, unreadable, write_json
+from .jsonform import as_json, from_json, read_json, sweep_temp_files, unreadable, write_json
 from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord
 from .retrieval import (
@@ -73,6 +74,7 @@ from .retrieval import (
 )
 from .summarize import (
     ExplanationGraph,
+    SubClaimVerdict,
     build_explanation_graph,
     export_structured,
     fallback_verdict,
@@ -165,11 +167,10 @@ class PipelineConfig:
     def from_dict(cls, payload: dict) -> "PipelineConfig":
         """A config from its JSON form; a bad field raises ConfigError naming it."""
         # A run's config.json also stores its hash, which is recomputed.
-        payload = {k: v for k, v in payload.items() if k != "config_hash"}
-        fields = checked_fields(cls, payload, ConfigError)
-        if len(fields) < len(payload):
-            raise ConfigError(f"unknown config fields: {sorted(set(payload) - set(fields))}")
-        return cls(**fields)  # __post_init__ turns the ablations list into a tuple
+        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)} - {"config_hash"}
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        return from_json(cls, payload, ConfigError)
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
@@ -274,18 +275,18 @@ def build_runtime(
 
 @dataclass(frozen=True)
 class Prediction:
-    """What ``RunRecord.prediction`` must hold when a record is read back."""
+    """A claim's predicted label identifier, its source and the adapter's probabilities."""
 
     label: str
     source: str
-    probabilities: Optional[List[float]]
+    probabilities: Optional[Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
 class Failure:
-    """What ``RunRecord.failure`` must hold when a record is read back."""
+    """The stage a claim failed at and the error's message."""
 
-    stage: str
+    stage: Stage
     message: str
 
 
@@ -300,7 +301,7 @@ class RunRecord:
     end, by one rule: the failure is the earliest piece, in program and then
     submission order, that raised (or the last stage started, for an error
     outside every piece), and ``stage_trace`` is cut at its stage, so
-    ``failure["stage"]``, when set, is always its last entry.
+    ``failure.stage``, when set, is always its last entry.
     ``stage_usage`` counts provider calls only; cache hits cost nothing and
     are not counted. On failure it also books the overlapped calls of later
     stages that had already started. ``durations[stage]`` is the stage's own
@@ -310,8 +311,8 @@ class RunRecord:
 
     Retrieved evidence lives only in ``evidence``, one set per node;
     ``explanations`` holds the texts written over it and does not repeat it.
-    Its parts are in ``jsonform.as_json``'s form, and a record file is read
-    back only through ``jsonform.read_json``, its fields type-checked.
+    Its parts are typed. ``to_dict`` is its JSON form (``jsonform.as_json``),
+    and a record file is read back only through ``from_dict`` (``from_json``).
     """
 
     claim_id: str
@@ -321,39 +322,35 @@ class RunRecord:
     gold_label: Optional[str] = None
     n: int = 0
     sub_claims: List[str] = field(default_factory=list)
-    graph: Optional[dict] = None
+    graph: Optional[ClaimCenteredGraph] = None
     hypergraph: Optional[dict] = None
     structure_text: Optional[str] = None
-    evidence: List[dict] = field(default_factory=list)
-    explanations: List[dict] = field(default_factory=list)
-    prediction: Optional[dict] = None
-    verdicts: List[dict] = field(default_factory=list)
+    evidence: List[EvidenceSet] = field(default_factory=list)
+    explanations: List[CompetingExplanations] = field(default_factory=list)
+    prediction: Optional[Prediction] = None
+    verdicts: List[SubClaimVerdict] = field(default_factory=list)
     summary: Optional[str] = None
     explanation_graph: Optional[str] = None
     stage_trace: List[str] = field(default_factory=list)
     durations: Dict[str, float] = field(default_factory=dict)
     stage_usage: Dict[str, Dict[str, int]] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
-    failure: Optional[dict] = None
+    failure: Optional[Failure] = None
 
     @property
     def succeeded(self) -> bool:
         return self.failure is None and self.prediction is not None
 
     def to_dict(self) -> dict:
-        """The record's fields, shallow: every field already holds plain JSON values."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        """The record in its JSON form (``as_json``), the one written to disk."""
+        return as_json(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        """A record from its JSON form, checked down to the items: each stage
-        named is a stage of a claim, each usage entry holds the ledger's counts,
-        and ``prediction`` and ``failure`` hold a ``Prediction``'s and a ``Failure``'s fields."""
-        record = cls(**checked_fields(cls, payload, TypeError))
-        for part, kind in ((record.prediction, Prediction), (record.failure, Failure)):
-            if part is not None:
-                kind(**checked_fields(kind, part, TypeError))  # a missing field raises too
-        failed_at = [record.failure["stage"]] if record.failure else []
+        """A record from its JSON form (``from_json``); besides, each stage named must
+        be a stage of a claim, and each usage entry must hold the ledger's counts."""
+        record = from_json(cls, payload)
+        failed_at = [record.failure.stage.value] if record.failure else []
         stages = {*record.stage_trace, *record.durations, *record.stage_usage, *failed_at}
         unknown = sorted(stages - {stage.value for stage in LATENCY_TERMS})
         if unknown:
@@ -439,7 +436,7 @@ class _ClaimStages:
                 # Not a domain failure (a bug, a provider client's own
                 # exception): keep the type so the cause can be told apart.
                 message = f"{type(error).__name__}: {error}"
-            record.failure = {"stage": stage.value, "message": message}
+            record.failure = Failure(stage, message)
         record.stage_trace = [stage.value for stage in trace]
         for place, seconds in sorted(self.seconds.items()):
             name = self.pieces[place][0].value
@@ -508,7 +505,6 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     )
     stages = _ClaimStages(config.provider_concurrency)
     structure: Optional[Future] = None
-    graph: Optional[ClaimCenteredGraph] = None
     with stages.settled(record):
         if config.ablated("no_subclaims"):
             nodes = [(0, claim)]
@@ -525,8 +521,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             record.n = len(sub_claims)
             nodes = list(enumerate(sub_claims, start=1))
             if config.ablated("no_edges"):
-                graph = assemble_claim_graph(claim, sub_claims, set())
-                record.graph = graph.to_dict()
+                record.graph = assemble_claim_graph(claim, sub_claims, set())
             else:
                 stage = Stage.EDGE_GENERATION
                 if config.graph_structure == HYPERGRAPH:
@@ -569,20 +564,20 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             # have the structure on the record before retrieving.
             if structure is not None:
                 graph, record.hypergraph, record.structure_text, warnings = structure.result()
-                record.graph = graph.to_dict()
+                record.graph = graph
                 record.warnings.extend(warnings)
-        record.evidence = as_json(evidence_sets)
+        record.evidence = evidence_sets
         entries = [future.result() for future in pending_entries]
         for position, future in enumerate(pending_backgrounds):
             background, _pool = future.result()
             entries[position] = replace(entries[position], background=background)
-        record.explanations = as_json(entries)
+        record.explanations = entries
 
         def infer():
-            if graph is None:
+            if record.graph is None:
                 defense, prompt = None, build_claim_only_prompt(claim, entries[0], runtime.scheme)
             else:
-                defense = DefenseGraph(graph, tuple(entries))
+                defense = DefenseGraph(record.graph, tuple(entries))
                 prompt = build_inference_prompt(defense, runtime.scheme, record.structure_text)
             if config.inference_path == EXTERNAL_ADAPTER:
                 return defense, predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
@@ -590,13 +585,9 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
 
         defense, result = stages.run(Stage.INFERENCE, infer)
         label = result.label
-        record.prediction = {
-            "label": label.identifier,
-            "source": result.source,
-            "probabilities": list(result.probabilities) if result.probabilities else None,
-        }
+        record.prediction = Prediction(label.identifier, result.source, result.probabilities)
 
-        if graph is None:
+        if record.graph is None:
             # No summarization stage: the explanation consistent with the
             # predicted label is selected directly.
             record.summary = entries[0].oriented(fallback_verdict(label))
@@ -606,7 +597,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 summarize_explanations, gw, defense, label, record.structure_text,
             )
             record.warnings.extend(outcome.warnings)
-            record.verdicts = as_json(outcome.verdicts)
+            record.verdicts = list(outcome.verdicts)
             record.summary = outcome.summary
             explanation_graph = build_explanation_graph(
                 defense, outcome.verdicts, outcome.summary, label
@@ -743,22 +734,12 @@ def outcomes_from_records(
         if record.gold_label is None:
             continue
         gold = VeracityLabel.from_identifier(scheme, record.gold_label)
-        predicted = None
-        failure_stage = None
+        predicted, failure_stage = None, None
         if record.succeeded:
-            predicted = VeracityLabel.from_identifier(
-                scheme, record.prediction["label"]
-            )
+            predicted = VeracityLabel.from_identifier(scheme, record.prediction.label)
         else:
-            failure_stage = (record.failure or {}).get("stage", "unknown")
-        outcomes.append(
-            ClaimOutcome(
-                claim_id=record.claim_id,
-                gold=gold,
-                predicted=predicted,
-                failure_stage=failure_stage,
-            )
-        )
+            failure_stage = record.failure.stage.value if record.failure else "unknown"
+        outcomes.append(ClaimOutcome(record.claim_id, gold, predicted, failure_stage))
     return outcomes
 
 
@@ -902,9 +883,8 @@ def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostRe
             measured.append(sum(record.durations.values()))
         if nodes:
             sub_counts.append(float(nodes))
-        if record.prediction:
-            source = record.prediction.get("source", "unknown")
-            sources[source] = sources.get(source, 0) + 1
+        if record.prediction is not None:
+            sources[record.prediction.source] = sources.get(record.prediction.source, 0) + 1
         for stage, seconds in record.durations.items():
             key = LATENCY_TERMS[Stage(stage)]
             components[key].append(seconds / nodes if key in _PER_NODE and nodes else seconds)

@@ -15,7 +15,7 @@ from .errors import ConsistencyError, SummarizationError
 from .gateway import LlmGateway, Stage, TemplateId, ask, render_prompt
 from .graphs import DependencyEdge
 from .inference import DefenseGraph, build_graph_block, serialize_edges
-from .jsonform import as_json
+from .jsonform import as_json, from_json
 from .labels import VeracityLabel, label_to_score, scheme_by_name
 from .parsing import coerce_mapping
 
@@ -278,21 +278,19 @@ def export_structured(graph: ExplanationGraph) -> str:
 
 
 def parse_structured(text: str) -> ExplanationGraph:
+    """The graph exported as ``text``; its parts are decoded by ``from_json``."""
     payload = json.loads(text)
     if payload.get("format") != STRUCTURED_FORMAT:
         raise ValueError(f"unsupported export format: {payload.get('format')!r}")
     scheme = scheme_by_name(payload["scheme"])
     label = VeracityLabel.from_identifier(scheme, payload["label"])
     entries = sorted(payload["sub_claims"], key=lambda e: e["index"])
-    verdicts = tuple(SubClaimVerdict(**e["verdict"]) for e in entries)
-    kept = tuple(KeptExplanation(**e["kept"]) for e in entries)
-    edges = tuple(DependencyEdge(**e) for e in payload["edges"])
     return ExplanationGraph(
         claim=payload["claim"],
         label=label,
         sub_claims=tuple(e["text"] for e in entries),
-        edges=edges,
-        verdicts=verdicts,
-        kept=kept,
+        edges=tuple(from_json(DependencyEdge, e) for e in payload["edges"]),
+        verdicts=tuple(from_json(SubClaimVerdict, e["verdict"]) for e in entries),
+        kept=tuple(from_json(KeptExplanation, e["kept"]) for e in entries),
         summary=payload["summary"],
     )

@@ -7,8 +7,10 @@ line, never a traceback. A config whose runtime cannot be built must leave
 no ``config.json`` behind, so the corrected config is not refused.
 """
 import json
+import operator
 import shutil
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 from click.testing import CliRunner
@@ -117,15 +119,32 @@ def _explanation_graph_with(workspace, **fields):
     return json.dumps(dict(graph, **fields))
 
 
+def _explanation_graph_leaf(workspace, path, value):
+    """The recorded explanation graph with the leaf at ``path``, keys and indices, set to ``value``."""
+    graph = json.loads(_explained_record(workspace.recorded_run_dir).explanation_graph)
+    *parents, leaf = path
+    reduce(operator.getitem, parents, graph)[leaf] = value
+    return json.dumps(graph)
+
+
 def _record_with(workspace, **fields):
     return json.dumps(dict(_explained_record(workspace.recorded_run_dir).to_dict(), **fields))
 
 
 MANIFEST = '{"name": "t", "scheme": "three_way", "split": "test", "claims": 5}'
 USAGE = {"input_tokens": 1, "output_tokens": 1}
+# Record parts of the wrong shape: each is decoded into its typed part.
+PART_BODIES = {
+    "evidence_without_fields": lambda ws: _record_with(ws, evidence=[{"x": 1}]),
+    "explanation_index_str": lambda ws: _record_with(
+        ws, explanations=[{"sub_claim_index": "a"}]
+    ),
+    "graph_edges_int": lambda ws: _record_with(ws, graph={"edges": 5}),
+}
 # Records whose nested values are wrong: each stage must be a stage of a
 # claim, each duration a number, each usage entry the ledger's int counts.
 RECORD_BODIES = {
+    **PART_BODIES,
     "duration_str": lambda ws: _record_with(ws, durations={"inference": "x"}),
     "duration_of_no_stage": lambda ws: _record_with(ws, durations={"bogus_stage": 0.1}),
     "trace_of_no_stage": lambda ws: _record_with(ws, stage_trace=["bogus_stage"]),
@@ -134,8 +153,14 @@ RECORD_BODIES = {
         ws, stage_usage={"inference": dict(USAGE, calls="1")}
     ),
 }
+VERDICT = ("sub_claims", 0, "verdict", "verdict")
 GRAPH_BODIES = dict(
-    DOCUMENT_BODIES, sub_claims_int=lambda ws: _explanation_graph_with(ws, sub_claims=5)
+    DOCUMENT_BODIES,
+    sub_claims_int=lambda ws: _explanation_graph_with(ws, sub_claims=5),
+    verdict_str=lambda ws: _explanation_graph_leaf(ws, VERDICT, "no"),
+    verdict_int=lambda ws: _explanation_graph_leaf(ws, VERDICT, 0),
+    edge_source_str=lambda ws: _explanation_graph_leaf(ws, ("edges", 0, "source"), "1"),
+    kept_text_int=lambda ws: _explanation_graph_leaf(ws, ("sub_claims", 0, "kept", "text"), 5),
 )
 # (reader, bodies, what its one error line starts with, if fixed); a callable
 # body is built from the recorded run.
@@ -151,6 +176,7 @@ READERS = [
             prediction_empty=lambda ws: _record_with(ws, prediction={}),
             prediction_label_int=lambda ws: _record_with(ws, prediction={"label": 3}),
             failure_stage_int=lambda ws: _record_with(ws, failure={"stage": 5}),
+            **PART_BODIES,
         ),
         "Error: unreadable run record ",
     ),
@@ -232,7 +258,10 @@ def test_config_items_are_checked_where_the_annotation_types_them(payload, fault
             {"stage_usage": {"inference": {"calls": 1.0}}},
             "field 'stage_usage' item 'inference' item 'calls' must be int, not float",
         ),
-        ({"evidence": [{}, []]}, "field 'evidence' item 1 must be dict, not list"),
+        (
+            {"evidence": [{"sub_claim_index": 1, "items": [], "k": 5}, []]},
+            "field 'evidence' item 1 must be dict, not list",
+        ),
     ],
 )
 def test_record_items_are_checked_down_to_the_leaves(fields, fault):

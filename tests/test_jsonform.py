@@ -1,0 +1,165 @@
+"""``jsonform.from_json``, the one decoder: the inverse of ``as_json`` and its faults.
+
+Every typed record part, and the config, must come back equal from the JSON
+text of its ``as_json`` form; a value its annotation does not admit is a
+fault that names its path.
+"""
+import json
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from claimgraph.explain import CompetingExplanations
+from claimgraph.gateway import Stage
+from claimgraph.graphs import LLM_GENERATED, SAFEGUARD, ClaimCenteredGraph, DependencyEdge
+from claimgraph.jsonform import as_json, from_json
+from claimgraph.pipeline import ABLATIONS, Failure, PipelineConfig, Prediction, RunRecord
+from claimgraph.retrieval import EvidenceSet, RetrievedEvidence
+from claimgraph.summarize import SubClaimVerdict
+
+texts = st.text(max_size=12)
+indices = st.integers(min_value=0, max_value=9)
+numbers = st.one_of(st.integers(-5, 5), st.floats(allow_nan=False))
+maybe_texts = st.none() | texts
+
+graphs = st.builds(
+    ClaimCenteredGraph,
+    texts,
+    st.lists(texts, max_size=4).map(tuple),
+    st.lists(
+        st.builds(DependencyEdge, indices, indices, st.sampled_from([LLM_GENERATED, SAFEGUARD])),
+        max_size=4,
+    ).map(tuple),
+)
+evidence_sets = st.builds(
+    EvidenceSet,
+    indices,
+    st.lists(st.builds(RetrievedEvidence, indices, indices, texts, numbers), max_size=3).map(tuple),
+    st.integers(1, 9),
+)
+explanations = st.one_of(
+    st.builds(
+        CompetingExplanations, indices,
+        false_oriented=texts, true_oriented=texts, background=maybe_texts,
+    ),
+    st.builds(CompetingExplanations, indices, analysis=texts, background=maybe_texts),
+)
+verdicts = st.builds(SubClaimVerdict, indices, st.booleans(), texts, st.booleans())
+probabilities = st.none() | st.lists(numbers, max_size=3).map(tuple)
+predictions = st.builds(Prediction, texts, texts, probabilities)
+failures = st.builds(Failure, st.sampled_from(Stage), texts)
+configs = st.builds(
+    PipelineConfig,
+    k=st.integers(1, 20),
+    decomposition=st.sampled_from(["standard", "enhanced"]),
+    graph_structure=st.sampled_from(["dependency", "hypergraph"]),
+    ablations=st.lists(
+        st.sampled_from([a for a in ABLATIONS if a != "no_inference_training"]), max_size=3
+    ).map(tuple),
+    generation_temperature=numbers,
+    provider=st.dictionaries(texts, st.one_of(st.integers(), texts, st.lists(st.integers()))),
+    adapter=st.none() | st.fixed_dictionaries({"type": st.just("http"), "url": texts}),
+    cache_enabled=st.booleans(),
+)
+
+PARTS = [
+    (ClaimCenteredGraph, graphs),
+    (EvidenceSet, evidence_sets),
+    (CompetingExplanations, explanations),
+    (SubClaimVerdict, verdicts),
+    (Prediction, predictions),
+    (Failure, failures),
+    (PipelineConfig, configs),
+]
+
+
+@pytest.mark.parametrize("kind, values", PARTS, ids=[kind.__name__ for kind, _ in PARTS])
+def test_a_part_reads_back_equal_from_the_json_text_of_its_form(kind, values):
+    @given(values)
+    def reads_back(value):
+        assert from_json(kind, json.loads(json.dumps(as_json(value)))) == value
+
+    reads_back()
+
+
+@dataclass(frozen=True)
+class Leaf:
+    count: int
+    share: float = 0.0
+
+
+@dataclass(frozen=True)
+class Tree:
+    leaves: List[Leaf]
+    pair: Tuple[str, ...] = ()
+    named: Optional[Dict[str, Optional[Leaf]]] = None
+    anything: object = None
+
+
+@pytest.mark.parametrize(
+    "payload, fault",
+    [
+        ({}, "field 'leaves' is missing"),
+        ({"leaves": [{"count": 1}, {}]}, "field 'leaves' item 1 field 'count' is missing"),
+        (
+            {"leaves": [{"count": True}]},
+            "field 'leaves' item 0 field 'count' must be int, not bool",
+        ),
+        (
+            {"leaves": [{"count": 1.5}]},
+            "field 'leaves' item 0 field 'count' must be int, not float",
+        ),
+        ({"leaves": [], "pair": ["a", 2]}, "field 'pair' item 1 must be str, not int"),
+        ({"leaves": (), "pair": ()}, "field 'leaves' must be list, not tuple"),
+        (
+            {"leaves": [], "named": {"a": []}},
+            "field 'named' item 'a' must be dict or NoneType, not list",
+        ),
+        (
+            {"leaves": [], "named": {"a": {"count": 1, "share": "x"}}},
+            "field 'named' item 'a' field 'share' must be int or float, not str",
+        ),
+    ],
+)
+def test_a_fault_names_its_path(payload, fault):
+    with pytest.raises(TypeError, match=f"^Tree {fault}$"):
+        from_json(Tree, payload)
+
+
+def test_a_fault_raises_the_callers_error():
+    with pytest.raises(KeyError, match="Leaf field 'count' is missing"):
+        from_json(Leaf, {}, KeyError)
+
+
+def test_floats_keep_ints_objects_are_unchecked_and_other_keys_are_ignored():
+    tree = from_json(
+        Tree,
+        {"leaves": [{"count": 2, "share": 1}], "named": {"a": None}, "anything": [True], "x": 0},
+    )
+    assert tree == Tree([Leaf(2, 1)], (), {"a": None}, [True])
+    assert type(tree.leaves[0].share) is int
+
+
+@pytest.mark.parametrize(
+    "stage, fault",
+    [
+        ("bogus", "must be a Stage value, not 'bogus'"),
+        (5, "must be str, not int"),
+    ],
+)
+def test_an_enum_is_read_from_its_value(stage, fault):
+    assert from_json(Failure, {"stage": "inference", "message": "m"}).stage is Stage.INFERENCE
+    with pytest.raises(TypeError, match=f"^Failure field 'stage' {fault}$"):
+        from_json(Failure, {"stage": stage, "message": "m"})
+
+
+def test_a_nested_part_extends_the_path():
+    payload = dict(
+        claim_id="c", claim="x", scheme="three_way", config_hash="h",
+        evidence=[{"sub_claim_index": 1, "items": [], "k": "5"}],
+    )
+    with pytest.raises(TypeError, match="^RunRecord field 'evidence' item 0 field 'k' must be int"):
+        RunRecord.from_dict(payload)

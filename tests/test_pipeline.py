@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,10 @@ from claimgraph import jsonform, pipeline
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError, EmbeddingError, ProviderUnavailableError
-from claimgraph.gateway import FixtureProvider
+from claimgraph.gateway import FixtureProvider, Stage
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.pipeline import (
+    Failure,
     PipelineConfig,
     RunRecord,
     build_runtime,
@@ -119,8 +121,8 @@ def test_no_edges_trace(two_records):
     record = run_one(config, two_records[0])
     assert record.stage_trace == [s for s in STANDARD_TRACE if s != "edge_generation"]
     # Safeguard links only: every edge points at the claim node.
-    assert all(e["target"] == 0 for e in record.graph["edges"])
-    assert all(e["provenance"] == "safeguard" for e in record.graph["edges"])
+    assert all(e.target == 0 for e in record.graph.edges)
+    assert all(e.provenance == "safeguard" for e in record.graph.edges)
     assert record.structure_text is None
 
 
@@ -128,7 +130,7 @@ def test_no_evidence_trace(two_records):
     config = PipelineConfig(ablations=("no_evidence",))
     record = run_one(config, two_records[0])
     assert record.stage_trace == [s for s in STANDARD_TRACE if s != "evidence_retrieval"]
-    assert all(not e["items"] for e in record.evidence)
+    assert all(not e.items for e in record.evidence)
 
 
 def test_hypergraph_trace(two_records):
@@ -147,7 +149,7 @@ def test_background_trace(two_records):
     expected = list(STANDARD_TRACE)
     expected.insert(4, "background_generation")
     assert record.stage_trace == expected
-    assert all(e["background"] for e in record.explanations)
+    assert all(e.background for e in record.explanations)
 
 
 def test_adapter_prediction_source(two_records):
@@ -156,9 +158,9 @@ def test_adapter_prediction_source(two_records):
         adapter={"type": "stub", "probabilities": [0.1, 0.7, 0.2]},
     )
     record = run_one(config, two_records[0])
-    assert record.prediction["source"] == "external_adapter"
-    assert record.prediction["label"] == "half"
-    assert record.prediction["probabilities"] == [0.1, 0.7, 0.2]
+    assert record.prediction.source == "external_adapter"
+    assert record.prediction.label == "half"
+    assert record.prediction.probabilities == (0.1, 0.7, 0.2)
 
 
 class DeadProvider:
@@ -173,11 +175,8 @@ def test_failures_are_recorded_not_raised(two_records, tmp_path):
     runtime = build_runtime(config, provider=DeadProvider())
     record = run_claim(runtime, two_records[0])
     assert not record.succeeded
-    assert record.failure == {
-        "stage": "claim_decomposition",
-        "message": "endpoint gone",
-    }
-    assert record.failure["stage"] == record.stage_trace[-1]
+    assert record.failure == Failure(Stage.CLAIM_DECOMPOSITION, "endpoint gone")
+    assert record.failure.stage.value == record.stage_trace[-1]
 
     result = run_batch(two_records, config, tmp_path / "run", provider=DeadProvider())
     assert result.processed == 2
@@ -250,14 +249,27 @@ def test_failure_is_charged_to_the_running_stage(two_records, ablations, templat
     runtime = build_runtime(PipelineConfig(ablations=ablations), provider=provider)
     record = run_claim(runtime, two_records[0])
     assert not record.succeeded
-    assert record.failure == {"stage": stage, "message": "refused"}
-    assert record.failure["stage"] == record.stage_trace[-1] == stage
+    assert record.failure == Failure(Stage(stage), "refused")
+    assert record.failure.stage.value == record.stage_trace[-1] == stage
     # Overlapped calls already running when the claim failed were waited for
     # and booked; none runs after the record is returned.
     answered = provider.answered
     assert answered == booked_calls(record)
     time.sleep(0.05)
     assert provider.answered == answered
+
+
+def test_a_claim_failed_at_its_edges_keeps_no_later_part(two_records):
+    """Retrieval finishes while the edge call is in flight; as in a sequential
+    run, the failed claim's record holds no evidence and no explanations."""
+    marker = prompt_marker("edges")
+    provider = CountingRefuser(
+        lambda prompt: prompt.startswith(marker), ProviderUnavailableError("refused"), 0.05
+    )
+    record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
+    assert record.failure == Failure(Stage.EDGE_GENERATION, "refused")
+    assert "evidence_retrieval" in record.durations
+    assert (record.graph, record.evidence, record.explanations) == (None, [], [])
 
 
 class LateFirstNodeRefuser:
@@ -285,8 +297,8 @@ def test_a_stage_is_charged_the_error_of_its_earliest_piece(two_records):
     for _ in range(5):
         provider = LateFirstNodeRefuser(sub_claims[0], delay=0.1)
         record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
-        assert record.failure == {"stage": "explanation_generation", "message": "node 1 failed"}
-        assert record.failure["stage"] == record.stage_trace[-1]
+        assert record.failure == Failure(Stage.EXPLANATION_GENERATION, "node 1 failed")
+        assert record.failure.stage.value == record.stage_trace[-1]
         assert record.stage_trace == STANDARD_TRACE[:4]
 
 
@@ -345,7 +357,7 @@ def test_retrieval_failure_is_charged_in_program_order(two_records, refuse_edges
     runtime.embedder = RaisingEmbedder()
     record = run_claim(runtime, two_records[0])
     stage = "edge_generation" if refuse_edges else "evidence_retrieval"
-    assert record.failure["stage"] == stage == record.stage_trace[-1]
+    assert record.failure.stage.value == stage == record.stage_trace[-1]
     assert record.stage_trace == STANDARD_TRACE[: STANDARD_TRACE.index(stage) + 1]
     # The edges were joined before the failure was charged, as at a sequential run.
     assert (record.graph is None) == refuse_edges
@@ -436,10 +448,9 @@ def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_pat
     records = {r.claim_id: r for r in load_run_records(tmp_path / "run")}
     assert set(records) == {r.claim_id for r in two_records}
     assert records[two_records[0].claim_id].succeeded
-    assert records[victim.claim_id].failure == {
-        "stage": "claim_decomposition",
-        "message": "RuntimeError: client bug",
-    }
+    assert records[victim.claim_id].failure == Failure(
+        Stage.CLAIM_DECOMPOSITION, "RuntimeError: client bug"
+    )
     assert records[victim.claim_id].stage_trace == ["claim_decomposition"]
     assert result.report.failures_by_stage == {"claim_decomposition": 1}
 
@@ -726,6 +737,22 @@ def test_run_record_round_trip(workspace):
         assert RunRecord.from_dict(record.to_dict()) == record
 
 
+@pytest.mark.parametrize("name", sorted(STABILITY_CONFIGS))
+def test_a_fresh_record_reads_back_equal_from_its_json(name, workspace):
+    """A record as ``run_claim`` builds it, not one already read back, so a
+    part held as a tuple where its annotation says list (or the reverse) shows."""
+    runtime = build_runtime(PipelineConfig(**STABILITY_CONFIGS[name]))
+    for claim in workspace.records[:3]:
+        record = run_claim(runtime, claim)
+        assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+
+def test_a_failed_record_reads_back_equal_from_its_json(two_records):
+    record = run_claim(build_runtime(PipelineConfig(), provider=DeadProvider()), two_records[0])
+    assert record.failure is not None
+    assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+
 def test_a_written_record_is_one_line_that_reads_back_equal(workspace, tmp_path):
     for record in load_run_records(workspace.recorded_run_dir):
         text = pipeline._write_record(tmp_path, record).read_text(encoding="utf-8")
@@ -750,6 +777,36 @@ def test_export_reads_only_its_own_claims_record(workspace, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["format"] == "explanation-graph/v1"
+
+
+@pytest.mark.parametrize(
+    "changes, cause",
+    [
+        ({"failure": Failure(Stage.INFERENCE, "m"), "prediction": None}, "failed at inference: m"),
+        ({}, "no failure recorded"),
+    ],
+    ids=["failed", "succeeded"],
+)
+def test_export_of_a_claim_without_an_explanation_graph_says_why(
+    workspace, tmp_path, changes, cause
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    record = load_run_records(run_dir)[0]
+    pipeline._write_record(run_dir, replace(record, explanation_graph=None, **changes))
+    export = ["export", "--run-dir", str(run_dir), "--claim-id", record.claim_id]
+    result = CliRunner().invoke(cli_main, export)
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: claim {record.claim_id!r} has no explanation graph ({cause})\n"
+    )
+
+
+def test_export_of_a_claim_without_a_record_names_it(workspace):
+    export = ["export", "--run-dir", str(workspace.recorded_run_dir), "--claim-id", "ghost"]
+    result = CliRunner().invoke(cli_main, export)
+    assert result.exit_code == 1
+    assert result.output == "Error: no record for claim id 'ghost'\n"
 
 
 @pytest.mark.parametrize("text", ['{"claim_id": ', "[]", "{}"])

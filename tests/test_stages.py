@@ -497,3 +497,50 @@ def test_file_write_scan_flags_file_writes_but_not_pipes_reads_or_the_writer():
         "subprocess.Popen(argv, stdin=subprocess.PIPE, text=True)\n"
     )
     assert _file_writes(tree) == list(range(1, 11))
+
+
+def _splat_builds(tree: ast.AST):
+    """``(line, name)`` of each ``Kind(**payload)``: ``cls`` or a capitalised name given ``**``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or all(k.arg is not None for k in node.keywords):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "cls" or name[:1].isupper():
+            found.append((node.lineno, name))
+    return found
+
+
+# A judge reply's scores, coerced from a model's reply; no stored document.
+_REPLY_BUILDS = {("evaluation.py", "JudgeScores")}
+
+
+def test_only_the_decoder_builds_a_kind_from_a_splatted_payload():
+    """Every stored document is decoded by ``jsonform.from_json``, the one decoder."""
+    package = Path(claimgraph.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "jsonform.py":
+            continue
+        where = str(path.relative_to(package))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{where}:{line} {name}"
+            for line, name in _splat_builds(tree)
+            if (where, name) not in _REPLY_BUILDS
+        ]
+    assert found == []
+
+
+def test_splat_build_scan_flags_kinds_built_from_a_payload_but_not_other_calls():
+    tree = ast.parse(
+        "Kind(**payload)\n"
+        "cls(**fields)\n"
+        "module.Kind(a, **e)\n"
+        "replace(config, **changes)\n"
+        "Kind(*args)\n"
+        "Kind(a=1)\n"
+        "f(**kwargs)\n"
+    )
+    assert _splat_builds(tree) == [(1, "Kind"), (2, "cls"), (3, "Kind")]
