@@ -2,18 +2,20 @@
 
 A store is a directory holding one append-only log, ``responses.jsonl``.
 Each stored reply is one compact JSON line,
-``[request_key, input_tokens, output_tokens, text]``. The log is created by
-the first put and read once when the store is opened, into a dict that
-lookups use; a put of a key the store does not hold appends its line.
+``[request_key, input_tokens, output_tokens, text]``. The log is read once
+when the store is opened, into a dict that lookups use. A put of a key the
+store does not hold appends its line through a ``jsonform.Appender``, which
+holds the log open from the first put (its tail checked then) to ``close()``.
 
 A line that does not decode, such as the torn last line of a writer killed
-mid-append, is skipped: its entry is a miss, and the next append starts on
-a fresh line. Legacy ``<request_key>.json`` files from before the log, each
-holding ``text``, ``input_tokens`` and ``output_tokens`` (extra fields are
-ignored), stay readable but are never written; a log line for the same key
-wins. The gateway writes every provider reply into its run directory's
-``cache/``; a copy of that directory is a fixture set that
-``FixtureProvider`` replays.
+mid-append, is skipped: its entry is a miss, and a store opened after it
+starts on a fresh line. A line glued onto a tail torn later never decodes
+either, since the torn line leaves its array open. Legacy
+``<request_key>.json`` files from before the log, each holding ``text``,
+``input_tokens`` and ``output_tokens`` (extra fields are ignored), stay
+readable but are never written; a log line for the same key wins. The
+gateway writes every provider reply into its run directory's ``cache/``; a
+copy of that directory is a fixture set that ``FixtureProvider`` replays.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..errors import FixtureMissError, ProviderError
-from ..jsonform import append_json, read_json, read_json_lines
+from ..jsonform import Appender, read_json, read_json_lines
 from .ledger import TokenUsage
 from .provider import GenerationRequest, GenerationResponse, request_key
 
@@ -77,6 +79,7 @@ class ResponseCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._entries = _entries(self.root)
         self._lock = threading.Lock()
+        self._log = Appender(self.root / LOG_NAME)
 
     def get(self, request: GenerationRequest) -> Optional[GenerationResponse]:
         entry = self._entries.get(request_key(request))
@@ -94,10 +97,12 @@ class ResponseCache:
             if isinstance(self._entries.get(key), GenerationResponse):
                 return
             usage = response.usage
-            append_json(
-                self.root / LOG_NAME, [key, usage.input_tokens, usage.output_tokens, response.text]
-            )
+            self._log.append([key, usage.input_tokens, usage.output_tokens, response.text])
             self._entries[key] = response
+
+    def close(self) -> None:
+        with self._lock:
+            self._log.close()
 
     def __len__(self) -> int:
         return len(self._entries)

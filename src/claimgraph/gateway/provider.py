@@ -47,18 +47,23 @@ def request_key(request: GenerationRequest) -> str:
     ``max_output_tokens`` is left out: a run directory refuses a config with
     another hash unless forced, so the config fixes it for every request the
     run's cache sees and it cannot tell two of them apart.
-    ``test_request_key_depends_on_identity_fields`` pins this.
+    ``test_request_key_depends_on_identity_fields`` pins this. Hashed once per
+    request, kept in its ``__dict__`` (a ``cached_property``'s one lock before
+    Python 3.12 would queue every request's first use).
     """
-    payload = json.dumps(
-        {
-            "model_id": request.model_id,
-            "prompt_text": request.prompt_text,
-            "temperature": request.temperature,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    key = request.__dict__.get("_key")
+    if key is None:
+        payload = json.dumps(
+            {
+                "model_id": request.model_id,
+                "prompt_text": request.prompt_text,
+                "temperature": request.temperature,
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        key = request.__dict__["_key"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return key
 
 
 class Provider(Protocol):

@@ -4,8 +4,9 @@ Record parts have one encoder, ``as_json``, and one decoder, its inverse
 ``from_json``. Every file the program writes is replaced atomically by
 ``write_text`` (or ``write_json``); every JSON file it reads back goes
 through ``read_json``. The one exception is an append-only JSON-lines log,
-such as the response store's: ``append_json`` adds one compact line to it,
-and ``read_json_lines`` reads it back, skipping any line that does not decode.
+such as the response store's: an ``Appender`` holds it open and adds one
+compact line per ``append``, and ``read_json_lines`` reads it back, skipping
+any line that does not decode.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import functools
 import json
 import os
 import typing
+import weakref
 from contextlib import contextmanager
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -188,21 +190,31 @@ def write_json(path: Union[str, Path], payload: object, indent: Optional[int] = 
     write_text(path, json.dumps(payload, ensure_ascii=False, indent=indent, separators=separators))
 
 
-def append_json(path: Union[str, Path], payload: object) -> None:
-    """Append ``payload`` to the JSON-lines log at ``path`` as one compact line.
+class Appender:
+    """The one writer of a JSON-lines log, open from an ``append`` until ``close``.
 
-    The log is created by the first append, with mode 0o666 before umask,
-    the permissions a plain write gives. The line goes out in one
-    ``O_APPEND`` write, so concurrent appenders never split each other's
-    lines; after a torn last line it starts on a fresh one.
+    The first append creates the log with mode 0o666 before umask, the
+    permissions a plain write gives, and checks its tail once: after a torn
+    last line, the first line starts on a fresh one. Each line is one
+    ``O_APPEND`` write, so appenders never split each other's lines; the
+    caller serialises its own. A dropped appender closes its log (``weakref.finalize``).
     """
-    line = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
-        end = os.lseek(fd, 0, os.SEEK_END)
-        torn = end > 0 and os.pread(fd, 1, end - 1) != b"\n"
-        data = b"\n" * torn + line + b"\n"
-        if os.write(fd, data) != len(data):
-            raise OSError(f"short append to {path}")
-    finally:
-        os.close(fd)
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        self._close: Optional[weakref.finalize] = None
+
+    def append(self, payload: object) -> None:
+        data = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode() + b"\n"
+        if self._close is None or not self._close.alive:
+            self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            self._close = weakref.finalize(self, os.close, self._fd)
+            end = os.lseek(self._fd, 0, os.SEEK_END)
+            if end > 0 and os.pread(self._fd, 1, end - 1) != b"\n":
+                data = b"\n" + data
+        if os.write(self._fd, data) != len(data):
+            raise OSError(f"short append to {self.path}")
+
+    def close(self) -> None:
+        if self._close is not None:
+            self._close()

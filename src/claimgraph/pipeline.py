@@ -14,7 +14,7 @@ import json
 import os
 import re
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
@@ -186,6 +186,7 @@ class PipelineRuntime:
     config: PipelineConfig
     gateway: LlmGateway
     embedder: object
+    calls: ThreadPoolExecutor  # the run's one call pool, shared by its claims (_ClaimStages)
     adapter: Optional[ClassifierAdapter] = None
 
     @property
@@ -193,7 +194,10 @@ class PipelineRuntime:
         return self.config.scheme
 
     def close(self) -> None:
-        """Stop the command adapter's child and close the HTTP clients' sessions."""
+        """Shut the call pool down; close the response log, adapter child and HTTP sessions."""
+        self.calls.shutdown()
+        if self.gateway.cache is not None:
+            self.gateway.cache.close()
         if isinstance(self.adapter, LineAdapterClient):
             self.adapter.close()
         for client in (self.gateway.provider, self.embedder, self.adapter):
@@ -270,7 +274,8 @@ def build_runtime(
         max_output_tokens=config.max_output_tokens,
         max_in_flight=config.provider_concurrency,
     )
-    return PipelineRuntime(config=config, gateway=gateway, embedder=embedder, adapter=adapter)
+    calls = ThreadPoolExecutor(max_workers=config.provider_concurrency)
+    return PipelineRuntime(config, gateway, embedder, calls, adapter)
 
 
 @dataclass(frozen=True)
@@ -371,20 +376,21 @@ class _ClaimStages:
 
     Stages start in program order, so the list is in program order across
     stages and in submission order within a stage. A piece runs on the
-    claim's call pool, or at once on the claim thread as an
+    run's shared call pool, or at once on the claim thread as an
     already-completed future, and stores its own time before its future
-    completes. Only the claim thread keeps the list and writes the record.
+    completes. Only the claim thread keeps the list, waits on pieces and
+    writes the record; a piece never waits on another, so the pool cannot deadlock.
 
-    The one rule, applied once at the end by ``settled``: on an error,
-    pieces not yet started are cancelled and running ones waited for. The
+    The one rule, applied once at the end by ``settled``: this claim's
+    pieces not yet started are cancelled and its running ones waited for. The
     failure is the first piece in the list that raised; an error raised
     outside every piece goes to the last stage started. ``stage_trace``
     holds the pieces' stages, in order, cut at the failed stage.
     ``durations[stage]`` sums the stage's pieces' own times.
     """
 
-    def __init__(self, workers: int) -> None:
-        self.calls = ThreadPoolExecutor(max_workers=workers)
+    def __init__(self, calls: ThreadPoolExecutor) -> None:
+        self.calls = calls
         self.pieces: List[Tuple[Stage, Future]] = []
         self.seconds: Dict[int, float] = {}  # a piece's own time, by its place in pieces
 
@@ -420,7 +426,9 @@ class _ClaimStages:
         except Exception as exc:
             error = exc
         finally:
-            self.calls.shutdown(cancel_futures=True)
+            for _stage, future in self.pieces:
+                future.cancel()
+            wait([future for _stage, future in self.pieces])
         trace = list(dict.fromkeys(stage for stage, _future in self.pieces))
         if error is not None:
             raised = (
@@ -467,24 +475,24 @@ def _build_structure(
 def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     """Process one claim through every configured stage.
 
-    Calls that do not depend on each other overlap, on a call pool of this
-    claim's own: once the claim is decomposed, the edge (or hyperedge) call
-    runs while the claim thread retrieves evidence, and then every node's
-    competing pair (or lone analysis), and its background when configured,
-    runs at once. The claim thread joins their results in program order
-    (edges, entries, backgrounds) before inference and the final
-    explanation, so records do not depend on the order calls finish in.
-    The gateway's in-flight cap still bounds provider calls across the run,
-    and no call runs after this function returns. Only the claim thread
-    writes the record.
+    Calls that do not depend on each other overlap, on the run's call pool
+    (``runtime.calls``): once the claim is decomposed, the edge (or
+    hyperedge) call runs while the claim thread retrieves evidence, and then
+    every node's competing pair (or lone analysis), and its background when
+    configured, runs at once. The claim thread joins their results in
+    program order (edges, entries, backgrounds) before inference and the
+    final explanation, so records do not depend on the order calls finish
+    in. The gateway's in-flight cap still bounds provider calls across the
+    run, and no call of this claim runs after this function returns. Only
+    the claim thread writes the record.
 
     Every failure, domain or not, is captured on the record under
     ``failure`` by ``_ClaimStages``' one rule, so a batch always produces
     one record per claim: the earliest piece that raised, in program and
     then submission order (node 1's before node 2's, as a sequential run
-    would see them), is charged and ``stage_trace`` is cut there. Pieces not
-    yet started are cancelled; ``stage_usage`` books every call that ran,
-    overlapped ones included.
+    would see them), is charged and ``stage_trace`` is cut there. The claim's
+    pieces not yet started are cancelled; ``stage_usage`` books every call
+    that ran, overlapped ones included. Other claims' pieces run on.
 
     Without sub-claims the claim itself is the only node: it gets
     claim-level evidence and explanations, a single-node inference prompt,
@@ -503,7 +511,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         config_hash=config.config_hash(),
         gold_label=claim_record.gold_label.identifier if claim_record.gold_label else None,
     )
-    stages = _ClaimStages(config.provider_concurrency)
+    stages = _ClaimStages(runtime.calls)
     structure: Optional[Future] = None
     with stages.settled(record):
         if config.ablated("no_subclaims"):

@@ -255,42 +255,59 @@ def export_dot(graph: ExplanationGraph) -> str:
 STRUCTURED_FORMAT = "explanation-graph/v1"
 
 
+@dataclass(frozen=True)
+class StructuredEntry:
+    """One sub-claim of the structured export, with its verdict and kept explanation."""
+
+    index: int
+    text: str
+    verdict: SubClaimVerdict
+    kept: KeptExplanation
+
+
+@dataclass(frozen=True)
+class StructuredExport:
+    """The structured export's JSON document: written by ``as_json``, read by ``from_json``."""
+
+    format: str
+    claim: str
+    scheme: str
+    label: str
+    summary: str
+    sub_claims: Tuple[StructuredEntry, ...]
+    edges: Tuple[DependencyEdge, ...]
+
+
 def export_structured(graph: ExplanationGraph) -> str:
     """Canonical JSON export; parse_structured inverts it exactly."""
-    payload = {
-        "format": STRUCTURED_FORMAT,
-        "claim": graph.claim,
-        "scheme": graph.label.scheme.name,
-        "label": graph.label.identifier,
-        "summary": graph.summary,
-        "sub_claims": [
-            {
-                "index": i,
-                "text": graph.sub_claims[i - 1],
-                "verdict": as_json(graph.verdicts[i - 1]),
-                "kept": as_json(graph.kept[i - 1]),
-            }
+    document = StructuredExport(
+        format=STRUCTURED_FORMAT,
+        claim=graph.claim,
+        scheme=graph.label.scheme.name,
+        label=graph.label.identifier,
+        summary=graph.summary,
+        sub_claims=tuple(
+            StructuredEntry(i, graph.sub_claims[i - 1], graph.verdicts[i - 1], graph.kept[i - 1])
             for i in range(1, graph.n + 1)
-        ],
-        "edges": as_json(sorted(graph.edges, key=lambda e: (e.source, e.target))),
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        ),
+        edges=tuple(sorted(graph.edges, key=lambda e: (e.source, e.target))),
+    )
+    return json.dumps(as_json(document), ensure_ascii=False, indent=2) + "\n"
 
 
 def parse_structured(text: str) -> ExplanationGraph:
-    """The graph exported as ``text``; its parts are decoded by ``from_json``."""
-    payload = json.loads(text)
-    if payload.get("format") != STRUCTURED_FORMAT:
-        raise ValueError(f"unsupported export format: {payload.get('format')!r}")
-    scheme = scheme_by_name(payload["scheme"])
-    label = VeracityLabel.from_identifier(scheme, payload["label"])
-    entries = sorted(payload["sub_claims"], key=lambda e: e["index"])
+    """The graph exported as ``text``, decoded whole by ``from_json``."""
+    document = from_json(StructuredExport, json.loads(text))
+    if document.format != STRUCTURED_FORMAT:
+        raise ValueError(f"unsupported export format: {document.format!r}")
+    label = VeracityLabel.from_identifier(scheme_by_name(document.scheme), document.label)
+    entries = sorted(document.sub_claims, key=lambda e: e.index)
     return ExplanationGraph(
-        claim=payload["claim"],
+        claim=document.claim,
         label=label,
-        sub_claims=tuple(e["text"] for e in entries),
-        edges=tuple(from_json(DependencyEdge, e) for e in payload["edges"]),
-        verdicts=tuple(from_json(SubClaimVerdict, e["verdict"]) for e in entries),
-        kept=tuple(from_json(KeptExplanation, e["kept"]) for e in entries),
-        summary=payload["summary"],
+        sub_claims=tuple(e.text for e in entries),
+        edges=document.edges,
+        verdicts=tuple(e.verdict for e in entries),
+        kept=tuple(e.kept for e in entries),
+        summary=document.summary,
     )

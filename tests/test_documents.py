@@ -114,14 +114,17 @@ def judge_explanation_graph(workspace, tmp_path, body):
     return ["evaluate", "--run-dir", str(run_dir), "--judge"]
 
 
+def _explanation_graph(workspace):
+    return json.loads(_explained_record(workspace.recorded_run_dir).explanation_graph)
+
+
 def _explanation_graph_with(workspace, **fields):
-    graph = json.loads(_explained_record(workspace.recorded_run_dir).explanation_graph)
-    return json.dumps(dict(graph, **fields))
+    return json.dumps(dict(_explanation_graph(workspace), **fields))
 
 
 def _explanation_graph_leaf(workspace, path, value):
     """The recorded explanation graph with the leaf at ``path``, keys and indices, set to ``value``."""
-    graph = json.loads(_explained_record(workspace.recorded_run_dir).explanation_graph)
+    graph = _explanation_graph(workspace)
     *parents, leaf = path
     reduce(operator.getitem, parents, graph)[leaf] = value
     return json.dumps(graph)
@@ -161,6 +164,16 @@ GRAPH_BODIES = dict(
     verdict_int=lambda ws: _explanation_graph_leaf(ws, VERDICT, 0),
     edge_source_str=lambda ws: _explanation_graph_leaf(ws, ("edges", 0, "source"), "1"),
     kept_text_int=lambda ws: _explanation_graph_leaf(ws, ("sub_claims", 0, "kept", "text"), 5),
+    sub_claim_text_int=lambda ws: _explanation_graph_leaf(ws, ("sub_claims", 0, "text"), 5),
+    claim_int=lambda ws: _explanation_graph_with(ws, claim=5),
+    summary_int=lambda ws: _explanation_graph_with(ws, summary=5),
+    # Every index a string, so the entries still sort among themselves.
+    index_str=lambda ws: _explanation_graph_with(
+        ws,
+        sub_claims=[
+            dict(e, index=str(e["index"])) for e in _explanation_graph(ws)["sub_claims"]
+        ],
+    ),
 )
 # (reader, bodies, what its one error line starts with, if fixed); a callable
 # body is built from the recorded run.

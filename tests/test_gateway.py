@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import threading
 import time
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import pytest
@@ -39,6 +41,7 @@ from claimgraph.gateway import (
     fixture_totals,
     request_key,
 )
+from claimgraph.gateway import provider as provider_module
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.retrieval import RemoteEncoderClient
 
@@ -353,6 +356,21 @@ def test_a_torn_last_line_is_a_miss_and_the_next_put_starts_a_fresh_line(tmp_pat
     final = ResponseCache(tmp_path)
     assert [final.get(r).text for r in asked] == [*texts[:2], "again"]
     assert fixture_totals(tmp_path) == TokenUsage(3, 3)
+
+
+def test_a_miss_through_the_gateway_hashes_its_request_once(tmp_path, monkeypatch):
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(provider_module, "hashlib", SimpleNamespace(sha256=sha256))
+    gateway = make_gateway(EchoProvider(), cache=ResponseCache(tmp_path))
+    assert not gateway.complete("hello", Stage.INFERENCE).cached  # a get, a call and a put
+    assert len(hashed) == 1
+    assert gateway.complete("hello", Stage.INFERENCE).cached  # a new request, hashed anew
+    assert len(hashed) == 2
 
 
 KILLED_WRITER = """

@@ -1,5 +1,7 @@
 import errno
+import gc
 import json
+import os
 import re
 import shutil
 import stat
@@ -17,7 +19,14 @@ from claimgraph import jsonform, pipeline
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError, EmbeddingError, ProviderUnavailableError
-from claimgraph.gateway import FixtureProvider, Stage
+from claimgraph.gateway import (
+    FixtureProvider,
+    GenerationRequest,
+    GenerationResponse,
+    ResponseCache,
+    Stage,
+    TokenUsage,
+)
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.pipeline import (
     Failure,
@@ -228,6 +237,25 @@ def booked_calls(record) -> int:
     return sum(entry["calls"] for entry in record.stage_usage.values())
 
 
+@pytest.fixture()
+def running_pieces(monkeypatch):
+    """How many pieces of stage work are running now, on any thread."""
+    running, lock = [0], threading.Lock()
+    timed = pipeline._ClaimStages._timed
+
+    def counted(self, place, fn, args):
+        with lock:
+            running[0] += 1
+        try:
+            return timed(self, place, fn, args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(pipeline._ClaimStages, "_timed", counted)
+    return lambda: running[0]
+
+
 @pytest.mark.parametrize(
     "ablations, template, stage",
     [
@@ -241,13 +269,16 @@ def booked_calls(record) -> int:
     ],
     ids=lambda value: ("-".join(value) or "full") if isinstance(value, tuple) else value,
 )
-def test_failure_is_charged_to_the_running_stage(two_records, ablations, template, stage):
+def test_failure_is_charged_to_the_running_stage(
+    two_records, ablations, template, stage, running_pieces
+):
     marker = prompt_marker(template)
     provider = CountingRefuser(
         lambda prompt: prompt.startswith(marker), ProviderUnavailableError("refused"), 0.01
     )
     runtime = build_runtime(PipelineConfig(ablations=ablations), provider=provider)
     record = run_claim(runtime, two_records[0])
+    assert running_pieces() == 0
     assert not record.succeeded
     assert record.failure == Failure(Stage(stage), "refused")
     assert record.failure.stage.value == record.stage_trace[-1] == stage
@@ -345,7 +376,7 @@ class RaisingEmbedder:
 
 
 @pytest.mark.parametrize("refuse_edges", [False, True], ids=["edges-ok", "edges-refused"])
-def test_retrieval_failure_is_charged_in_program_order(two_records, refuse_edges):
+def test_retrieval_failure_is_charged_in_program_order(two_records, refuse_edges, running_pieces):
     marker = prompt_marker("edges")
     # The edge call is still in flight when retrieval raises.
     provider = CountingRefuser(
@@ -356,6 +387,7 @@ def test_retrieval_failure_is_charged_in_program_order(two_records, refuse_edges
     runtime = build_runtime(PipelineConfig(), provider=provider)
     runtime.embedder = RaisingEmbedder()
     record = run_claim(runtime, two_records[0])
+    assert running_pieces() == 0
     stage = "edge_generation" if refuse_edges else "evidence_retrieval"
     assert record.failure.stage.value == stage == record.stage_trace[-1]
     assert record.stage_trace == STANDARD_TRACE[: STANDARD_TRACE.index(stage) + 1]
@@ -391,6 +423,89 @@ def test_overlapped_calls_respect_the_provider_cap(workspace, tmp_path):
     result = run_batch(workspace.records[:4], config, tmp_path / "run", provider=provider)
     assert result.report.failure_count == 0
     assert provider.max_in_flight == 2
+
+
+def test_a_batch_starts_no_more_threads_than_its_claim_and_call_pools(
+    workspace, tmp_path, monkeypatch
+):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    config = PipelineConfig(claim_concurrency=2)
+    provider = ScriptedResponder(seed=0)
+    result = run_batch(workspace.records[:10], config, tmp_path / "run", provider=provider)
+    assert result.processed == 10 and result.report.failure_count == 0
+    assert len(started) <= config.claim_concurrency + config.provider_concurrency, started
+
+
+def without_durations(record):
+    return replace(record, durations={})
+
+
+def test_a_failed_claim_leaves_the_claims_beside_it_as_an_isolated_run_has_them(
+    workspace, tmp_path, running_pieces
+):
+    """The claims share one call pool; the victim's cancelled pieces are its own."""
+    claims, config = workspace.records[:6], PipelineConfig(claim_concurrency=3)
+    victim = claims[2]
+    first_pair = f"{prompt_marker('rationale')}{run_one(config, victim).sub_claims[0]}, "
+    provider = CountingRefuser(
+        lambda prompt: prompt.startswith(first_pair), ProviderUnavailableError("refused"), 0.005
+    )
+    result = run_batch(claims, config, tmp_path / "run", provider=provider)
+    assert running_pieces() == 0
+    assert result.report.failures_by_stage == {"explanation_generation": 1}
+    records = {r.claim_id: r for r in load_run_records(tmp_path / "run")}
+    assert records[victim.claim_id].failure == Failure(Stage.EXPLANATION_GENERATION, "refused")
+    for claim in claims:
+        if claim is not victim:
+            alone = run_one(config, claim)
+            assert without_durations(records[claim.claim_id]) == without_durations(alone)
+
+
+def test_a_batch_opens_its_response_log_once_per_store(workspace, tmp_path, monkeypatch):
+    opened = []
+    os_open = os.open
+
+    def counted(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return os_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counted)
+    run_dir, config, provider = tmp_path / "run", PipelineConfig(), ScriptedResponder(seed=0)
+    log = str(run_dir / "cache" / "responses.jsonl")
+    run_batch(workspace.records[:4], config, run_dir, provider=provider)
+    assert opened.count(log) == 1
+    # Resumed with two more claims: one more store, opened once more.
+    run_batch(workspace.records[:6], config, run_dir, provider=provider)
+    assert opened.count(log) == 2
+
+
+def test_the_response_log_is_closed_by_close_and_by_collection(two_records, tmp_path):
+    open_fds = Path("/proc/self/fd")
+    if not open_fds.is_dir():
+        pytest.skip("counting open file descriptors needs /proc/self/fd")
+
+    def count():
+        return len(list(open_fds.iterdir()))
+
+    before = count()
+    runtime = build_runtime(PipelineConfig(), tmp_path / "run", provider=ScriptedResponder())
+    run_claim(runtime, two_records[0])
+    assert count() == before + 1  # the log, held open between puts
+    runtime.close()
+    assert count() == before
+    dropped = ResponseCache(tmp_path / "dropped")
+    dropped.put(GenerationRequest("p", 0.8, "m", 10), GenerationResponse("t", TokenUsage(1, 1)))
+    assert count() == before + 1
+    del dropped
+    gc.collect()
+    assert count() == before
 
 
 class SlowProvider:
