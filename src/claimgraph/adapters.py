@@ -102,6 +102,8 @@ class LineAdapterClient:
     """
 
     def __init__(self, argv: Sequence[str]) -> None:
+        if not argv:
+            raise ValueError("argv must name a program")
         self.argv = list(argv)
         self._lock = threading.Lock()
         self._process: Optional[subprocess.Popen] = None

@@ -6,7 +6,7 @@ recall, or F1 term (zero denominator) contributes 0 to the macro average.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EvaluationError, JudgeFailureError, SchemeMismatchError
@@ -167,32 +167,22 @@ class ClaimOutcome:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    scheme_name: str
-    claim_count: int
-    success_count: int
-    failure_count: int
+    """A run's figures; ``to_dict`` is ``report.json``. ``failures_by_stage`` is sorted by stage."""
+
+    scheme_name: str = field(metadata={"json": "scheme"})
+    claim_count: int = field(metadata={"json": "claims"})
+    success_count: int = field(metadata={"json": "successes"})
+    failure_count: int = field(metadata={"json": "failures"})
     failures_by_stage: Dict[str, int]
     metrics: Optional[MacroMetrics]
     mean_discrepancy: Optional[float]
     mean_discrepancy_failures_as_max: Optional[float]
     judge_means: Optional[Dict[str, float]]
-    judged_count: int = 0
-    judge_failure_count: int = 0
+    judged_count: int = field(default=0, metadata={"json": "judged"})
+    judge_failure_count: int = field(default=0, metadata={"json": "judge_failures"})
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme_name,
-            "claims": self.claim_count,
-            "successes": self.success_count,
-            "failures": self.failure_count,
-            "failures_by_stage": dict(sorted(self.failures_by_stage.items())),
-            "metrics": as_json(self.metrics),
-            "mean_discrepancy": self.mean_discrepancy,
-            "mean_discrepancy_failures_as_max": self.mean_discrepancy_failures_as_max,
-            "judge_means": self.judge_means,
-            "judged": self.judged_count,
-            "judge_failures": self.judge_failure_count,
-        }
+        return as_json(self)
 
     def render_text(self) -> str:
         lines = [
@@ -211,7 +201,7 @@ class EvaluationReport:
                 "mean discrepancy (failures as max): "
                 f"{self.mean_discrepancy_failures_as_max:.4f}"
             )
-        for stage, count in sorted(self.failures_by_stage.items()):
+        for stage, count in self.failures_by_stage.items():
             lines.append(f"failures at {stage}: {count}")
         if self.judge_means:
             parts = "  ".join(f"{k[0].upper()} {v:.2f}" for k, v in self.judge_means.items())
@@ -264,7 +254,7 @@ def evaluate_run(outcomes: Sequence[ClaimOutcome], scheme: VeracityScheme) -> Ev
         claim_count=len(outcomes),
         success_count=len(successes),
         failure_count=len(failures),
-        failures_by_stage=failures_by_stage,
+        failures_by_stage=dict(sorted(failures_by_stage.items())),
         metrics=metrics,
         mean_discrepancy=mean_disc,
         mean_discrepancy_failures_as_max=mean_disc_max,

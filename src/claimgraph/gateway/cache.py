@@ -118,6 +118,8 @@ class FixtureProvider:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        if not self.root.is_dir():
+            raise NotADirectoryError(f"path {root} is not a directory")
         self._entries = _entries(self.root)
         self.call_count = 0
         self._count_lock = threading.Lock()

@@ -104,9 +104,13 @@ class HttpProvider:
         payload = post_json(self.session, url, body, self.timeout, headers=headers)
         try:
             text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            if type(text) is not str:
+                raise TypeError(f"content is {type(text).__name__}, not str")
+            usage = payload.get("usage") or {}
+            input_tokens = usage.get("prompt_tokens", count_tokens(request.prompt_text))
+            output_tokens = usage.get("completion_tokens", count_tokens(text))
+            if any(type(n) is not int or n < 0 for n in (input_tokens, output_tokens)):
+                raise TypeError(f"token counts {input_tokens!r}, {output_tokens!r} are not counts")
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider payload: {exc}") from exc
-        usage = payload.get("usage") or {}
-        input_tokens = usage.get("prompt_tokens", count_tokens(request.prompt_text))
-        output_tokens = usage.get("completion_tokens", count_tokens(text))
         return GenerationResponse(text=text, usage=TokenUsage(input_tokens, output_tokens))

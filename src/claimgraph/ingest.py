@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DatasetError, UnparseableLabelError
-from .jsonform import read_json, unreadable, write_text
+from .jsonform import as_json, read_json, unreadable, write_text
 from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord, Report
 from .retrieval import split_report_sentences
@@ -143,31 +143,32 @@ def write_reject_log(path: Union[str, Path], rejects: Sequence[RejectedRecord]) 
 
 
 @dataclass(frozen=True)
+class Extent:
+    """The least, greatest and mean of some counts; all 0 when there are none."""
+
+    min: int = 0
+    max: int = 0
+    avg: float = 0.0
+
+    @classmethod
+    def of(cls, counts: Sequence[int]) -> "Extent":
+        return cls(min(counts), max(counts), sum(counts) / len(counts)) if counts else cls()
+
+    def render_text(self) -> str:
+        return f"min {self.min}  max {self.max}  avg {self.avg:.1f}"
+
+
+@dataclass(frozen=True)
 class DatasetStats:
-    claim_count: int
+    """A corpus's shape; ``to_dict`` is a manifest's ``expected_stats``."""
+
+    claim_count: int = field(metadata={"json": "claims"})
     label_counts: Dict[str, int] = field(default_factory=dict)
-    reports_min: int = 0
-    reports_max: int = 0
-    reports_avg: float = 0.0
-    sentences_min: int = 0
-    sentences_max: int = 0
-    sentences_avg: float = 0.0
+    reports_per_claim: Extent = Extent()
+    sentences_per_report: Extent = Extent()
 
     def to_dict(self) -> dict:
-        return {
-            "claims": self.claim_count,
-            "label_counts": dict(self.label_counts),
-            "reports_per_claim": {
-                "min": self.reports_min,
-                "max": self.reports_max,
-                "avg": self.reports_avg,
-            },
-            "sentences_per_report": {
-                "min": self.sentences_min,
-                "max": self.sentences_max,
-                "avg": self.sentences_avg,
-            },
-        }
+        return as_json(self)
 
     def render_text(self) -> str:
         labels = "  ".join(f"{k}: {v}" for k, v in self.label_counts.items())
@@ -175,18 +176,14 @@ class DatasetStats:
             [
                 f"claims: {self.claim_count}",
                 f"labels: {labels or 'none'}",
-                f"reports/claim:    min {self.reports_min}  max {self.reports_max}  "
-                f"avg {self.reports_avg:.1f}",
-                f"sentences/report: min {self.sentences_min}  max {self.sentences_max}  "
-                f"avg {self.sentences_avg:.1f}",
+                f"reports/claim:    {self.reports_per_claim.render_text()}",
+                f"sentences/report: {self.sentences_per_report.render_text()}",
             ]
         )
 
 
 def dataset_stats(records: Sequence[ClaimRecord]) -> DatasetStats:
     """Corpus shape summary: label counts plus report and sentence extents."""
-    if not records:
-        return DatasetStats(claim_count=0)
     label_counts: Dict[str, int] = {}
     scheme = None
     for record in records:
@@ -197,15 +194,9 @@ def dataset_stats(records: Sequence[ClaimRecord]) -> DatasetStats:
     for record in records:
         key = record.gold_label.identifier if record.gold_label else "unlabeled"
         label_counts[key] = label_counts.get(key, 0) + 1
-    report_counts = [len(r.reports) for r in records]
-    sentence_counts = [len(rep.sentences) for r in records for rep in r.reports]
     return DatasetStats(
         claim_count=len(records),
         label_counts={k: v for k, v in label_counts.items() if v or k != "unlabeled"},
-        reports_min=min(report_counts),
-        reports_max=max(report_counts),
-        reports_avg=sum(report_counts) / len(report_counts),
-        sentences_min=min(sentence_counts) if sentence_counts else 0,
-        sentences_max=max(sentence_counts) if sentence_counts else 0,
-        sentences_avg=(sum(sentence_counts) / len(sentence_counts)) if sentence_counts else 0.0,
+        reports_per_claim=Extent.of([len(r.reports) for r in records]),
+        sentences_per_report=Extent.of([len(rep.sentences) for r in records for rep in r.reports]),
     )

@@ -1,12 +1,15 @@
-"""The one JSON form of record parts each way, the one writer of files and the one checked reader.
+"""The one JSON form of typed values each way, the one writer of files and the one checked reader.
 
-Record parts have one encoder, ``as_json``, and one decoder, its inverse
-``from_json``. Every file the program writes is replaced atomically by
-``write_text`` (or ``write_json``); every JSON file it reads back goes
-through ``read_json``. The one exception is an append-only JSON-lines log,
-such as the response store's: an ``Appender`` holds it open and adds one
-compact line per ``append``, and ``read_json_lines`` reads it back, skipping
-any line that does not decode.
+Record parts, configs, exported graphs and the documents a run writes
+(``report.json``, ``cost.json``, a manifest's ``expected_stats``) have one
+encoder, ``as_json``, and one decoder, its inverse ``from_json``. A field
+written under another key names it once, in ``field(metadata={"json": key})``.
+Every file the program writes is replaced atomically by ``write_text``
+(or ``write_json``); every JSON file it reads back goes through
+``read_json``. The one exception is an append-only JSON-lines log, such as
+the response store's: an ``Appender`` holds it open and adds one compact line
+per ``append``, and ``read_json_lines`` reads it back, skipping any line that
+does not decode.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import os
 import typing
 import weakref
 from contextlib import contextmanager
+from decimal import Decimal
 from enum import Enum, EnumMeta
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple, TypeVar, Union
@@ -29,7 +33,8 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 def as_json(value):
     """``value`` as plain JSON values: a dataclass becomes the dict of its
-    fields, a tuple a list and an Enum its value, recursively; scalars return at once."""
+    fields, each under its JSON key, a tuple a list, an Enum its value and a
+    Decimal its ``str``, recursively; scalars return at once."""
     kind = type(value)
     if kind in _SCALARS:
         return value
@@ -39,7 +44,9 @@ def as_json(value):
         return {key: as_json(item) for key, item in value.items()}
     if isinstance(value, Enum):
         return value.value
-    return {name: as_json(getattr(value, name)) for name, _of, _required in _plan(kind)[2]}
+    if kind is Decimal:
+        return str(value)
+    return {key: as_json(getattr(value, name)) for name, key, _of, _required in _plan(kind)[2]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,9 +54,10 @@ def _plan(hint) -> tuple:
     """How ``from_json`` reads annotation ``hint``: ``(admits, build, inner)``.
 
     ``admits`` are its JSON types (a float admits an int, a tuple is a list, a
-    dataclass a dict, an Enum its values' types, ``object`` all), ``build`` what
-    it becomes (None: itself) and ``inner`` the plans of its members or items,
-    or each field's ``(name, plan, required)``."""
+    dataclass a dict, an Enum its values' types, a Decimal a str, ``object``
+    all), ``build`` what it becomes (None: itself) and ``inner`` the plans of
+    its members or items, or each field's ``(name, key, plan, required)``, its
+    plan None when it is not passed back (``init=False``)."""
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is Union:
         arms = tuple(map(_plan, args))
@@ -57,11 +65,14 @@ def _plan(hint) -> tuple:
     if dataclasses.is_dataclass(origin):
         hints, missing = typing.get_type_hints(origin), dataclasses.MISSING
         return (dict,), origin, tuple(
-            (f.name, _plan(hints[f.name]), f.default is f.default_factory is missing)
+            (f.name, f.metadata.get("json", f.name), _plan(hints[f.name]) if f.init else None,
+             f.init and f.default is f.default_factory is missing)
             for f in dataclasses.fields(origin)
         )
     if isinstance(origin, EnumMeta):
         return tuple({type(member.value): None for member in origin}), origin, None
+    if origin is Decimal:
+        return (str,), Decimal, None
     admits = {float: (int, float), tuple: (list,), object: (object, bool)}.get(origin, (origin,))
     if origin in (list, tuple, dict) and args:
         return admits, origin, _plan(args[1] if origin is dict else args[0])
@@ -76,9 +87,10 @@ def _fits(admits: Tuple[type, ...], value) -> bool:
 def from_json(kind, value, error: Error = TypeError):
     """The ``kind`` whose ``as_json`` form is ``value``, rebuilt by its annotations.
 
-    Keys naming no field are ignored, a ``Union`` takes its first member that
-    admits the value and ``object`` is unchecked. A fault raises ``error`` with
-    its path: ``RunRecord field 'evidence' item 0 field 'k' must be int, not str``.
+    Keys naming no field or an ``init=False`` one are ignored, a ``Union``
+    takes its first member that admits the value and ``object`` is unchecked.
+    A fault raises ``error`` with its path:
+    ``RunRecord field 'evidence' item 0 field 'k' must be int, not str``.
     """
     return _decode(_plan(kind), value, kind.__name__, error)
 
@@ -101,15 +113,20 @@ def _decode(plan: tuple, value, path: str, error: Error):
         if value not in {member.value for member in build}:
             raise error(f"{path} must be a {build.__name__} value, not {value!r}")
         return build(value)
+    if build is Decimal:
+        try:
+            return Decimal(value)
+        except ArithmeticError:
+            raise error(f"{path} must be a decimal, not {value!r}") from None
     fields = {}
-    for name, field_plan, required in inner:
-        if name not in value:
+    for name, key, field_plan, required in inner:
+        if field_plan is None or key not in value:
             if required:
-                raise error(f"{path} field {name!r} is missing")
-        elif field_plan[1] is None and _fits(field_plan[0], value[name]):
-            fields[name] = value[name]  # the common case: a leaf that fits needs no path
+                raise error(f"{path} field {key!r} is missing")
+        elif field_plan[1] is None and _fits(field_plan[0], value[key]):
+            fields[name] = value[key]  # the common case: a leaf that fits needs no path
         else:
-            fields[name] = _decode(field_plan, value[name], f"{path} field {name!r}", error)
+            fields[name] = _decode(field_plan, value[key], f"{path} field {key!r}", error)
     return build(**fields)
 
 

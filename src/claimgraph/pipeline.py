@@ -800,39 +800,26 @@ class CostReport:
     exceeds the claim's wall time; it is the quantity ``estimated_latency``
     models by ``LATENCY_FORMULA``, with n counting a claim's nodes; a term
     no record ran, such as ``T_bg`` without background, is 0.0.
+    ``to_dict`` is ``cost.json``; ``predictions_by_source`` is sorted by source.
     """
 
-    claim_count: int
+    claim_count: int = field(metadata={"json": "claims"})
     stage_tokens: Dict[str, dict]
     total_input_tokens: int
     total_output_tokens: int
-    input_cost: Decimal
-    output_cost: Decimal
-    total_cost: Decimal
+    input_cost: Decimal = field(metadata={"json": "input_cost_usd"})
+    output_cost: Decimal = field(metadata={"json": "output_cost_usd"})
+    total_cost: Decimal = field(metadata={"json": "total_cost_usd"})
     avg_tokens_per_claim: float
-    latency_components: Dict[str, float]
+    latency_formula: str = field(default=LATENCY_FORMULA, init=False)
+    latency_components: Dict[str, float] = field(metadata={"json": "latency_components_sec"})
     avg_subclaims: float
-    estimated_latency: float
-    measured_latency: float
+    estimated_latency: float = field(metadata={"json": "estimated_latency_sec"})
+    measured_latency: float = field(metadata={"json": "measured_latency_sec"})
     predictions_by_source: Dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "claims": self.claim_count,
-            "stage_tokens": self.stage_tokens,
-            "total_input_tokens": self.total_input_tokens,
-            "total_output_tokens": self.total_output_tokens,
-            "input_cost_usd": str(self.input_cost),
-            "output_cost_usd": str(self.output_cost),
-            "total_cost_usd": str(self.total_cost),
-            "avg_tokens_per_claim": self.avg_tokens_per_claim,
-            "latency_formula": LATENCY_FORMULA,
-            "latency_components_sec": self.latency_components,
-            "avg_subclaims": self.avg_subclaims,
-            "estimated_latency_sec": self.estimated_latency,
-            "measured_latency_sec": self.measured_latency,
-            "predictions_by_source": dict(sorted(self.predictions_by_source.items())),
-        }
+        return as_json(self)
 
     def render_text(self) -> str:
         lines = [f"claims: {self.claim_count}"]
@@ -849,7 +836,7 @@ class CostReport:
             f"cost: input ${self.input_cost}  output ${self.output_cost}  "
             f"total ${self.total_cost}"
         )
-        lines.append(f"latency model: {LATENCY_FORMULA}")
+        lines.append(f"latency model: {self.latency_formula}")
         parts = "  ".join(f"{k} {v:.3f}s" for k, v in self.latency_components.items())
         lines.append(f"components (avg): {parts}  n {self.avg_subclaims:.1f}")
         lines.append(
@@ -915,7 +902,7 @@ def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostRe
         avg_subclaims=avg_n,
         estimated_latency=estimated,
         measured_latency=sum(measured) / len(measured) if measured else 0.0,
-        predictions_by_source=sources,
+        predictions_by_source=dict(sorted(sources.items())),
     )
 
 

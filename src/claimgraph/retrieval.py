@@ -178,6 +178,8 @@ class RemoteEncoderClient:
         session: Optional[requests.Session] = None,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
+        if dimension < 1:
+            raise ValueError("dimension must be positive")
         self.endpoint = endpoint
         self.dimension = dimension
         self.timeout = timeout

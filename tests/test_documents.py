@@ -11,6 +11,7 @@ import operator
 import shutil
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -27,6 +28,7 @@ from claimgraph.pipeline import (
 )
 
 TRUNCATED, NOT_AN_OBJECT, EMPTY = '{"k": ', "[]", "{}"
+NO_SUCH_DIRECTORY = str(Path(__file__).with_name("no-such-fixtures"))
 
 # An empty config is the default config, so ``{}`` is no malformed config.
 CONFIG_BODIES = {
@@ -46,6 +48,9 @@ RUNTIME_BODIES = {
         {"inference_path": "external_adapter", "adapter": {"type": "stub"}}
     ),
     "fixture_without_path": '{"provider": {"type": "fixture"}}',
+    "fixture_path_missing": json.dumps(
+        {"provider": {"type": "fixture", "path": NO_SUCH_DIRECTORY}}
+    ),
 }
 DOCUMENT_BODIES = {"truncated": TRUNCATED, "not_an_object": NOT_AN_OBJECT, "empty": EMPTY}
 
@@ -305,6 +310,10 @@ EXTERNAL = {"inference_path": "external_adapter"}
         (dict(EXTERNAL, adapter={"type": "stub", "probabilities": 0.5}), "probabilities"),
         (dict(EXTERNAL, adapter={"type": "http"}), "url"),
         (dict(EXTERNAL, adapter={"type": "command"}), "argv"),
+        ({"provider": {"type": "fixture", "path": NO_SUCH_DIRECTORY}}, "path"),
+        ({"embedder": {"type": "remote", "endpoint": "http://e", "dimension": 0}}, "dimension"),
+        ({"embedder": {"type": "remote", "endpoint": "http://e", "dimension": -3}}, "dimension"),
+        (dict(EXTERNAL, adapter={"type": "command", "argv": []}), "argv"),
     ],
 )
 def test_a_runtime_that_cannot_be_built_names_the_key(changes, key):

@@ -596,6 +596,13 @@ def test_http_transient_failures_are_retryable(outcome):
         FakeResponse(200, {"choices": []}),
         FakeResponse(200, {"choices": [{"message": {}}]}),
         FakeResponse(200, ["not", "an", "object"]),
+        reply(content=None),
+        reply(content=5),
+        reply(usage={"prompt_tokens": "3", "completion_tokens": 7}),
+        reply(usage={"prompt_tokens": 3, "completion_tokens": -1}),
+        reply(usage={"prompt_tokens": True}),
+        reply(usage={"completion_tokens": 2.0}),
+        reply(usage=["not", "a", "mapping"]),
     ],
 )
 def test_http_bad_request_and_malformed_payload_are_not_retryable(outcome):

@@ -175,10 +175,10 @@ def test_dataset_stats_seeds_all_scheme_labels():
     records = [make_record("a", "true", [2]), make_record("b", "true", [3, 1])]
     stats = dataset_stats(records)
     assert stats.label_counts == {"false": 0, "half": 0, "true": 2}
-    assert stats.reports_min == 1 and stats.reports_max == 2
-    assert stats.reports_avg == pytest.approx(1.5)
-    assert stats.sentences_min == 1 and stats.sentences_max == 3
-    assert stats.sentences_avg == pytest.approx(2.0)
+    assert stats.reports_per_claim.min == 1 and stats.reports_per_claim.max == 2
+    assert stats.reports_per_claim.avg == pytest.approx(1.5)
+    assert stats.sentences_per_report.min == 1 and stats.sentences_per_report.max == 3
+    assert stats.sentences_per_report.avg == pytest.approx(2.0)
 
 
 def test_dataset_stats_unlabeled_bucket():

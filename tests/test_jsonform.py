@@ -1,22 +1,32 @@
 """``jsonform.from_json``, the one decoder: the inverse of ``as_json`` and its faults.
 
-Every typed record part, and the config, must come back equal from the JSON
-text of its ``as_json`` form; a value its annotation does not admit is a
+Every typed record part, the config and each document a run writes must come
+back equal from the JSON text of its ``as_json`` form; a value its annotation does not admit is a
 fault that names its path.
 """
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from claimgraph.evaluation import EvaluationReport, MacroMetrics
 from claimgraph.explain import CompetingExplanations
 from claimgraph.gateway import Stage
 from claimgraph.graphs import LLM_GENERATED, SAFEGUARD, ClaimCenteredGraph, DependencyEdge
+from claimgraph.ingest import DatasetStats, Extent
 from claimgraph.jsonform import as_json, from_json
-from claimgraph.pipeline import ABLATIONS, Failure, PipelineConfig, Prediction, RunRecord
+from claimgraph.pipeline import (
+    ABLATIONS,
+    CostReport,
+    Failure,
+    PipelineConfig,
+    Prediction,
+    RunRecord,
+)
 from claimgraph.retrieval import EvidenceSet, RetrievedEvidence
 from claimgraph.summarize import SubClaimVerdict
 
@@ -64,6 +74,28 @@ configs = st.builds(
     adapter=st.none() | st.fixed_dictionaries({"type": st.just("http"), "url": texts}),
     cache_enabled=st.booleans(),
 )
+counts = st.dictionaries(texts, st.integers(0, 9), max_size=3)
+shares = st.lists(numbers, max_size=3).map(tuple)
+reports = st.builds(
+    EvaluationReport,
+    texts, st.integers(0, 9), st.integers(0, 9), st.integers(0, 9), counts,
+    st.none() | st.builds(MacroMetrics, numbers, numbers, numbers, shares, shares, shares),
+    st.none() | numbers,
+    st.none() | numbers,
+    st.none() | st.dictionaries(texts, numbers, max_size=4),
+    st.integers(0, 9),
+    st.integers(0, 9),
+)
+dollars = st.decimals(allow_nan=False, allow_infinity=False)
+usage = st.fixed_dictionaries({"input_tokens": indices, "output_tokens": indices, "calls": indices})
+costs = st.builds(
+    CostReport,
+    st.integers(0, 9), st.dictionaries(texts, usage, max_size=3), indices, indices,
+    dollars, dollars, dollars, numbers,
+    st.dictionaries(texts, numbers, max_size=3), numbers, numbers, numbers, counts,
+)
+extents = st.builds(Extent, indices, indices, numbers)
+stats = st.builds(DatasetStats, indices, counts, extents, extents)
 
 PARTS = [
     (ClaimCenteredGraph, graphs),
@@ -73,6 +105,9 @@ PARTS = [
     (Prediction, predictions),
     (Failure, failures),
     (PipelineConfig, configs),
+    (EvaluationReport, reports),
+    (CostReport, costs),
+    (DatasetStats, stats),
 ]
 
 
@@ -141,6 +176,32 @@ def test_floats_keep_ints_objects_are_unchecked_and_other_keys_are_ignored():
     )
     assert tree == Tree([Leaf(2, 1)], (), {"a": None}, [True])
     assert type(tree.leaves[0].share) is int
+
+
+@dataclass(frozen=True)
+class Priced:
+    count: int = field(metadata={"json": "n"})
+    price: Decimal = Decimal(0)
+    unit: str = field(default="usd", init=False)
+
+
+def test_a_field_goes_under_its_json_key_a_decimal_as_its_str_and_init_false_only_out():
+    priced = Priced(2, Decimal("0.10"))
+    assert as_json(priced) == {"n": 2, "price": "0.10", "unit": "usd"}
+    assert from_json(Priced, {"n": 2, "price": "0.10", "unit": "eur", "count": 5}) == priced
+
+
+@pytest.mark.parametrize(
+    "payload, fault",
+    [
+        ({"count": 2}, "field 'n' is missing"),
+        ({"n": 2, "price": 0.1}, "field 'price' must be str, not float"),
+        ({"n": 2, "price": "ten"}, "field 'price' must be a decimal, not 'ten'"),
+    ],
+)
+def test_a_renamed_or_decimal_fault_names_the_json_key(payload, fault):
+    with pytest.raises(TypeError, match=f"^Priced {fault}$"):
+        from_json(Priced, payload)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,13 @@ overlapping calls reach the provider. A change that is meant to alter a
 prompt (a template body, the graph serialization, a corrective note) must
 update the prompt digest of every config it moves and say why in CHANGES.md;
 the record digests of those configs move with it.
+
+Each document digest is a sha256 over the bytes of a document a run writes:
+``report.json`` and ``cost.json`` of a scripted batch over the same claims,
+and the fixture dataset's ``manifest.json``, whose ``expected_stats`` are
+computed. ``cost.json``'s three timing values are nulled first, and its text
+must be the indented JSON form of what it holds, so the rest of its bytes are
+pinned. Digests move on purpose by the rule for record digests.
 """
 import hashlib
 import json
@@ -24,7 +31,7 @@ from claimgraph.fixtures import build_fixture_dataset
 from claimgraph.gateway import Stage
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.ingest import load_manifest, load_records
-from claimgraph.pipeline import PipelineConfig, build_runtime, run_claim
+from claimgraph.pipeline import PipelineConfig, build_runtime, run_batch, run_claim
 
 STUB_ADAPTER = {"type": "stub", "probabilities": [0.1, 0.7, 0.2]}
 
@@ -62,6 +69,20 @@ DIGESTS = {
     "claim_only_bare": "7d49ea65bffaf7689fb24e764a7176266936a7d9436dd26fdcb15be84925c825",
 }
 
+
+# The configs whose batch documents are pinned, and the timing values nulled in cost.json.
+DOCUMENT_CONFIGS = ("default", "background", "external_adapter")
+COST_TIMINGS = ("latency_components_sec", "estimated_latency_sec", "measured_latency_sec")
+
+DOCUMENT_DIGESTS = {
+    "default/report.json": "984aaafc48d8eca4b57bc9385d5b3c580419ee12b6894637a1914f295bdae7b0",
+    "default/cost.json": "f8518b626ce353bfa951cd8e14fd364d20f58653323869593d7a572fec47e2cd",
+    "background/report.json": "36d111ca1100fc2544de6e1c2fb2f6c7e58ab881627f3f61116db854e9717822",
+    "background/cost.json": "afe096ed3525b113062b6607bb977d2f7c7d0f1086783da989a971f9a477bbbb",
+    "external_adapter/report.json": "8ee54a3daec1ed1724d52145dfc4d22cfcc1df78538064ee4244109b791b40af",
+    "external_adapter/cost.json": "6ac2cae60c1c3e427617fadab1f38eb598c9f72a7e31414c3558f34d58a9741d",
+    "manifest.json": "f68d135d9757f4b0a7b79c91efa0174470b7852250aa27ab2a3e01b134e15df6",
+}
 
 PROMPT_DIGESTS = {
     "default": "59770f268e1552cd1467f41d2ccbf7016225098628f7111f8cbfa4e6d6fc4042",
@@ -130,10 +151,13 @@ def run_digests(config: PipelineConfig, claims, spy=None, claim_workers=1):
 
 
 @pytest.fixture(scope="module")
-def claims(tmp_path_factory):
-    root = tmp_path_factory.mktemp("stability")
-    manifest = load_manifest(build_fixture_dataset(root, claim_count=40, seed=11))
-    records, rejects = load_records(manifest)
+def manifest_path(tmp_path_factory):
+    return build_fixture_dataset(tmp_path_factory.mktemp("stability"), claim_count=40, seed=11)
+
+
+@pytest.fixture(scope="module")
+def claims(manifest_path):
+    records, rejects = load_records(load_manifest(manifest_path))
     assert not rejects
     return records
 
@@ -170,3 +194,30 @@ def test_digests_do_not_depend_on_call_order(name, claims):
     config = PipelineConfig(**CONFIGS[name])
     expected = (DIGESTS[name], PROMPT_DIGESTS[name])
     assert run_digests(config, claims, ShuffledSpy(), claim_workers=4) == expected
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cost_without_timings(text: str) -> str:
+    """``cost.json``'s text with its timing values nulled; the text must be its own JSON form."""
+    payload = json.loads(text)
+    assert json.dumps(payload, ensure_ascii=False, indent=2) == text
+    payload.update(dict.fromkeys(COST_TIMINGS))
+    return json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+@pytest.mark.parametrize("name", DOCUMENT_CONFIGS)
+def test_batch_documents_match_golden_digests(name, claims, tmp_path):
+    run_batch(claims, PipelineConfig(**CONFIGS[name]), tmp_path, provider=ScriptedResponder(seed=0))
+    report = (tmp_path / "report.json").read_text(encoding="utf-8")
+    cost = (tmp_path / "cost.json").read_text(encoding="utf-8")
+    assert sha256_text(report) == DOCUMENT_DIGESTS[f"{name}/report.json"]
+    assert sha256_text(cost_without_timings(cost)) == DOCUMENT_DIGESTS[f"{name}/cost.json"]
+
+
+def test_fixture_manifest_matches_golden_digest(manifest_path):
+    text = manifest_path.read_text(encoding="utf-8")
+    assert "expected_stats" in json.loads(text)
+    assert sha256_text(text) == DOCUMENT_DIGESTS["manifest.json"]

@@ -544,3 +544,43 @@ def test_splat_build_scan_flags_kinds_built_from_a_payload_but_not_other_calls()
         "f(**kwargs)\n"
     )
     assert _splat_builds(tree) == [(1, "Kind"), (2, "cls"), (3, "Kind")]
+
+
+def _hand_written_forms(tree: ast.AST):
+    """Line numbers of ``to_dict`` functions that return a dict display or a ``dict(...)`` call."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name != "to_dict":
+            continue
+        values = [r.value for r in ast.walk(node) if isinstance(r, ast.Return)]
+        if any(
+            isinstance(value, (ast.Dict, ast.DictComp))
+            or (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict")
+            for value in values
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_as_json_writes_a_json_form():
+    """Every record part and document a run writes gets its JSON form from ``jsonform.as_json``."""
+    package = Path(claimgraph.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(package)}:{line}" for line in _hand_written_forms(tree)]
+    assert found == []
+
+
+def test_json_form_scan_flags_hand_written_to_dicts_but_not_the_encoder():
+    tree = ast.parse(
+        "def to_dict(self):\n    return {'claims': self.claim_count}\n"
+        "def to_dict(self):\n    return dict(self.counts)\n"
+        "def to_dict(self):\n    return {k: v for k, v in self.items}\n"
+        "def to_dict(self):\n    if self.x:\n        return as_json(self)\n    return {}\n"
+        "def to_dict(self):\n    return as_json(self)\n"
+        "def as_dict(self):\n    return {'a': 1}\n"
+        "def to_dict(self):\n    payload = {}\n    return payload\n"
+        "def to_dict(self):\n    return json.loads(dict)\n"
+    )
+    assert _hand_written_forms(tree) == [1, 3, 5, 7]
