@@ -37,19 +37,28 @@ def validate_probabilities(raw: Sequence[float], expected_length: int) -> List[f
         raise AdapterContractError(
             f"expected {expected_length} probabilities, got {len(probs)}"
         )
-    if any(not math.isfinite(p) for p in probs):
-        raise AdapterContractError("probabilities must be finite")
-    if any(p < 0 for p in probs):
-        raise AdapterContractError("probabilities must be non-negative")
-    if abs(sum(probs) - 1.0) > PROBABILITY_SUM_TOLERANCE:
-        raise AdapterContractError(
-            f"probabilities sum to {sum(probs)!r}, not 1 within {PROBABILITY_SUM_TOLERANCE}"
-        )
+    check_distribution(probs, AdapterContractError)
     return probs
 
 
+def check_distribution(probs: List[float], error: Callable[[str], Exception]) -> None:
+    """Raise ``error`` unless ``probs`` are finite, non-negative and sum to 1."""
+    if any(not math.isfinite(p) for p in probs):
+        raise error("probabilities must be finite")
+    if any(p < 0 for p in probs):
+        raise error("probabilities must be non-negative")
+    if abs(sum(probs) - 1.0) > PROBABILITY_SUM_TOLERANCE:
+        raise error(
+            f"probabilities sum to {sum(probs)!r}, not 1 within {PROBABILITY_SUM_TOLERANCE}"
+        )
+
+
 class StubAdapter:
-    """Fixed probability source for tests and dry runs."""
+    """Fixed probability source for tests and dry runs.
+
+    It keeps whatever it is given, so tests can feed ``validate_probabilities``
+    bad replies; a run's config is checked when its stub is built.
+    """
 
     def __init__(self, probabilities: Sequence[float]) -> None:
         self._probabilities = list(probabilities)

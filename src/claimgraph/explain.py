@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ExplanationError
 from .gateway import LlmGateway, Stage, TemplateId, ask, render_body, render_prompt
@@ -86,16 +87,30 @@ def generate_explanation(
     return _complete_nonempty(gateway, prompt, Stage.EXPLANATION_GENERATION, what)
 
 
+def _in_order(first: Callable[[], str], second: Callable[[], str]) -> Tuple[str, str]:
+    return first(), second()
+
+
 def generate_competing_pair(
     gateway: LlmGateway,
     sub_claim_index: int,
     sub_claim: str,
     evidence: EvidenceSet,
+    both: Callable[[Callable[[], str], Callable[[], str]], Tuple[str, str]] = _in_order,
 ) -> CompetingExplanations:
-    """Two generation calls over identical evidence: false prior, then true."""
+    """Two generation calls over identical evidence, the false side and the true side.
+
+    Neither side reads the other's reply. ``both(first, second)`` runs the
+    two and returns their replies in that order; by default it runs the
+    false side, then the true one. Under the pipeline it sends them at once
+    (``pipeline._ClaimStages._both``); the replies and the record do not
+    depend on which side finishes first.
+    """
     texts = evidence.texts
-    false_oriented = generate_explanation(gateway, sub_claim, texts, PriorLabel.FALSE)
-    true_oriented = generate_explanation(gateway, sub_claim, texts, PriorLabel.TRUE)
+    false_oriented, true_oriented = both(
+        partial(generate_explanation, gateway, sub_claim, texts, PriorLabel.FALSE),
+        partial(generate_explanation, gateway, sub_claim, texts, PriorLabel.TRUE),
+    )
     return CompetingExplanations(
         sub_claim_index,
         false_oriented=false_oriented,

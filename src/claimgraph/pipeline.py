@@ -18,10 +18,17 @@ from concurrent.futures import Future, ThreadPoolExecutor, as_completed, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .adapters import ClassifierAdapter, HttpAdapterClient, LineAdapterClient, StubAdapter
+from .adapters import (
+    ClassifierAdapter,
+    HttpAdapterClient,
+    LineAdapterClient,
+    StubAdapter,
+    check_distribution,
+)
 from .errors import ClaimGraphError, ConfigError, JudgeFailureError, ProviderError
 from .evaluation import ClaimOutcome, EvaluationReport, evaluate_run, judge_explanation
 from .explain import (
@@ -240,7 +247,10 @@ def _build_adapter(config: PipelineConfig) -> Optional[ClassifierAdapter]:
     kind = spec.get("type")
     with unreadable(ConfigError, "adapter config", spec):
         if kind == "stub":
-            return StubAdapter([float(p) for p in spec["probabilities"]])
+            probabilities = [float(p) for p in spec["probabilities"]]
+            # Only the count depends on the scheme; a stub failing the rest never predicts.
+            check_distribution(probabilities, ValueError)
+            return StubAdapter(probabilities)
         if kind == "http":
             return HttpAdapterClient(str(spec["url"]))
         if kind == "command":
@@ -309,7 +319,8 @@ class RunRecord:
     ``failure.stage``, when set, is always its last entry.
     ``stage_usage`` counts provider calls only; cache hits cost nothing and
     are not counted. On failure it also books the overlapped calls of later
-    stages that had already started. ``durations[stage]`` is the stage's own
+    stages that had already started, and a competing pair's other side when
+    that call was already spent. ``durations[stage]`` is the stage's own
     work time, summed over its pieces, each timed where it ran; time spent
     waiting for a piece is not in it. Once a claim's stages overlap, the sum
     of ``durations`` exceeds the claim's wall time.
@@ -378,8 +389,11 @@ class _ClaimStages:
     stages and in submission order within a stage. A piece runs on the
     run's shared call pool, or at once on the claim thread as an
     already-completed future, and stores its own time before its future
-    completes. Only the claim thread keeps the list, waits on pieces and
-    writes the record; a piece never waits on another, so the pool cannot deadlock.
+    completes. Only the claim thread keeps the list and writes the record.
+
+    The wait rule, which keeps any pool size from deadlocking: the claim
+    thread waits on pieces; a piece waits only on a side it forked
+    (``_both``) that has already started; a side never waits on anything.
 
     The one rule, applied once at the end by ``settled``: this claim's
     pieces not yet started are cancelled and its running ones waited for. The
@@ -399,13 +413,36 @@ class _ClaimStages:
         try:
             return fn(*args)
         finally:
-            self.seconds[place] = time.perf_counter() - started
+            # A forked side adds to its pair's place before the pair does: the pair joins it first.
+            self.seconds[place] = self.seconds.get(place, 0.0) + time.perf_counter() - started
 
-    def submit(self, stage: Stage, fn, *args) -> Future:
-        """Start one piece of ``stage``'s work on the call pool."""
-        future = self.calls.submit(self._timed, len(self.pieces), fn, args)
+    def submit(self, stage: Stage, fn, *args, fork: bool = False) -> Future:
+        """Start one piece of ``stage``'s work on the call pool. With ``fork``, ``fn``
+        gets one more argument, a ``both(first, second)`` that runs the two at once."""
+        place = len(self.pieces)
+        if fork:
+            args = (*args, partial(self._both, place))
+        future = self.calls.submit(self._timed, place, fn, args)
         self.pieces.append((stage, future))
         return future
+
+    def _both(self, place: int, first, second) -> tuple:
+        """Run ``first`` here while ``second`` runs on the call pool; return both results.
+
+        Once ``first`` is done, ``second`` runs here if it has not started,
+        or else is waited for; it is joined on every exit, errors included.
+        Its own time is booked to the piece at ``place``; the wait is not.
+        """
+        side = self.calls.submit(self._timed, place, second, ())
+        try:
+            first_result = first()
+        finally:
+            started_there = not side.cancel()
+            if started_there:
+                waiting = time.perf_counter()
+                side.exception()  # the join: returns once the side is done, raising nothing
+                self.seconds[place] -= time.perf_counter() - waiting
+        return first_result, side.result() if started_there else second()
 
     def run(self, stage: Stage, fn, *args):
         """Do one piece of ``stage``'s work on the claim thread; return its result."""
@@ -479,18 +516,21 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     (``runtime.calls``): once the claim is decomposed, the edge (or
     hyperedge) call runs while the claim thread retrieves evidence, and then
     every node's competing pair (or lone analysis), and its background when
-    configured, runs at once. The claim thread joins their results in
-    program order (edges, entries, backgrounds) before inference and the
-    final explanation, so records do not depend on the order calls finish
-    in. The gateway's in-flight cap still bounds provider calls across the
-    run, and no call of this claim runs after this function returns. Only
-    the claim thread writes the record.
+    configured, runs at once. Both sides of a pair are sent at once too: the
+    pair's piece forks its true side onto the pool (``_ClaimStages._both``),
+    so a claim waits on 4 provider rounds in a row, not 5. The claim thread
+    joins their results in program order (edges, entries, backgrounds)
+    before inference and the final explanation, so records do not depend on
+    the order calls finish in. The gateway's in-flight cap still bounds
+    provider calls across the run, and no call of this claim runs after this
+    function returns. Only the claim thread writes the record.
 
     Every failure, domain or not, is captured on the record under
     ``failure`` by ``_ClaimStages``' one rule, so a batch always produces
     one record per claim: the earliest piece that raised, in program and
-    then submission order (node 1's before node 2's, as a sequential run
-    would see them), is charged and ``stage_trace`` is cut there. The claim's
+    then submission order (node 1's before node 2's, and a pair's false
+    side before its true side, as a sequential run would see them), is
+    charged and ``stage_trace`` is cut there. The claim's
     pieces not yet started are cancelled; ``stage_usage`` books every call
     that ran, overlapped ones included. Other claims' pieces run on.
 
@@ -548,13 +588,13 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 evidence_sets = [EvidenceSet(i, (), config.k) for i, _text in nodes]
             else:
                 corpus_index, evidence_sets = stages.run(Stage.EVIDENCE_RETRIEVAL, retrieve)
-            explain_node = (
-                generate_lone_analysis
-                if config.ablated("no_competing")
-                else generate_competing_pair
-            )
+            competing = not config.ablated("no_competing")
+            explain_node = generate_competing_pair if competing else generate_lone_analysis
             pending_entries = [
-                stages.submit(Stage.EXPLANATION_GENERATION, explain_node, gw, i, text, evidence)
+                stages.submit(
+                    Stage.EXPLANATION_GENERATION, explain_node, gw, i, text, evidence,
+                    fork=competing,
+                )
                 for (i, text), evidence in zip(nodes, evidence_sets)
             ]
             pending_backgrounds = []

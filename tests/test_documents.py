@@ -297,6 +297,10 @@ def test_float_fields_take_ints_and_keep_them():
 EXTERNAL = {"inference_path": "external_adapter"}
 
 
+def stub(*probabilities):
+    return {"type": "stub", "probabilities": list(probabilities)}
+
+
 @pytest.mark.parametrize(
     "changes, key",
     [
@@ -314,6 +318,10 @@ EXTERNAL = {"inference_path": "external_adapter"}
         ({"embedder": {"type": "remote", "endpoint": "http://e", "dimension": 0}}, "dimension"),
         ({"embedder": {"type": "remote", "endpoint": "http://e", "dimension": -3}}, "dimension"),
         (dict(EXTERNAL, adapter={"type": "command", "argv": []}), "argv"),
+        # A stub that could never predict: sum not 1, a negative entry, NaN.
+        (dict(EXTERNAL, adapter=stub(0.5, 0.1, 0.1)), "probabilities"),
+        (dict(EXTERNAL, adapter=stub(1.2, -0.2, 0.0)), "probabilities"),
+        (dict(EXTERNAL, adapter=stub(float("nan"), 0.5, 0.5)), "probabilities"),
     ],
 )
 def test_a_runtime_that_cannot_be_built_names_the_key(changes, key):

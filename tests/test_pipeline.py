@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -19,6 +20,7 @@ from claimgraph import jsonform, pipeline
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError, EmbeddingError, ProviderUnavailableError
+from claimgraph.fixtures import build_fixture_dataset
 from claimgraph.gateway import (
     FixtureProvider,
     GenerationRequest,
@@ -28,6 +30,7 @@ from claimgraph.gateway import (
     TokenUsage,
 )
 from claimgraph.gateway.scripted import ScriptedResponder
+from claimgraph.ingest import load_manifest, load_records
 from claimgraph.pipeline import (
     Failure,
     PipelineConfig,
@@ -553,6 +556,92 @@ def test_every_pieces_time_reaches_the_record_under_thread_switching(two_records
         assert list(record.durations) == record.stage_trace
         # A lost piece time would leave the stage short of its calls' sleeps.
         assert record.durations["explanation_generation"] >= 2 * record.n * rationale
+
+
+class IntervalProvider(SlowProvider):
+    """A ``SlowProvider`` that keeps each call's prompt, start and end time."""
+
+    def __init__(self, delays):
+        super().__init__(delays)
+        self.calls = []
+
+    def generate(self, request):
+        started = time.perf_counter()
+        try:
+            return super().generate(request)
+        finally:
+            self.calls.append((request.prompt_text, started, time.perf_counter()))
+
+
+def test_the_two_sides_of_a_pair_are_in_flight_together(two_records):
+    provider = IntervalProvider({"rationale": 0.05})
+    record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
+    assert record.succeeded and record.n >= 2
+    for sub_claim in record.sub_claims:
+        node = f"{prompt_marker('rationale')}{sub_claim}, "
+        sides = [(start, end) for prompt, start, end in provider.calls if prompt.startswith(node)]
+        assert len(sides) == 2
+        (first_start, first_end), (second_start, second_end) = sides
+        assert max(first_start, second_start) < min(first_end, second_end)
+
+
+@pytest.mark.parametrize("side", ["false", "true"])
+def test_a_pair_is_charged_the_error_of_the_side_that_failed(two_records, side, running_pieces):
+    provider = CountingRefuser(
+        lambda prompt: f"a veracity label {side}, please" in prompt,
+        ProviderUnavailableError(f"{side} side refused"),
+        0.01,
+    )
+    record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
+    assert running_pieces() == 0
+    assert record.failure == Failure(Stage.EXPLANATION_GENERATION, f"{side} side refused")
+    assert record.stage_trace == STANDARD_TRACE[:4]
+    # The other side's call, spent already, is booked; none runs afterwards.
+    answered = provider.answered
+    assert answered == booked_calls(record)
+    time.sleep(0.05)
+    assert provider.answered == answered
+
+
+FORKING_BATCH = """
+import sys
+from claimgraph.gateway.scripted import ScriptedResponder
+from claimgraph.ingest import load_manifest, load_records
+from claimgraph.pipeline import PipelineConfig, run_batch
+
+manifest, run_dir, provider_concurrency = sys.argv[1], sys.argv[2], int(sys.argv[3])
+records, _rejects = load_records(load_manifest(manifest))
+config = PipelineConfig(claim_concurrency=4, provider_concurrency=provider_concurrency)
+result = run_batch(records, config, run_dir, provider=ScriptedResponder(seed=0))
+assert result.processed == 20 and result.report.failure_count == 0
+"""
+
+
+@pytest.mark.parametrize("provider_concurrency", [1, 2])
+def test_no_call_pool_size_deadlocks_the_forked_pairs(tmp_path, provider_concurrency):
+    """Four claims fork their pairs onto a pool of one or two workers: every
+    worker can be holding a pair's piece, and a side no worker has started is
+    run by its pair's piece itself."""
+    manifest = build_fixture_dataset(tmp_path / "data", claim_count=20)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # In a child process, so that a deadlock fails the test instead of hanging
+    # the session: the stuck pool threads are killed with it.
+    argv = [sys.executable, "-c", FORKING_BATCH, str(manifest), str(tmp_path / "run")]
+    try:
+        batch = subprocess.run(
+            [*argv, str(provider_concurrency)], env=env, capture_output=True, text=True, timeout=60
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the batch is still running after 60 s: deadlocked")
+    assert batch.returncode == 0, batch.stderr
+    records, _rejects = load_records(load_manifest(manifest))
+    run_batch(records, PipelineConfig(), tmp_path / "default", provider=ScriptedResponder(seed=0))
+    forked, default = (
+        [replace(record, durations={}, config_hash="") for record in load_run_records(run_dir)]
+        for run_dir in (tmp_path / "run", tmp_path / "default")
+    )
+    assert len(forked) == 20 and forked == default
 
 
 def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_path):
