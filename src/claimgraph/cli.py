@@ -20,7 +20,7 @@ from .pipeline import (
     run_batch,
     write_reports,
 )
-from .summarize import export_dot
+from .summarize import export_dot, export_structured
 
 
 class _DomainErrorGroup(click.Group):
@@ -165,15 +165,13 @@ def export(run_dir: str, claim_id: str, fmt: str, out_path: str) -> None:
     record = load_run_record(run_dir, claim_id)
     if record is None:
         raise click.ClickException(f"no record for claim id {claim_id!r}")
-    if not record.explanation_graph:
+    graph = record.derived_explanation_graph()
+    if graph is None:
         cause = "no failure recorded"
         if record.failure is not None:
             cause = f"failed at {record.failure.stage.value}: {record.failure.message}"
         raise click.ClickException(f"claim {claim_id!r} has no explanation graph ({cause})")
-    if fmt == "dot":
-        text = export_dot(record.parsed_explanation_graph())
-    else:
-        text = record.explanation_graph
+    text = export_dot(graph) if fmt == "dot" else export_structured(graph)
     if out_path:
         write_text(out_path, text)
         click.echo(f"wrote {out_path}")

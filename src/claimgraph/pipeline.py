@@ -86,7 +86,6 @@ from .summarize import (
     export_structured,
     fallback_verdict,
     judge_payload,
-    parse_structured,
     summarize_explanations,
 )
 
@@ -299,10 +298,22 @@ class Prediction:
 
 @dataclass(frozen=True)
 class Failure:
-    """The stage a claim failed at and the error's message."""
+    """The stage a claim failed at, the error's message and, when the error was
+    raised from another, ``cause``: the type and message at the end of its
+    ``__cause__`` chain, such as the connection error behind a provider's."""
 
     stage: Stage
     message: str
+    cause: Optional[str] = None
+
+
+def _root_cause(error: BaseException) -> Optional[str]:
+    """``Type: message`` of the last error in ``error``'s ``__cause__`` chain; None without one."""
+    root, seen = error, {id(error)}
+    while root.__cause__ is not None and id(root.__cause__) not in seen:
+        root = root.__cause__
+        seen.add(id(root))
+    return None if root is error else f"{type(root).__name__}: {root}"
 
 
 @dataclass
@@ -329,6 +340,13 @@ class RunRecord:
     ``explanations`` holds the texts written over it and does not repeat it.
     Its parts are typed. ``to_dict`` is its JSON form (``jsonform.as_json``),
     and a record file is read back only through ``from_dict`` (``from_json``).
+
+    The explanation graph is not stored: it is derived from ``graph``,
+    ``explanations``, ``verdicts``, ``summary`` and ``prediction``
+    (``derived_explanation_graph``), and a record has one exactly when it
+    succeeded and has a ``graph``. A record file written when the graph was
+    stored still holds an ``explanation_graph`` key; the copy is ignored and
+    the graph derived from the parts.
     """
 
     claim_id: str
@@ -346,7 +364,6 @@ class RunRecord:
     prediction: Optional[Prediction] = None
     verdicts: List[SubClaimVerdict] = field(default_factory=list)
     summary: Optional[str] = None
-    explanation_graph: Optional[str] = None
     stage_trace: List[str] = field(default_factory=list)
     durations: Dict[str, float] = field(default_factory=dict)
     stage_usage: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -376,10 +393,30 @@ class RunRecord:
                 raise ValueError(f"stage_usage of {stage} must hold {', '.join(USAGE_FIELDS)}")
         return record
 
-    def parsed_explanation_graph(self) -> ExplanationGraph:
-        """The stored ``explanation_graph``; one that does not parse raises ConfigError."""
-        with unreadable(ConfigError, "explanation graph of claim", repr(self.claim_id)):
-            return parse_structured(self.explanation_graph)
+    def derived_explanation_graph(self) -> Optional[ExplanationGraph]:
+        """The explanation graph of the record's parts, or None when it has none.
+
+        Parts that cannot form one (verdicts that do not cover the sub-claims,
+        a label outside the scheme) raise ConfigError naming the claim.
+        """
+        if not (self.succeeded and self.graph is not None):
+            return None
+        try:
+            if self.summary is None:
+                raise ValueError("it has no summary")
+            label = VeracityLabel.from_identifier(scheme_by_name(self.scheme), self.prediction.label)
+            defense = DefenseGraph(self.graph, tuple(self.explanations))
+            return build_explanation_graph(defense, self.verdicts, self.summary, label)
+        except (ClaimGraphError, ValueError) as exc:
+            raise ConfigError(
+                f"claim {self.claim_id!r} cannot form its explanation graph: {exc}"
+            ) from exc
+
+    @property
+    def explanation_graph(self) -> Optional[str]:
+        """The derived explanation graph's structured export (``export_structured``), or None."""
+        graph = self.derived_explanation_graph()
+        return None if graph is None else export_structured(graph)
 
 
 class _ClaimStages:
@@ -463,9 +500,10 @@ class _ClaimStages:
         except Exception as exc:
             error = exc
         finally:
-            for _stage, future in self.pieces:
-                future.cancel()
-            wait([future for _stage, future in self.pieces])
+            # A piece that cancel() stopped before it started is done: ``wait``
+            # would count it pending until a pool worker dequeues it, behind
+            # other claims' pieces, so only the pieces already started are waited for.
+            wait([future for _stage, future in self.pieces if not future.cancel()])
         trace = list(dict.fromkeys(stage for stage, _future in self.pieces))
         if error is not None:
             raised = (
@@ -481,7 +519,7 @@ class _ClaimStages:
                 # Not a domain failure (a bug, a provider client's own
                 # exception): keep the type so the cause can be told apart.
                 message = f"{type(error).__name__}: {error}"
-            record.failure = Failure(stage, message)
+            record.failure = Failure(stage, message, _root_cause(error))
         record.stage_trace = [stage.value for stage in trace]
         for place, seconds in sorted(self.seconds.items()):
             name = self.pieces[place][0].value
@@ -647,10 +685,6 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             record.warnings.extend(outcome.warnings)
             record.verdicts = list(outcome.verdicts)
             record.summary = outcome.summary
-            explanation_graph = build_explanation_graph(
-                defense, outcome.verdicts, outcome.summary, label
-            )
-            record.explanation_graph = export_structured(explanation_graph)
     record.stage_usage = gw.ledger.totals()
     return record
 
@@ -665,11 +699,10 @@ def _write_record(run_dir: Path, record: RunRecord) -> Path:
     """Write ``record`` atomically as one line of compact JSON (``write_json``).
 
     Not indented: ``json`` serves an indented dump with its pure-Python
-    encoder, about three times slower than its C one.
+    encoder, about three times slower than its C one. ``runs/`` must exist:
+    ``_prepare_run_dir`` makes it once per batch.
     """
-    runs_dir = run_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    path = runs_dir / _record_filename(record.claim_id)
+    path = run_dir / "runs" / _record_filename(record.claim_id)
     write_json(path, record.to_dict())
     return path
 
@@ -705,7 +738,7 @@ class BatchResult:
 
 
 def _prepare_run_dir(run_dir: Path, config: PipelineConfig) -> None:
-    """Create ``run_dir``, write its config and sweep orphaned temp files.
+    """Create ``run_dir`` and its ``runs/``, write its config and sweep orphaned temp files.
 
     A process killed inside ``jsonform.write_text`` leaves its temp file
     behind in the run directory, ``runs/`` or ``cache/``. Nothing reads one,
@@ -713,7 +746,7 @@ def _prepare_run_dir(run_dir: Path, config: PipelineConfig) -> None:
     about to run removes them (``sweep_temp_files``); one run directory
     serves one batch at a time.
     """
-    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "runs").mkdir(parents=True, exist_ok=True)
     sweep_temp_files(run_dir, run_dir / "runs", run_dir / "cache")
     payload = dict(config.to_dict(), config_hash=config.config_hash())
     write_json(run_dir / "config.json", payload, indent=2)
@@ -961,9 +994,8 @@ def judge_run(
     outcomes = []
     try:
         for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
-            explanation = record.summary or ""
-            if record.succeeded and record.explanation_graph:
-                explanation = judge_payload(record.parsed_explanation_graph())
+            graph = record.derived_explanation_graph()
+            explanation = (record.summary or "") if graph is None else judge_payload(graph)
             if record.succeeded and explanation:
                 try:
                     scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)

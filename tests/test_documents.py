@@ -2,14 +2,14 @@
 
 Each reader is run through the command line on a truncated, a non-object,
 an empty and a wrong-typed document, and run records also on wrong nested
-values. Each must exit 1 with one ``Error:``
-line, never a traceback. A config whose runtime cannot be built must leave
-no ``config.json`` behind, so the corrected config is not refused.
+values and on parts that cannot form an explanation graph. Each must exit 1
+with one ``Error:`` line, never a traceback. A config whose runtime cannot
+be built must leave no ``config.json`` behind, so the corrected config is
+not refused.
 """
 import json
 import operator
 import shutil
-from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -56,7 +56,7 @@ DOCUMENT_BODIES = {"truncated": TRUNCATED, "not_an_object": NOT_AN_OBJECT, "empt
 
 
 def _explained_record(run_dir):
-    return next(r for r in load_run_records(run_dir) if r.succeeded and r.explanation_graph)
+    return next(r for r in load_run_records(run_dir) if r.explanation_graph)
 
 
 def _copy_run(workspace, tmp_path):
@@ -103,40 +103,40 @@ def cost_with_record(workspace, tmp_path, body):
     return ["cost", "--run-dir", _run_with_record(workspace, tmp_path, body)]
 
 
-def _with_explanation_graph(workspace, tmp_path, body):
-    run_dir, record = _copy_run(workspace, tmp_path)
-    pipeline._write_record(run_dir, replace(record, explanation_graph=body))
-    return run_dir, record
-
-
 def export_explanation_graph(workspace, tmp_path, body):
-    run_dir, record = _with_explanation_graph(workspace, tmp_path, body)
+    run_dir, record = _copy_run(workspace, tmp_path)
+    _record_path(run_dir, record).write_text(body, encoding="utf-8")
     return ["export", "--run-dir", str(run_dir), "--claim-id", record.claim_id, "--format", "dot"]
 
 
 def judge_explanation_graph(workspace, tmp_path, body):
-    run_dir, _ = _with_explanation_graph(workspace, tmp_path, body)
-    return ["evaluate", "--run-dir", str(run_dir), "--judge"]
+    return ["evaluate", "--run-dir", _run_with_record(workspace, tmp_path, body), "--judge"]
 
 
-def _explanation_graph(workspace):
-    return json.loads(_explained_record(workspace.recorded_run_dir).explanation_graph)
-
-
-def _explanation_graph_with(workspace, **fields):
-    return json.dumps(dict(_explanation_graph(workspace), **fields))
-
-
-def _explanation_graph_leaf(workspace, path, value):
-    """The recorded explanation graph with the leaf at ``path``, keys and indices, set to ``value``."""
-    graph = _explanation_graph(workspace)
-    *parents, leaf = path
-    reduce(operator.getitem, parents, graph)[leaf] = value
-    return json.dumps(graph)
+def _explained_payload(workspace):
+    return _explained_record(workspace.recorded_run_dir).to_dict()
 
 
 def _record_with(workspace, **fields):
-    return json.dumps(dict(_explained_record(workspace.recorded_run_dir).to_dict(), **fields))
+    return json.dumps(dict(_explained_payload(workspace), **fields))
+
+
+def _record_leaf(workspace, path, value):
+    """The explained record with the leaf at ``path``, keys and indices, set to ``value``."""
+    payload = _explained_payload(workspace)
+    *parents, leaf = path
+    reduce(operator.getitem, parents, payload)[leaf] = value
+    return json.dumps(payload)
+
+
+def _kept_side(workspace):
+    """The side of node 1's pair that its verdict keeps in the explanation graph."""
+    verdict = _explained_payload(workspace)["verdicts"][0]["verdict"]
+    return "true_oriented" if verdict else "false_oriented"
+
+
+def _verdicts_with(workspace, edit):
+    return _record_with(workspace, verdicts=edit(_explained_payload(workspace)["verdicts"]))
 
 
 MANIFEST = '{"name": "t", "scheme": "three_way", "split": "test", "claims": 5}'
@@ -161,25 +161,34 @@ RECORD_BODIES = {
         ws, stage_usage={"inference": dict(USAGE, calls="1")}
     ),
 }
-VERDICT = ("sub_claims", 0, "verdict", "verdict")
+VERDICT = ("verdicts", 0, "verdict")
+# A fault in a part the explanation graph is derived from: the record is unreadable.
 GRAPH_BODIES = dict(
     DOCUMENT_BODIES,
-    sub_claims_int=lambda ws: _explanation_graph_with(ws, sub_claims=5),
-    verdict_str=lambda ws: _explanation_graph_leaf(ws, VERDICT, "no"),
-    verdict_int=lambda ws: _explanation_graph_leaf(ws, VERDICT, 0),
-    edge_source_str=lambda ws: _explanation_graph_leaf(ws, ("edges", 0, "source"), "1"),
-    kept_text_int=lambda ws: _explanation_graph_leaf(ws, ("sub_claims", 0, "kept", "text"), 5),
-    sub_claim_text_int=lambda ws: _explanation_graph_leaf(ws, ("sub_claims", 0, "text"), 5),
-    claim_int=lambda ws: _explanation_graph_with(ws, claim=5),
-    summary_int=lambda ws: _explanation_graph_with(ws, summary=5),
-    # Every index a string, so the entries still sort among themselves.
-    index_str=lambda ws: _explanation_graph_with(
-        ws,
-        sub_claims=[
-            dict(e, index=str(e["index"])) for e in _explanation_graph(ws)["sub_claims"]
-        ],
+    sub_claims_int=lambda ws: _record_leaf(ws, ("graph", "sub_claims"), 5),
+    verdict_str=lambda ws: _record_leaf(ws, VERDICT, "no"),
+    verdict_int=lambda ws: _record_leaf(ws, VERDICT, 0),
+    edge_source_str=lambda ws: _record_leaf(ws, ("graph", "edges", 0, "source"), "1"),
+    kept_text_int=lambda ws: _record_leaf(ws, ("explanations", 0, _kept_side(ws)), 5),
+    sub_claim_text_int=lambda ws: _record_leaf(ws, ("graph", "sub_claims", 0), 5),
+    claim_int=lambda ws: _record_leaf(ws, ("graph", "claim"), 5),
+    summary_int=lambda ws: _record_with(ws, summary=5),
+    index_str=lambda ws: _verdicts_with(
+        ws, lambda verdicts: [dict(v, sub_claim_index=str(v["sub_claim_index"])) for v in verdicts]
     ),
 )
+# Parts that read back but cannot form an explanation graph.
+UNDERIVABLE_BODIES = {
+    "verdicts_short": lambda ws: _verdicts_with(ws, lambda verdicts: verdicts[:-1]),
+    "verdicts_repeated": lambda ws: _verdicts_with(ws, lambda verdicts: verdicts[:1] + verdicts[:-1]),
+    "verdict_beyond_n": lambda ws: _verdicts_with(
+        ws, lambda verdicts: verdicts[:-1] + [dict(verdicts[-1], sub_claim_index=len(verdicts) + 1)]
+    ),
+    "explanations_short": lambda ws: _record_with(
+        ws, explanations=_explained_payload(ws)["explanations"][:-1]
+    ),
+    "label_outside_scheme": lambda ws: _record_leaf(ws, ("prediction", "label"), "bogus"),
+}
 # (reader, bodies, what its one error line starts with, if fixed); a callable
 # body is built from the recorded run.
 READERS = [
@@ -199,8 +208,11 @@ READERS = [
         "Error: unreadable run record ",
     ),
     (cost_with_record, RECORD_BODIES, "Error: unreadable run record "),
-    (export_explanation_graph, GRAPH_BODIES, "Error: unreadable explanation graph of claim "),
-    (judge_explanation_graph, GRAPH_BODIES, "Error: unreadable explanation graph of claim "),
+    (export_explanation_graph, GRAPH_BODIES, "Error: unreadable run record "),
+    (judge_explanation_graph, GRAPH_BODIES, "Error: unreadable run record "),
+    (export_explanation_graph, UNDERIVABLE_BODIES, "Error: claim "),
+    # A label outside the scheme fails the judge's outcomes before any graph is derived.
+    (judge_explanation_graph, UNDERIVABLE_BODIES, None),
 ]
 CASES = [
     pytest.param(reader, body, said, id=f"{reader.__name__}-{name}")

@@ -19,12 +19,18 @@ from click.testing import CliRunner
 from claimgraph import jsonform, pipeline
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
-from claimgraph.errors import ConfigError, EmbeddingError, ProviderUnavailableError
+from claimgraph.errors import (
+    ConfigError,
+    EmbeddingError,
+    ProviderUnavailableError,
+    RetryableProviderError,
+)
 from claimgraph.fixtures import build_fixture_dataset
 from claimgraph.gateway import (
     FixtureProvider,
     GenerationRequest,
     GenerationResponse,
+    LlmGateway,
     ResponseCache,
     Stage,
     TokenUsage,
@@ -44,6 +50,7 @@ from claimgraph.pipeline import (
     run_claim,
     write_reports,
 )
+from claimgraph.summarize import export_dot, parse_structured
 
 from test_record_stability import CONFIGS as STABILITY_CONFIGS
 
@@ -603,6 +610,74 @@ def test_a_pair_is_charged_the_error_of_the_side_that_failed(two_records, side, 
     assert provider.answered == answered
 
 
+class OneWorkerPool(ThreadPoolExecutor):
+    """A 1-worker call pool on which another claim's slow call is queued just
+    before the ``nth`` piece that ``claim_thread`` submits."""
+
+    def __init__(self, claim_thread: threading.Thread, nth: int, slow_call):
+        super().__init__(max_workers=1)
+        self.claim_thread, self.nth, self.slow_call = claim_thread, nth, slow_call
+        self.submitted = 0
+        self.slow: list = []
+
+    def submit(self, fn, *args, **kwargs):
+        if threading.current_thread() is self.claim_thread:
+            self.submitted += 1
+            if self.submitted == self.nth:
+                self.slow.append(super().submit(self.slow_call))
+        return super().submit(fn, *args, **kwargs)
+
+
+def test_a_failed_claim_waits_only_for_its_own_running_pieces(two_records, running_pieces):
+    """Node 1's pair fails while node 2's pair is queued behind another claim's
+    slow call: the record comes back at once, and node 2's pair never runs."""
+    sub_claims = run_one(PipelineConfig(), two_records[0]).sub_claims
+    assert len(sub_claims) == 2
+    first_pair = f"{prompt_marker('rationale')}{sub_claims[0]}, "
+    provider = CountingRefuser(
+        lambda prompt: prompt.startswith(first_pair), ProviderUnavailableError("refused")
+    )
+    runtime = build_runtime(PipelineConfig(), provider=provider)
+    runtime.calls.shutdown()
+    release = threading.Event()
+    # The claim thread submits the edges, node 1's pair, then node 2's pair.
+    runtime.calls = OneWorkerPool(threading.current_thread(), 3, lambda: release.wait(3))
+    try:
+        record = run_claim(runtime, two_records[0])
+        assert not runtime.calls.slow[0].done()
+        assert running_pieces() == 0
+    finally:
+        release.set()
+        runtime.calls.shutdown()
+    assert record.failure == Failure(Stage.EXPLANATION_GENERATION, "refused")
+    assert record.stage_trace == STANDARD_TRACE[:4]
+    # The pool has drained: node 2's cancelled pair made no call.
+    assert provider.answered == booked_calls(record) == 2
+
+
+class ResettingProvider:
+    """Every call fails in transport: a retryable error raised from a ConnectionError."""
+
+    def generate(self, request):
+        try:
+            raise ConnectionError("connection reset by peer")
+        except ConnectionError as exc:
+            raise RetryableProviderError(f"transport failure: {exc}") from exc
+
+
+def test_a_failure_keeps_the_cause_at_the_end_of_its_chain(two_records):
+    runtime = build_runtime(PipelineConfig())
+    runtime.gateway = LlmGateway(ResettingProvider(), sleeper=lambda _seconds: None)
+    record = run_claim(runtime, two_records[0])
+    # ProviderUnavailableError from RetryableProviderError from ConnectionError.
+    assert record.failure == Failure(
+        Stage.CLAIM_DECOMPOSITION,
+        "failed after 3 attempts: transport failure: connection reset by peer",
+        "ConnectionError: connection reset by peer",
+    )
+    assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+
 FORKING_BATCH = """
 import sys
 from claimgraph.gateway.scripted import ScriptedResponder
@@ -958,6 +1033,7 @@ def test_a_failed_record_reads_back_equal_from_its_json(two_records):
 
 
 def test_a_written_record_is_one_line_that_reads_back_equal(workspace, tmp_path):
+    (tmp_path / "runs").mkdir()  # made once per batch, by _prepare_run_dir
     for record in load_run_records(workspace.recorded_run_dir):
         text = pipeline._write_record(tmp_path, record).read_text(encoding="utf-8")
         assert "\n" not in text
@@ -987,7 +1063,7 @@ def test_export_reads_only_its_own_claims_record(workspace, tmp_path):
     "changes, cause",
     [
         ({"failure": Failure(Stage.INFERENCE, "m"), "prediction": None}, "failed at inference: m"),
-        ({}, "no failure recorded"),
+        ({"graph": None}, "no failure recorded"),
     ],
     ids=["failed", "succeeded"],
 )
@@ -997,13 +1073,63 @@ def test_export_of_a_claim_without_an_explanation_graph_says_why(
     run_dir = tmp_path / "run"
     shutil.copytree(workspace.recorded_run_dir, run_dir)
     record = load_run_records(run_dir)[0]
-    pipeline._write_record(run_dir, replace(record, explanation_graph=None, **changes))
+    pipeline._write_record(run_dir, replace(record, **changes))
     export = ["export", "--run-dir", str(run_dir), "--claim-id", record.claim_id]
     result = CliRunner().invoke(cli_main, export)
     assert result.exit_code == 1
     assert result.output == (
         f"Error: claim {record.claim_id!r} has no explanation graph ({cause})\n"
     )
+
+
+@pytest.fixture()
+def stored_graph_run(workspace, tmp_path):
+    """A copy of the recorded run with every record in the form written while
+    the graph was stored: its JSON form plus ``explanation_graph``, the
+    structured export. Returns the run directory and each claim's stored text."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    stored = {}
+    for record in load_run_records(run_dir):
+        stored[record.claim_id] = record.explanation_graph
+        path = run_dir / "runs" / pipeline._record_filename(record.claim_id)
+        jsonform.write_json(path, dict(record.to_dict(), explanation_graph=stored[record.claim_id]))
+    assert all(stored.values())
+    return run_dir, stored
+
+
+def test_a_record_with_a_stored_graph_reads_and_counts_as_done(workspace, stored_graph_run):
+    run_dir, stored = stored_graph_run
+    files = {path: path.read_bytes() for path in (run_dir / "runs").glob("*.json")}
+    records = load_run_records(run_dir)
+    assert {r.claim_id: r.explanation_graph for r in records} == stored
+    # Every claim has its record: a provider that fails every call is never asked.
+    result = run_batch(workspace.records, workspace.config, run_dir, provider=DeadProvider())
+    assert (result.processed, result.skipped) == (0, len(stored))
+    assert result.report.failure_count == 0
+    assert {path: path.read_bytes() for path in (run_dir / "runs").glob("*.json")} == files
+
+
+@pytest.mark.parametrize("fmt", ["structured", "dot"])
+def test_export_of_a_record_with_a_stored_graph_prints_the_stored_bytes(stored_graph_run, fmt):
+    run_dir, stored = stored_graph_run
+    for claim_id, text in stored.items():
+        export = ["export", "--run-dir", str(run_dir), "--claim-id", claim_id, "--format", fmt]
+        result = CliRunner().invoke(cli_main, export)
+        assert result.exit_code == 0, result.output
+        assert result.output == (text if fmt == "structured" else export_dot(parse_structured(text)))
+
+
+def test_a_stored_graph_is_ignored_for_the_one_its_parts_form(workspace, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    record = load_run_records(run_dir)[0]
+    path = run_dir / "runs" / pipeline._record_filename(record.claim_id)
+    jsonform.write_json(path, dict(record.to_dict(), explanation_graph="not a graph"))
+    export = ["export", "--run-dir", str(run_dir), "--claim-id", record.claim_id]
+    result = CliRunner().invoke(cli_main, export)
+    assert result.exit_code == 0, result.output
+    assert result.output == record.explanation_graph
 
 
 def test_export_of_a_claim_without_a_record_names_it(workspace):

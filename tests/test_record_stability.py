@@ -1,10 +1,13 @@
 """Golden digests of run_claim records and prompts across pipeline configurations.
 
 Each record digest is a sha256 over the records of forty fixture claims run
-through ``run_claim`` with the scripted provider, with the timing-only
-``durations`` field removed. A refactor of the pipeline must leave every
-digest unchanged; a change that is meant to alter records must update the
-digest it moves and say why.
+through ``run_claim`` with the scripted provider: each record's JSON form,
+the form written to disk, with the timing-only ``durations`` field removed,
+plus its derived ``explanation_graph`` (None without one). The graph is not
+stored, so it is added under the key a stored copy once had: the digest pins
+what is written and what is derived from it. A refactor of the pipeline must
+leave every digest unchanged; a change that is meant to alter records must
+update the digest it moves and say why.
 
 Each prompt digest is a sha256 over every prompt the provider receives in the
 same run, sorted, so that it does not depend on the order in which a claim's
@@ -145,7 +148,9 @@ def run_digests(config: PipelineConfig, claims, spy=None, claim_workers=1):
     for record in records:
         check_stage_keys(record)
         payload = record.to_dict()
+        assert "explanation_graph" not in payload
         del payload["durations"]
+        payload["explanation_graph"] = record.explanation_graph
         payloads.append(payload)
     return sha256_json(payloads), sha256_json(sorted(spy.prompts))
 
