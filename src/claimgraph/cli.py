@@ -167,7 +167,7 @@ def export(run_dir: str, claim_id: str, fmt: str, out_path: str) -> None:
         raise click.ClickException(f"no record for claim id {claim_id!r}")
     graph = record.derived_explanation_graph()
     if graph is None:
-        cause = "no failure recorded"
+        cause = "it was run without sub-claims"
         if record.failure is not None:
             cause = f"failed at {record.failure.stage.value}: {record.failure.message}"
         raise click.ClickException(f"claim {claim_id!r} has no explanation graph ({cause})")

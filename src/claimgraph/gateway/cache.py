@@ -1,21 +1,19 @@
 """The one content-addressed response store: cache, fixture replay, totals.
 
-A store is a directory holding one append-only log, ``responses.jsonl``.
-Each stored reply is one compact JSON line,
-``[request_key, input_tokens, output_tokens, text]``. The log is read once
-when the store is opened, into a dict that lookups use. A put of a key the
-store does not hold appends its line through a ``jsonform.Appender``, which
-holds the log open from the first put (its tail checked then) to ``close()``.
+A store is a directory holding one append-only log, ``responses.jsonl``,
+and nothing else is read from it. Each stored reply is one compact JSON
+line, ``[request_key, input_tokens, output_tokens, text]``. The log is read
+once when the store is opened, into a dict that lookups use. A put of a key
+the store does not hold appends its line through a ``jsonform.Appender``,
+which holds the log open from the first put (its tail checked then) to
+``close()``.
 
 A line that does not decode, such as the torn last line of a writer killed
 mid-append, is skipped: its entry is a miss, and a store opened after it
 starts on a fresh line. A line glued onto a tail torn later never decodes
-either, since the torn line leaves its array open. Legacy
-``<request_key>.json`` files from before the log, each holding ``text``,
-``input_tokens`` and ``output_tokens`` (extra fields are ignored), stay
-readable but are never written; a log line for the same key wins. The
-gateway writes every provider reply into its run directory's ``cache/``; a
-copy of that directory is a fixture set that ``FixtureProvider`` replays.
+either, since the torn line leaves its array open. The gateway writes every
+provider reply into its run directory's ``cache/``; a copy of that
+directory is a fixture set that ``FixtureProvider`` replays.
 """
 from __future__ import annotations
 
@@ -23,28 +21,12 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from ..errors import FixtureMissError, ProviderError
-from ..jsonform import Appender, read_json, read_json_lines
+from ..errors import FixtureMissError
+from ..jsonform import Appender, read_json_lines
 from .ledger import TokenUsage
 from .provider import GenerationRequest, GenerationResponse, request_key
 
 LOG_NAME = "responses.jsonl"
-
-# A stored reply, or the path of a legacy entry, read when it is asked for.
-Entry = Union[GenerationResponse, Path]
-
-
-def _load(path: Path) -> GenerationResponse:
-    """One legacy entry file; an unusable one raises ProviderError naming the file."""
-
-    def decode(record: dict) -> GenerationResponse:
-        text = record["text"]
-        if not isinstance(text, str):
-            raise TypeError("text field is not a string")
-        usage = TokenUsage(int(record["input_tokens"]), int(record["output_tokens"]))
-        return GenerationResponse(text=text, usage=usage)
-
-    return read_json(path, ProviderError, "stored response", decode)
 
 
 def _from_line(line: object) -> Tuple[str, GenerationResponse]:
@@ -55,23 +37,16 @@ def _from_line(line: object) -> Tuple[str, GenerationResponse]:
     return key, GenerationResponse(text, TokenUsage(input_tokens, output_tokens))
 
 
-def _entries(root: Path) -> Dict[str, Entry]:
-    """Every entry of the store at ``root``, by request key."""
-    entries: Dict[str, Entry] = {path.stem: path for path in root.glob("*.json")}
-    entries.update(read_json_lines(root / LOG_NAME, _from_line))
-    return entries
-
-
-def _reply(entry: Entry) -> GenerationResponse:
-    return _load(entry) if isinstance(entry, Path) else entry
+def _entries(root: Path) -> Dict[str, GenerationResponse]:
+    """Every reply in the log of the store at ``root``, by request key."""
+    return dict(read_json_lines(root / LOG_NAME, _from_line))
 
 
 class ResponseCache:
     """The store under ``root``, read once when it is opened.
 
-    An entry that cannot be used (a skipped log line, an unusable legacy
-    file) is a miss, so the caller falls through to a fresh provider call,
-    whose put logs the reply in its place.
+    A request whose line was skipped is a miss, so the caller falls through
+    to a fresh provider call, whose put logs the reply in its place.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -82,19 +57,15 @@ class ResponseCache:
         self._log = Appender(self.root / LOG_NAME)
 
     def get(self, request: GenerationRequest) -> Optional[GenerationResponse]:
-        entry = self._entries.get(request_key(request))
-        if entry is None:
-            return None
-        try:
-            reply = _reply(entry)
-        except ProviderError:
+        reply = self._entries.get(request_key(request))
+        if reply is None:
             return None
         return GenerationResponse(reply.text, reply.usage, cached=True)
 
     def put(self, request: GenerationRequest, response: GenerationResponse) -> None:
         key = request_key(request)
         with self._lock:
-            if isinstance(self._entries.get(key), GenerationResponse):
+            if key in self._entries:
                 return
             usage = response.usage
             self._log.append([key, usage.input_tokens, usage.output_tokens, response.text])
@@ -111,8 +82,8 @@ class ResponseCache:
 class FixtureProvider:
     """Strict replay over a store, typically a copy of a recorded run's cache.
 
-    Unknown requests raise FixtureMissError; nothing is fabricated. An
-    unusable legacy file raises ProviderError naming the file and stays on
+    Unknown requests raise FixtureMissError; nothing is fabricated. A request
+    whose line was skipped is unknown too, and the log stays as it is on
     disk. ``call_count`` counts every ``generate`` call, hit or miss.
     """
 
@@ -128,18 +99,18 @@ class FixtureProvider:
         with self._count_lock:
             self.call_count += 1
         key = request_key(request)
-        entry = self._entries.get(key)
-        if entry is None:
+        reply = self._entries.get(key)
+        if reply is None:
             raise FixtureMissError(
                 f"no recorded response for request {key} "
                 f"(prompt starts {request.prompt_text[:60]!r})"
             )
-        return _reply(entry)
+        return reply
 
 
 def fixture_totals(root: Union[str, Path]) -> TokenUsage:
-    """Sum the token counts over every entry in a store directory."""
+    """Sum the token counts over every reply in a store directory's log."""
     total = TokenUsage()
-    for entry in _entries(Path(root)).values():
-        total = total + _reply(entry).usage
+    for reply in _entries(Path(root)).values():
+        total = total + reply.usage
     return total

@@ -143,8 +143,8 @@ def read_json(path: Union[str, Path], error: Error, what: str, decode: Callable[
     """The JSON object in ``path``, decoded by ``decode``; a fault raises ``error`` (``unreadable``).
 
     Every JSON file the program reads back comes through here: a config
-    (``--config`` or a run's ``config.json``), a run record, a dataset
-    manifest, and a legacy response-store entry file (cache or fixture).
+    (``--config`` or a run's ``config.json``), a run record and a dataset
+    manifest.
     """
     with unreadable(error, what, path):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -457,57 +457,49 @@ def test_fixture_records_are_inspectable(tmp_path):
     assert text == live.text
 
 
-def test_fixture_replays_the_older_verbose_record_format(tmp_path):
+@pytest.mark.parametrize("log", [None, ""], ids=["absent_log", "empty_log"])
+def test_a_stray_entry_file_is_not_part_of_a_store(tmp_path, log):
+    """A ``<request_key>.json`` entry file beside the log is never read."""
     request = GenerationRequest("old style", 0.8, "m", 10)
-    record = {
-        "request_sha256": request_key(request),
-        "model_id": "m",
-        "temperature": 0.8,
-        "prompt_text": "old style",
-        "text": "recorded reply",
-        "input_tokens": 2,
-        "output_tokens": 2,
-    }
-    (tmp_path / f"{request_key(request)}.json").write_text(
-        json.dumps(record, indent=2), encoding="utf-8"
-    )
-    response = FixtureProvider(tmp_path).generate(request)
-    assert response.text == "recorded reply"
-    assert response.usage == TokenUsage(2, 2)
-    assert fixture_totals(tmp_path) == TokenUsage(2, 2)
-    assert ResponseCache(tmp_path).get(request).text == "recorded reply"
+    entry = {"text": "recorded reply", "input_tokens": 2, "output_tokens": 2}
+    (tmp_path / f"{request_key(request)}.json").write_text(json.dumps(entry), encoding="utf-8")
+    if log is not None:
+        (tmp_path / "responses.jsonl").write_text(log, encoding="utf-8")
+    with pytest.raises(FixtureMissError):
+        FixtureProvider(tmp_path).generate(request)
+    assert fixture_totals(tmp_path) == TokenUsage(0, 0)
+    cache = ResponseCache(tmp_path)
+    assert cache.get(request) is None and len(cache) == 0
 
 
-CORRUPT_BODIES = [
-    "{not json",
-    '{"text": "t", "input_tokens": 1}',
-    '{"text": 3, "input_tokens": 1, "output_tokens": 1}',
-    '{"text": "t", "input_tokens": -1, "output_tokens": 1}',
-    '["text"]',
-    "[]",
-    "{}",
+# Corrupt log lines for the request KEY. Each id names the fault as it would
+# read in a JSON-object entry; the ids stay fixed so each case keeps its name.
+CORRUPT_LINES = [
+    pytest.param('["KEY",1,1,"t', id="{not json"),
+    pytest.param('["KEY",1,"t"]', id='{"text": "t", "input_tokens": 1}'),
+    pytest.param('["KEY",1,1,3]', id='{"text": 3, "input_tokens": 1, "output_tokens": 1}'),
+    pytest.param('["KEY",-1,1,"t"]', id='{"text": "t", "input_tokens": -1, "output_tokens": 1}'),
+    pytest.param(
+        '{"key":"KEY","text":"t","input_tokens":1,"output_tokens":1}', id='["text"]'
+    ),
+    pytest.param("[]", id="[]"),
+    pytest.param("{}", id="{}"),
 ]
 
 
-# Each corrupt body's counterpart as a log line for the request KEY.
-CORRUPT_LINES = {
-    "{not json": '["KEY",1,1,"t',
-    '{"text": "t", "input_tokens": 1}': '["KEY",1,"t"]',
-    '{"text": 3, "input_tokens": 1, "output_tokens": 1}': '["KEY",1,1,3]',
-    '{"text": "t", "input_tokens": -1, "output_tokens": 1}': '["KEY",-1,1,"t"]',
-    '["text"]': '{"key":"KEY","text":"t","input_tokens":1,"output_tokens":1}',
-    "[]": "[]",
-    "{}": "{}",
-}
-
-
-@pytest.mark.parametrize("body", CORRUPT_BODIES)
-def test_a_corrupt_cache_entry_is_evicted_and_counts_as_a_miss(tmp_path, body):
+@pytest.mark.parametrize("line", CORRUPT_LINES)
+def test_a_corrupt_cache_entry_is_evicted_and_counts_as_a_miss(tmp_path, line):
     provider = EchoProvider()
     ledger = TokenLedger()
     request = make_gateway(provider).build_request("hello", Stage.INFERENCE)
-    line = CORRUPT_LINES[body].replace("KEY", request_key(request))
-    (tmp_path / "responses.jsonl").write_text(line + "\n", encoding="utf-8")
+    log = tmp_path / "responses.jsonl"
+    log.write_text(line.replace("KEY", request_key(request)) + "\n", encoding="utf-8")
+    written = log.read_bytes()
+    # Fixture replay: the skipped line is an unknown request, and stays on disk.
+    with pytest.raises(FixtureMissError):
+        FixtureProvider(tmp_path).generate(request)
+    assert fixture_totals(tmp_path) == TokenUsage(0, 0)
+    assert log.read_bytes() == written
     cache = ResponseCache(tmp_path)
     assert cache.get(request) is None
     gateway = make_gateway(provider, ledger=ledger, cache=cache)
@@ -517,17 +509,6 @@ def test_a_corrupt_cache_entry_is_evicted_and_counts_as_a_miss(tmp_path, body):
     assert ledger.totals()["inference"]["calls"] == 1
     assert cache.get(request).text == "echo: hello"
     assert ResponseCache(tmp_path).get(request).text == "echo: hello"  # the fresh line wins
-
-
-@pytest.mark.parametrize("body", CORRUPT_BODIES)
-def test_corrupt_fixture_raises_and_stays_on_disk(tmp_path, body):
-    request = GenerationRequest("p", 0.8, "m", 10)
-    path = tmp_path / f"{request_key(request)}.json"
-    path.write_text(body, encoding="utf-8")
-    with pytest.raises(ProviderError, match=path.name) as raised:
-        FixtureProvider(tmp_path).generate(request)
-    assert not isinstance(raised.value, (FixtureMissError, RetryableProviderError))
-    assert path.read_text(encoding="utf-8") == body
 
 
 # --- HttpProvider, offline through an injected session -----------------------

@@ -1060,20 +1060,24 @@ def test_export_reads_only_its_own_claims_record(workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "changes, cause",
-    [
-        ({"failure": Failure(Stage.INFERENCE, "m"), "prediction": None}, "failed at inference: m"),
-        ({"graph": None}, "no failure recorded"),
-    ],
+    "failed, cause",
+    [(True, "failed at inference: m"), (False, "it was run without sub-claims")],
     ids=["failed", "succeeded"],
 )
 def test_export_of_a_claim_without_an_explanation_graph_says_why(
-    workspace, tmp_path, changes, cause
+    workspace, tmp_path, failed, cause
 ):
     run_dir = tmp_path / "run"
     shutil.copytree(workspace.recorded_run_dir, run_dir)
-    record = load_run_records(run_dir)[0]
-    pipeline._write_record(run_dir, replace(record, **changes))
+    if failed:
+        record = load_run_records(run_dir)[0]
+        record = replace(record, failure=Failure(Stage.INFERENCE, "m"), prediction=None)
+    else:
+        # The one succeeded record without a graph: a claim run without sub-claims.
+        record = run_one(PipelineConfig(ablations=("no_subclaims",)), workspace.records[0])
+        assert record.succeeded and record.n == 0 and not record.sub_claims
+        assert record.graph is None
+    pipeline._write_record(run_dir, record)
     export = ["export", "--run-dir", str(run_dir), "--claim-id", record.claim_id]
     result = CliRunner().invoke(cli_main, export)
     assert result.exit_code == 1
