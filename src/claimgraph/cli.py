@@ -169,7 +169,7 @@ def export(run_dir: str, claim_id: str, fmt: str, out_path: str) -> None:
     if graph is None:
         cause = "it was run without sub-claims"
         if record.failure is not None:
-            cause = f"failed at {record.failure.stage.value}: {record.failure.message}"
+            cause = f"failed at {record.failure.stage}: {record.failure.message}"
         raise click.ClickException(f"claim {claim_id!r} has no explanation graph ({cause})")
     text = export_dot(graph) if fmt == "dot" else export_structured(graph)
     if out_path:

@@ -58,7 +58,6 @@ class LlmGateway:
         or the ledger (zero new tokens). A reply replayed by a
         ``FixtureProvider`` is already stored, so it is not cached again.
         """
-        stage = Stage(stage)
         request = self.build_request(prompt_text, stage)
         if self.cache is not None:
             hit = self.cache.get(request)

@@ -5,15 +5,18 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
-from typing import Dict, Mapping, Union
+from typing import Dict, Iterable, Mapping, TypedDict, Union
 
 
 class Stage(str, Enum):
     """The one vocabulary of pipeline stages, in the order they run.
 
     Run records' traces, durations, usage and failures, and the latency
-    model's terms, all key by their values. ``JUDGE`` is evaluation's call.
+    model's terms, all key by them; a member's JSON form and text are its
+    value, as for ``enum.StrEnum``. ``JUDGE`` is evaluation's call.
     """
+
+    __str__, __format__ = str.__str__, str.__format__
 
     CLAIM_DECOMPOSITION = "claim_decomposition"
     EDGE_GENERATION = "edge_generation"
@@ -42,38 +45,44 @@ class TokenUsage:
         )
 
 
-USAGE_FIELDS = ("input_tokens", "output_tokens", "calls")
+class StageUsage(TypedDict):
+    """One stage's provider usage, as run records and ``cost.json`` store it."""
+
+    input_tokens: int
+    output_tokens: int
+    calls: int
 
 
 class TokenLedger:
-    """Thread-safe usage per stage.
+    """Thread-safe usage per stage, as a ``StageUsage`` entry per ``Stage``.
 
-    The totals are kept in the form run records and ``cost.json`` store them:
-    ``{stage: {"input_tokens": ..., "output_tokens": ..., "calls": ...}}``.
+    The totals are kept in the form run records and ``cost.json`` store them.
     Only provider calls are booked; a cache hit costs nothing and is not.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._totals: Dict[str, Dict[str, int]] = {}
+        self._totals: Dict[Stage, StageUsage] = {}
 
     def record(self, stage: Stage, usage: TokenUsage) -> None:
         """Book one provider call."""
-        call = {"input_tokens": usage.input_tokens, "output_tokens": usage.output_tokens, "calls": 1}
-        self.add({stage.value: call})
+        entry = StageUsage(input_tokens=usage.input_tokens, output_tokens=usage.output_tokens, calls=1)
+        self.add({stage: entry})
 
-    def add(self, totals: Mapping[str, Mapping[str, int]]) -> None:
+    def add(self, totals: Mapping[Stage, StageUsage]) -> None:
         """Book totals already in the stored form, such as a record's ``stage_usage``."""
         with self._lock:
             for stage, entry in totals.items():
-                bucket = self._totals.setdefault(stage, dict.fromkeys(USAGE_FIELDS, 0))
-                for key in USAGE_FIELDS:
+                bucket = self._totals.setdefault(
+                    stage, StageUsage(input_tokens=0, output_tokens=0, calls=0)
+                )
+                for key in bucket:
                     bucket[key] += entry[key]
 
-    def totals(self) -> Dict[str, Dict[str, int]]:
+    def totals(self) -> Dict[Stage, StageUsage]:
         """A copy of the totals, sorted by stage."""
         with self._lock:
-            return {stage: dict(self._totals[stage]) for stage in sorted(self._totals)}
+            return {stage: StageUsage(self._totals[stage]) for stage in sorted(self._totals)}
 
 
 _MILLION = Decimal(1_000_000)
@@ -95,22 +104,13 @@ class Pricing:
         object.__setattr__(self, "input_per_million", _as_decimal(self.input_per_million))
         object.__setattr__(self, "output_per_million", _as_decimal(self.output_per_million))
 
-    def cost(self, usage: TokenUsage) -> StageCost:
-        """Price one bucket's tokens, each side rounded to micro-dollars."""
+    def price(self, totals: Mapping[Stage, StageUsage]) -> StageCost:
+        """Price ``TokenLedger.totals()``: each stage's two sides are rounded to
+        micro-dollars, then summed."""
+        entries = totals.values()
         return StageCost(
-            input_cost=_price(usage.input_tokens, self.input_per_million),
-            output_cost=_price(usage.output_tokens, self.output_per_million),
-        )
-
-    def price(self, totals: Mapping[str, Mapping[str, int]]) -> StageCost:
-        """Price ``TokenLedger.totals()``: each stage is priced, then summed."""
-        costs = [
-            self.cost(TokenUsage(entry["input_tokens"], entry["output_tokens"]))
-            for entry in totals.values()
-        ]
-        return StageCost(
-            input_cost=sum((c.input_cost for c in costs), Decimal(0)),
-            output_cost=sum((c.output_cost for c in costs), Decimal(0)),
+            input_cost=_price((e["input_tokens"] for e in entries), self.input_per_million),
+            output_cost=_price((e["output_tokens"] for e in entries), self.output_per_million),
         )
 
 
@@ -124,8 +124,7 @@ class StageCost:
         return self.input_cost + self.output_cost
 
 
-def _price(tokens: int, per_million: Decimal) -> Decimal:
-    # Exact rational value, then bankers-rounded to micro-dollars.
-    return (Decimal(tokens) * per_million / _MILLION).quantize(
-        _CENT_MICRO, rounding=ROUND_HALF_EVEN
-    )
+def _price(counts: Iterable[int], per_million: Decimal) -> Decimal:
+    # Each count's exact rational value, bankers-rounded to micro-dollars, then summed.
+    exact = (Decimal(tokens) * per_million / _MILLION for tokens in counts)
+    return sum((value.quantize(_CENT_MICRO, rounding=ROUND_HALF_EVEN) for value in exact), Decimal(0))

@@ -124,19 +124,20 @@ def build_node_content(defense: DefenseGraph) -> str:
     return "\n".join(lines)
 
 
+def _render_inference(
+    node_content: str, structure_text: Optional[str], label_set: Optional[str]
+) -> str:
+    """The ``TemplateId.INFERENCE`` rendering; a slot given None leaves its line out."""
+    slots = {"node_content": node_content, "graph_structure": structure_text, "label_set": label_set}
+    return render_prompt(TemplateId.INFERENCE, slots)
+
+
 def build_graph_block(defense: DefenseGraph, structure_text: Optional[str] = None) -> str:
     """The inference rendering without its query section.
 
     This is what the summarization prompt embeds as the claim-centered graph.
     """
-    return render_prompt(
-        TemplateId.INFERENCE,
-        {
-            "node_content": build_node_content(defense),
-            "graph_structure": structure_text,
-            "label_set": None,
-        },
-    )
+    return _render_inference(build_node_content(defense), structure_text, None)
 
 
 def build_inference_prompt(
@@ -148,14 +149,7 @@ def build_inference_prompt(
     hypergraph serialization); ``None`` leaves the line out, as the
     structure-free ablation does.
     """
-    return render_prompt(
-        TemplateId.INFERENCE,
-        {
-            "node_content": build_node_content(defense),
-            "graph_structure": structure_text,
-            "label_set": scheme.render_label_set(),
-        },
-    )
+    return _render_inference(build_node_content(defense), structure_text, scheme.render_label_set())
 
 
 def build_claim_only_prompt(
@@ -163,14 +157,7 @@ def build_claim_only_prompt(
 ) -> str:
     """Degenerate single-node prompt for runs without decomposition."""
     lines = [render_body(NODE_CLAIM_LINE, {"claim": claim}), *_explanation_lines(pair)]
-    return render_prompt(
-        TemplateId.INFERENCE,
-        {
-            "node_content": "\n".join(lines),
-            "graph_structure": None,
-            "label_set": scheme.render_label_set(),
-        },
-    )
+    return _render_inference("\n".join(lines), None, scheme.render_label_set())
 
 
 @dataclass(frozen=True)

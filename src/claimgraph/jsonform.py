@@ -2,7 +2,8 @@
 
 Record parts, configs, exported graphs and the documents a run writes
 (``report.json``, ``cost.json``, a manifest's ``expected_stats``) have one
-encoder, ``as_json``, and one decoder, its inverse ``from_json``. A field
+encoder, ``as_json``, and one decoder, its inverse ``from_json``, which read
+a dict's keys as they read its values and a ``TypedDict`` as a dataclass. A field
 written under another key names it once, in ``field(metadata={"json": key})``.
 Every file the program writes is replaced atomically by ``write_text``
 (or ``write_json``); every JSON file it reads back goes through
@@ -34,14 +35,14 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 def as_json(value):
     """``value`` as plain JSON values: a dataclass becomes the dict of its
     fields, each under its JSON key, a tuple a list, an Enum its value and a
-    Decimal its ``str``, recursively; scalars return at once."""
+    Decimal its ``str``, recursively, a dict's keys included; scalars return at once."""
     kind = type(value)
     if kind in _SCALARS:
         return value
     if kind is tuple or kind is list:
         return [as_json(item) for item in value]
     if kind is dict:
-        return {key: as_json(item) for key, item in value.items()}
+        return {as_json(key): as_json(item) for key, item in value.items()}
     if isinstance(value, Enum):
         return value.value
     if kind is Decimal:
@@ -54,10 +55,11 @@ def _plan(hint) -> tuple:
     """How ``from_json`` reads annotation ``hint``: ``(admits, build, inner)``.
 
     ``admits`` are its JSON types (a float admits an int, a tuple is a list, a
-    dataclass a dict, an Enum its values' types, a Decimal a str, ``object``
-    all), ``build`` what it becomes (None: itself) and ``inner`` the plans of
-    its members or items, or each field's ``(name, key, plan, required)``, its
-    plan None when it is not passed back (``init=False``)."""
+    dataclass or TypedDict a dict, an Enum its values' types, a Decimal a str,
+    ``object`` all), ``build`` what it becomes (None: itself) and ``inner`` the
+    plans of its members or items, a dict's ``(keys, items)`` plans, or each
+    field's ``(name, key, plan, required)``, its plan None when it is not
+    passed back (``init=False``)."""
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is Union:
         arms = tuple(map(_plan, args))
@@ -69,13 +71,18 @@ def _plan(hint) -> tuple:
              f.init and f.default is f.default_factory is missing)
             for f in dataclasses.fields(origin)
         )
+    if typing.is_typeddict(origin):
+        return (dict,), origin, tuple(
+            (name, name, _plan(hint), name in origin.__required_keys__)
+            for name, hint in typing.get_type_hints(origin).items()
+        )
     if isinstance(origin, EnumMeta):
         return tuple({type(member.value): None for member in origin}), origin, None
     if origin is Decimal:
         return (str,), Decimal, None
     admits = {float: (int, float), tuple: (list,), object: (object, bool)}.get(origin, (origin,))
     if origin in (list, tuple, dict) and args:
-        return admits, origin, _plan(args[1] if origin is dict else args[0])
+        return admits, origin, tuple(map(_plan, args)) if origin is dict else _plan(args[0])
     return admits, None, None
 
 
@@ -87,10 +94,12 @@ def _fits(admits: Tuple[type, ...], value) -> bool:
 def from_json(kind, value, error: Error = TypeError):
     """The ``kind`` whose ``as_json`` form is ``value``, rebuilt by its annotations.
 
-    Keys naming no field or an ``init=False`` one are ignored, a ``Union``
-    takes its first member that admits the value and ``object`` is unchecked.
-    A fault raises ``error`` with its path:
-    ``RunRecord field 'evidence' item 0 field 'k' must be int, not str``.
+    A dict's keys are decoded by its key annotation, and a ``TypedDict`` as a
+    dataclass, by its required keys, into a plain dict. Keys naming no field or
+    an ``init=False`` one are ignored, a ``Union`` takes its first member that
+    admits the value and ``object`` is unchecked. A fault raises ``error``
+    with its path: ``RunRecord field 'evidence' item 0 field 'k' must be int,
+    not str`` or ``RunRecord field 'durations' key 'x' must be a Stage value``.
     """
     return _decode(_plan(kind), value, kind.__name__, error)
 
@@ -108,7 +117,11 @@ def _decode(plan: tuple, value, path: str, error: Error):
         items = [_decode(inner, v, f"{path} item {i!r}", error) for i, v in enumerate(value)]
         return items if build is list else tuple(items)
     if build is dict:
-        return {k: _decode(inner, v, f"{path} item {k!r}", error) for k, v in value.items()}
+        keys, items = inner
+        return {
+            _decode(keys, k, f"{path} key {k!r}", error): _decode(items, v, f"{path} item {k!r}", error)
+            for k, v in value.items()
+        }
     if isinstance(build, EnumMeta):
         if value not in {member.value for member in build}:
             raise error(f"{path} must be a {build.__name__} value, not {value!r}")

@@ -47,7 +47,7 @@ from .gateway import (
     TemplateId,
     TokenLedger,
 )
-from .gateway.ledger import USAGE_FIELDS
+from .gateway.ledger import StageUsage
 from .gateway.scripted import ScriptedResponder
 from .graphs import (
     ClaimCenteredGraph,
@@ -320,8 +320,9 @@ def _root_cause(error: BaseException) -> Optional[str]:
 class RunRecord:
     """Everything one claim's run produced.
 
-    Its stage names are ``Stage`` values: a stage's calls are booked in
-    ``stage_usage`` under the name its work is timed under in ``durations``.
+    Its stage fields are typed by ``Stage``, and a stage's calls are booked
+    in ``stage_usage`` (a ``StageUsage`` entry) under the stage its work is
+    timed under in ``durations``; each is a stage of a claim, never ``JUDGE``.
     Only the claim thread writes a record; it reads ``stage_trace``,
     ``durations`` and ``failure`` off the claim's pieces of stage work at the
     end, by one rule: the failure is the earliest piece, in program and then
@@ -339,7 +340,8 @@ class RunRecord:
     Retrieved evidence lives only in ``evidence``, one set per node;
     ``explanations`` holds the texts written over it and does not repeat it.
     Its parts are typed. ``to_dict`` is its JSON form (``jsonform.as_json``),
-    and a record file is read back only through ``from_dict`` (``from_json``).
+    a stage written as its value, and a record file is read back only
+    through ``from_dict`` (``from_json``).
 
     The explanation graph is not stored: it is derived from ``graph``,
     ``explanations``, ``verdicts``, ``summary`` and ``prediction``
@@ -364,9 +366,9 @@ class RunRecord:
     prediction: Optional[Prediction] = None
     verdicts: List[SubClaimVerdict] = field(default_factory=list)
     summary: Optional[str] = None
-    stage_trace: List[str] = field(default_factory=list)
-    durations: Dict[str, float] = field(default_factory=dict)
-    stage_usage: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    stage_trace: List[Stage] = field(default_factory=list)
+    durations: Dict[Stage, float] = field(default_factory=dict)
+    stage_usage: Dict[Stage, StageUsage] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     failure: Optional[Failure] = None
 
@@ -380,17 +382,11 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        """A record from its JSON form (``from_json``); besides, each stage named must
-        be a stage of a claim, and each usage entry must hold the ledger's counts."""
+        """A record from its JSON form (``from_json``); ``Stage.JUDGE`` is no stage of a claim."""
         record = from_json(cls, payload)
-        failed_at = [record.failure.stage.value] if record.failure else []
-        stages = {*record.stage_trace, *record.durations, *record.stage_usage, *failed_at}
-        unknown = sorted(stages - {stage.value for stage in LATENCY_TERMS})
-        if unknown:
-            raise ValueError(f"not a stage of a claim: {', '.join(unknown)}")
-        for stage, usage in record.stage_usage.items():
-            if set(usage) != set(USAGE_FIELDS):
-                raise ValueError(f"stage_usage of {stage} must hold {', '.join(USAGE_FIELDS)}")
+        failed_at = [record.failure.stage] if record.failure else []
+        if Stage.JUDGE in {*record.stage_trace, *record.durations, *record.stage_usage, *failed_at}:
+            raise ValueError(f"not a stage of a claim: {Stage.JUDGE}")
         return record
 
     def derived_explanation_graph(self) -> Optional[ExplanationGraph]:
@@ -520,10 +516,10 @@ class _ClaimStages:
                 # exception): keep the type so the cause can be told apart.
                 message = f"{type(error).__name__}: {error}"
             record.failure = Failure(stage, message, _root_cause(error))
-        record.stage_trace = [stage.value for stage in trace]
+        record.stage_trace = trace
         for place, seconds in sorted(self.seconds.items()):
-            name = self.pieces[place][0].value
-            record.durations[name] = record.durations.get(name, 0.0) + seconds
+            stage = self.pieces[place][0]
+            record.durations[stage] = record.durations.get(stage, 0.0) + seconds
 
 
 def _build_structure(
@@ -819,7 +815,7 @@ def outcomes_from_records(
         if record.succeeded:
             predicted = VeracityLabel.from_identifier(scheme, record.prediction.label)
         else:
-            failure_stage = record.failure.stage.value if record.failure else "unknown"
+            failure_stage = record.failure.stage if record.failure else "unknown"
         outcomes.append(ClaimOutcome(record.claim_id, gold, predicted, failure_stage))
     return outcomes
 
@@ -877,7 +873,7 @@ class CostReport:
     """
 
     claim_count: int = field(metadata={"json": "claims"})
-    stage_tokens: Dict[str, dict]
+    stage_tokens: Dict[Stage, StageUsage]
     total_input_tokens: int
     total_output_tokens: int
     input_cost: Decimal = field(metadata={"json": "input_cost_usd"})
@@ -954,7 +950,7 @@ def _cost_report(records: Sequence[RunRecord], config: PipelineConfig) -> CostRe
         if record.prediction is not None:
             sources[record.prediction.source] = sources.get(record.prediction.source, 0) + 1
         for stage, seconds in record.durations.items():
-            key = LATENCY_TERMS[Stage(stage)]
+            key = LATENCY_TERMS[stage]
             components[key].append(seconds / nodes if key in _PER_NODE and nodes else seconds)
     avg_components = {
         key: (sum(values) / len(values) if values else 0.0)

@@ -156,6 +156,9 @@ RECORD_BODIES = {
     "duration_str": lambda ws: _record_with(ws, durations={"inference": "x"}),
     "duration_of_no_stage": lambda ws: _record_with(ws, durations={"bogus_stage": 0.1}),
     "trace_of_no_stage": lambda ws: _record_with(ws, stage_trace=["bogus_stage"]),
+    # A Stage, but evaluation's call, not a claim's.
+    "trace_of_judge": lambda ws: _record_with(ws, stage_trace=["judge"]),
+    "usage_of_judge": lambda ws: _record_with(ws, stage_usage={"judge": dict(USAGE, calls=1)}),
     "usage_without_calls": lambda ws: _record_with(ws, stage_usage={"inference": USAGE}),
     "usage_calls_str": lambda ws: _record_with(
         ws, stage_usage={"inference": dict(USAGE, calls="1")}
@@ -285,12 +288,20 @@ def test_config_items_are_checked_where_the_annotation_types_them(payload, fault
             "field 'durations' item 'inference' must be int or float, not bool",
         ),
         (
-            {"stage_usage": {"inference": {"calls": 1.0}}},
-            "field 'stage_usage' item 'inference' item 'calls' must be int, not float",
+            {"stage_usage": {"inference": dict(USAGE, calls=1.0)}},
+            "field 'stage_usage' item 'inference' field 'calls' must be int, not float",
         ),
         (
             {"evidence": [{"sub_claim_index": 1, "items": [], "k": 5}, []]},
             "field 'evidence' item 1 must be dict, not list",
+        ),
+        (
+            {"stage_usage": {"inference": {"input_tokens": 1, "calls": 1}}},
+            "field 'stage_usage' item 'inference' field 'output_tokens' is missing",
+        ),
+        (
+            {"durations": {"bogus_stage": 0.1}},
+            "field 'durations' key 'bogus_stage' must be a Stage value, not 'bogus_stage'",
         ),
     ],
 )

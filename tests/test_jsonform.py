@@ -90,7 +90,9 @@ dollars = st.decimals(allow_nan=False, allow_infinity=False)
 usage = st.fixed_dictionaries({"input_tokens": indices, "output_tokens": indices, "calls": indices})
 costs = st.builds(
     CostReport,
-    st.integers(0, 9), st.dictionaries(texts, usage, max_size=3), indices, indices,
+    st.integers(0, 9),
+    st.dictionaries(st.sampled_from(Stage), usage, max_size=3),
+    indices, indices,
     dollars, dollars, dollars, numbers,
     st.dictionaries(texts, numbers, max_size=3), numbers, numbers, numbers, counts,
 )
@@ -215,6 +217,24 @@ def test_an_enum_is_read_from_its_value(stage, fault):
     assert from_json(Failure, {"stage": "inference", "message": "m"}).stage is Stage.INFERENCE
     with pytest.raises(TypeError, match=f"^Failure field 'stage' {fault}$"):
         from_json(Failure, {"stage": stage, "message": "m"})
+
+
+def test_a_dicts_keys_are_read_and_written_by_their_annotation():
+    usage = {"input_tokens": 1, "output_tokens": 2, "calls": 1}
+    record = RunRecord.from_dict(
+        dict(
+            claim_id="c", claim="x", scheme="three_way", config_hash="h",
+            stage_trace=["inference"], durations={"inference": 0.5},
+            stage_usage={"inference": dict(usage, extra=7)},
+        )
+    )
+    assert record.stage_trace == [Stage.INFERENCE] and type(record.stage_trace[0]) is Stage
+    assert [type(stage) for stage in (*record.durations, *record.stage_usage)] == [Stage, Stage]
+    # A TypedDict entry is a plain dict of its declared keys; others are ignored.
+    assert record.stage_usage == {Stage.INFERENCE: usage}
+    assert type(record.stage_usage[Stage.INFERENCE]) is dict
+    assert as_json({Stage.INFERENCE: 0.5}) == {"inference": 0.5}
+    assert type(next(iter(as_json({Stage.INFERENCE: 0.5})))) is str
 
 
 def test_a_nested_part_extends_the_path():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from claimgraph import jsonform, pipeline
+from claimgraph import adapters, jsonform, pipeline, retrieval
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import (
@@ -35,6 +35,7 @@ from claimgraph.gateway import (
     Stage,
     TokenUsage,
 )
+from claimgraph.gateway import provider as provider_module
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.ingest import load_manifest, load_records
 from claimgraph.pipeline import (
@@ -496,6 +497,37 @@ def test_a_batch_opens_its_response_log_once_per_store(workspace, tmp_path, monk
     assert opened.count(log) == 2
 
 
+class FakeSession:
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def test_close_closes_every_http_clients_session(monkeypatch):
+    sessions = []
+
+    def new_session():
+        sessions.append(FakeSession())
+        return sessions[-1]
+
+    for module in (provider_module, retrieval, adapters):
+        monkeypatch.setattr(module, "new_session", new_session)
+    unreachable = "http://127.0.0.1:9"  # never called: no request is sent
+    config = PipelineConfig(
+        provider={"type": "http", "base_url": unreachable},
+        embedder={"type": "remote", "endpoint": f"{unreachable}/embed", "dimension": 4},
+        inference_path="external_adapter",
+        adapter={"type": "http", "url": f"{unreachable}/predict"},
+    )
+    runtime = build_runtime(config)
+    clients = (runtime.gateway.provider, runtime.embedder, runtime.adapter)
+    assert [client.session for client in clients] == sessions
+    assert len(sessions) == 3 and not any(session.closed for session in sessions)
+    runtime.close()
+    assert [session.closed for session in sessions] == [True, True, True]
+
+
 def test_the_response_log_is_closed_by_close_and_by_collection(two_records, tmp_path):
     open_fds = Path("/proc/self/fd")
     if not open_fds.is_dir():
@@ -732,6 +764,19 @@ def test_unexpected_exception_fails_one_claim_not_the_batch(two_records, tmp_pat
     )
     assert records[victim.claim_id].stage_trace == ["claim_decomposition"]
     assert result.report.failures_by_stage == {"claim_decomposition": 1}
+
+
+def test_a_stage_prints_as_its_name_in_both_text_reports(two_records, tmp_path):
+    victim = two_records[1]
+    provider = RefusingProvider(lambda prompt: victim.claim in prompt, RuntimeError("client bug"))
+    run_batch(two_records, PipelineConfig(), tmp_path / "run", provider=provider)
+    runner = CliRunner()
+    cost = runner.invoke(cli_main, ["cost", "--run-dir", str(tmp_path / "run")])
+    evaluate = runner.invoke(cli_main, ["evaluate", "--run-dir", str(tmp_path / "run")])
+    assert cost.exit_code == 0, cost.output
+    assert evaluate.exit_code == 0, evaluate.output
+    assert any(line.startswith("claim_decomposition ") for line in cost.output.splitlines())
+    assert "failures at claim_decomposition: 1" in evaluate.output.splitlines()
 
 
 class HoldingProvider:

@@ -333,17 +333,22 @@ def _is_enum(node: ast.ClassDef) -> bool:
     return any(isinstance(base, ast.Name) and base.id.endswith("Enum") for base in node.bases)
 
 
-def _stage_literals(tree: ast.AST):
-    """String constants equal to a stage name, outside enum bodies."""
-    names = {stage.value for stage in Stage}
+def _outside_enums(tree: ast.AST):
+    """Every node of ``tree`` outside enum bodies."""
     pending = [tree]
     while pending:
         node = pending.pop()
-        if isinstance(node, ast.ClassDef) and _is_enum(node):
-            continue
+        if not (isinstance(node, ast.ClassDef) and _is_enum(node)):
+            yield node
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _stage_literals(tree: ast.AST):
+    """String constants equal to a stage name, outside enum bodies."""
+    names = {stage.value for stage in Stage}
+    for node in _outside_enums(tree):
         if isinstance(node, ast.Constant) and node.value in names:
             yield node.lineno, node.value
-        pending.extend(ast.iter_child_nodes(node))
 
 
 def test_stage_names_are_spelled_only_in_enum_bodies():
@@ -360,6 +365,38 @@ def test_stage_literal_scan_sees_code_but_not_enum_bodies():
         "class T(str, Enum):\n    JUDGE = 'judge'\n\ntrace = ['inference']\n"
     )
     assert list(_stage_literals(tree)) == [(4, "inference")]
+
+
+def _stage_calls(tree: ast.AST):
+    """Line numbers of ``Stage(...)`` and ``<x>.Stage(...)`` calls, outside enum bodies."""
+    return sorted(
+        node.lineno
+        for node in _outside_enums(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Stage"
+    )
+
+
+def test_only_the_decoder_turns_a_value_into_a_stage():
+    """A stage is read from its value by ``jsonform.from_json`` alone; the code holds ``Stage``s."""
+    package = Path(claimgraph.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(package)}:{line}" for line in _stage_calls(tree)]
+    assert found == []
+
+
+def test_stage_call_scan_sees_calls_but_not_enum_bodies_or_other_names():
+    tree = ast.parse(
+        "Stage(name)\n"
+        "ledger.Stage('x')\n"
+        "class T(str, Enum):\n    A = Stage('a')\n"
+        "Stage.INFERENCE\n"
+        "Stages(name)\n"
+        "isinstance(x, Stage)\n"
+    )
+    assert _stage_calls(tree) == [1, 2]
 
 
 def _complete_calls(tree: ast.AST):
