@@ -160,7 +160,7 @@ class ClaimOutcome:
     claim_id: str
     gold: VeracityLabel
     predicted: Optional[VeracityLabel] = None
-    failure_stage: Optional[str] = None
+    failure_stage: Optional[Stage] = None  # a failed claim without one counts as "unknown"
     judge: Optional[JudgeScores] = None
     judge_failed: bool = False
 

@@ -187,8 +187,10 @@ def predict_zero_shot(
     parse = partial(parse_label_string, scheme=scheme)
     label, rejected = ask(gateway, prompt, Stage.INFERENCE, (_LABEL_RETRY_NOTE,), parse)
     if label is None:
-        exc = rejected[-1]
-        raise PredictionError(f"no parseable label after re-ask: {exc}") from exc
+        first, last = rejected
+        raise PredictionError(
+            f"no parseable label after re-ask: {last} (first reply: {first})"
+        ) from last
     return PredictionResult(label=label, source=ZERO_SHOT)
 
 

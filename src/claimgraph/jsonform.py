@@ -5,6 +5,14 @@ Record parts, configs, exported graphs and the documents a run writes
 encoder, ``as_json``, and one decoder, its inverse ``from_json``, which read
 a dict's keys as they read its values and a ``TypedDict`` as a dataclass. A field
 written under another key names it once, in ``field(metadata={"json": key})``.
+A ``NamedTuple`` is written as the list of its fields, in order, such as a
+retrieved evidence hit's ``[report_index, sentence_index, text, similarity]``;
+it is read back from that list or from the dict of its fields, the form files
+written before it was a ``NamedTuple`` hold. A part that repeats fields of the
+dataclass holding it names them in ``field(metadata={"shares": names})``:
+they are written once, on the holder, and the part reads them back from
+there, ignoring the copies an older file still holds in the part (a run
+record's ``graph`` is written as ``{"edges": [...]}``).
 Every file the program writes is replaced atomically by ``write_text``
 (or ``write_json``); every JSON file it reads back goes through
 ``read_json``. The one exception is an append-only JSON-lines log, such as
@@ -34,7 +42,8 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 def as_json(value):
     """``value`` as plain JSON values: a dataclass becomes the dict of its
-    fields, each under its JSON key, a tuple a list, an Enum its value and a
+    fields, each under its JSON key and without the keys it ``shares`` with
+    its holder, a tuple (a ``NamedTuple`` too) a list, an Enum its value and a
     Decimal its ``str``, recursively, a dict's keys included; scalars return at once."""
     kind = type(value)
     if kind in _SCALARS:
@@ -47,7 +56,15 @@ def as_json(value):
         return value.value
     if kind is Decimal:
         return str(value)
-    return {key: as_json(getattr(value, name)) for name, key, _of, _required in _plan(kind)[2]}
+    if isinstance(value, tuple):  # a NamedTuple
+        return [as_json(item) for item in value]
+    form = {}
+    for name, key, _of, _required, shared in _plan(kind)[2]:
+        item = form[key] = as_json(getattr(value, name))
+        if shared and item is not None:
+            for held in shared:
+                del item[held]
+    return form
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,11 +72,11 @@ def _plan(hint) -> tuple:
     """How ``from_json`` reads annotation ``hint``: ``(admits, build, inner)``.
 
     ``admits`` are its JSON types (a float admits an int, a tuple is a list, a
-    dataclass or TypedDict a dict, an Enum its values' types, a Decimal a str,
-    ``object`` all), ``build`` what it becomes (None: itself) and ``inner`` the
-    plans of its members or items, a dict's ``(keys, items)`` plans, or each
-    field's ``(name, key, plan, required)``, its plan None when it is not
-    passed back (``init=False``)."""
+    dataclass or TypedDict a dict, a NamedTuple a list or a dict, an Enum its
+    values' types, a Decimal a str, ``object`` all), ``build`` what it becomes
+    (None: itself) and ``inner`` the plans of its members or items, a dict's
+    ``(keys, items)`` plans, or each field's ``(name, key, plan, required,
+    shares)``, its plan None when it is not passed back (``init=False``)."""
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is Union:
         arms = tuple(map(_plan, args))
@@ -68,12 +85,17 @@ def _plan(hint) -> tuple:
         hints, missing = typing.get_type_hints(origin), dataclasses.MISSING
         return (dict,), origin, tuple(
             (f.name, f.metadata.get("json", f.name), _plan(hints[f.name]) if f.init else None,
-             f.init and f.default is f.default_factory is missing)
+             f.init and f.default is f.default_factory is missing, f.metadata.get("shares", ()))
             for f in dataclasses.fields(origin)
         )
     if typing.is_typeddict(origin):
         return (dict,), origin, tuple(
-            (name, name, _plan(hint), name in origin.__required_keys__)
+            (name, name, _plan(hint), name in origin.__required_keys__, ())
+            for name, hint in typing.get_type_hints(origin).items()
+        )
+    if isinstance(origin, type) and issubclass(origin, tuple) and hasattr(origin, "_fields"):
+        return (list, dict), origin, tuple(
+            (name, name, _plan(hint), name not in origin._field_defaults, ())
             for name, hint in typing.get_type_hints(origin).items()
         )
     if isinstance(origin, EnumMeta):
@@ -95,11 +117,14 @@ def from_json(kind, value, error: Error = TypeError):
     """The ``kind`` whose ``as_json`` form is ``value``, rebuilt by its annotations.
 
     A dict's keys are decoded by its key annotation, and a ``TypedDict`` as a
-    dataclass, by its required keys, into a plain dict. Keys naming no field or
-    an ``init=False`` one are ignored, a ``Union`` takes its first member that
-    admits the value and ``object`` is unchecked. A fault raises ``error``
-    with its path: ``RunRecord field 'evidence' item 0 field 'k' must be int,
-    not str`` or ``RunRecord field 'durations' key 'x' must be a Stage value``.
+    dataclass, by its required keys, into a plain dict. A ``NamedTuple`` is
+    read from the list of all its fields or as a dataclass, from the dict of
+    them. A part's ``shares`` are read from its holder's keys. Keys naming no
+    field or an ``init=False`` one are ignored, a ``Union`` takes its first
+    member that admits the value and ``object`` is unchecked. A fault raises
+    ``error`` with its path: ``RunRecord field 'evidence' item 0 field 'k'
+    must be int, not str`` or ``RunRecord field 'durations' key 'x' must be a
+    Stage value``.
     """
     return _decode(_plan(kind), value, kind.__name__, error)
 
@@ -131,15 +156,25 @@ def _decode(plan: tuple, value, path: str, error: Error):
             return Decimal(value)
         except ArithmeticError:
             raise error(f"{path} must be a decimal, not {value!r}") from None
+    if type(value) is list:  # a NamedTuple's list of its fields
+        if len(value) != len(inner):
+            raise error(f"{path} must hold {len(inner)} items, not {len(value)}")
+        return build(*(
+            _decode(item_plan, item, f"{path} field {key!r}", error)
+            for (_name, key, item_plan, _required, _shares), item in zip(inner, value)
+        ))
     fields = {}
-    for name, key, field_plan, required in inner:
+    for name, key, field_plan, required, shared in inner:
         if field_plan is None or key not in value:
             if required:
                 raise error(f"{path} field {key!r} is missing")
         elif field_plan[1] is None and _fits(field_plan[0], value[key]):
             fields[name] = value[key]  # the common case: a leaf that fits needs no path
         else:
-            fields[name] = _decode(field_plan, value[key], f"{path} field {key!r}", error)
+            item = value[key]
+            if shared and type(item) is dict:
+                item = dict(item, **{held: value[held] for held in shared if held in value})
+            fields[name] = _decode(field_plan, item, f"{path} field {key!r}", error)
     return build(**fields)
 
 

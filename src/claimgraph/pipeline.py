@@ -343,6 +343,14 @@ class RunRecord:
     a stage written as its value, and a record file is read back only
     through ``from_dict`` (``from_json``).
 
+    Each part is written once: an evidence hit as the list of its fields
+    (``[report_index, sentence_index, text, similarity]``) and ``graph`` as
+    ``{"edges": [...]}``, its claim and sub-claims being the record's own
+    ``claim`` and ``sub_claims`` (the field ``shares`` them). A record file
+    written before holds each hit as a dict of its fields and a ``graph``
+    that repeats the claim and sub-claims; it reads back the same, the
+    repeated copies ignored.
+
     The explanation graph is not stored: it is derived from ``graph``,
     ``explanations``, ``verdicts``, ``summary`` and ``prediction``
     (``derived_explanation_graph``), and a record has one exactly when it
@@ -358,7 +366,9 @@ class RunRecord:
     gold_label: Optional[str] = None
     n: int = 0
     sub_claims: List[str] = field(default_factory=list)
-    graph: Optional[ClaimCenteredGraph] = None
+    graph: Optional[ClaimCenteredGraph] = field(
+        default=None, metadata={"shares": ("claim", "sub_claims")}
+    )
     hypergraph: Optional[dict] = None
     structure_text: Optional[str] = None
     evidence: List[EvidenceSet] = field(default_factory=list)
@@ -811,11 +821,10 @@ def outcomes_from_records(
         if record.gold_label is None:
             continue
         gold = VeracityLabel.from_identifier(scheme, record.gold_label)
-        predicted, failure_stage = None, None
+        predicted = None
         if record.succeeded:
             predicted = VeracityLabel.from_identifier(scheme, record.prediction.label)
-        else:
-            failure_stage = record.failure.stage if record.failure else "unknown"
+        failure_stage = record.failure.stage if record.failure else None
         outcomes.append(ClaimOutcome(record.claim_id, gold, predicted, failure_stage))
     return outcomes
 

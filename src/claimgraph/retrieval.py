@@ -25,7 +25,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -87,8 +87,10 @@ class EvidenceCandidate:
     text: str
 
 
-@dataclass(frozen=True)
-class RetrievedEvidence:
+class RetrievedEvidence(NamedTuple):
+    """One top-k hit; a record holds about k per node, so it is written as a
+    list (``[report_index, sentence_index, text, similarity]``), not a dict."""
+
     report_index: int
     sentence_index: int
     text: str

@@ -126,7 +126,10 @@ def summarize_explanations(
         entries, final = parse_summary_response(text)
         in_range = {i: entries[i] for i in range(1, n + 1) if i in entries}
         if final is None or len(in_range) < n:
-            raise ValueError(in_range, final)  # what it has, to rank it below
+            lacks = f"{n - len(in_range)} of {n} entries" if final else "a final-explanation"
+            rejection = ValueError(f"summary reply lacks {lacks}")
+            rejection.reply = in_range, final  # what it has, to rank it below
+            raise rejection
         return in_range, final
 
     taken, rejected = ask(
@@ -135,11 +138,11 @@ def summarize_explanations(
     warnings = ["summary response needed a corrective re-ask"] if rejected else []
     if taken is None:
         # Keep the more usable of the two replies; on a tie, max keeps the re-ask.
-        first, re_ask = (exc.args for exc in rejected)
+        first, re_ask = (exc.reply for exc in rejected)
         taken = max(re_ask, first, key=lambda reply: (reply[1] is not None, len(reply[0])))
     parsed, final = taken
     if final is None:
-        raise SummarizationError("no usable final-explanation after re-ask")
+        raise SummarizationError("no usable final-explanation after re-ask") from rejected[-1]
     verdicts = []
     for i in range(1, n + 1):
         if i in parsed:

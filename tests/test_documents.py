@@ -168,13 +168,13 @@ VERDICT = ("verdicts", 0, "verdict")
 # A fault in a part the explanation graph is derived from: the record is unreadable.
 GRAPH_BODIES = dict(
     DOCUMENT_BODIES,
-    sub_claims_int=lambda ws: _record_leaf(ws, ("graph", "sub_claims"), 5),
+    sub_claims_int=lambda ws: _record_leaf(ws, ("sub_claims",), 5),
     verdict_str=lambda ws: _record_leaf(ws, VERDICT, "no"),
     verdict_int=lambda ws: _record_leaf(ws, VERDICT, 0),
     edge_source_str=lambda ws: _record_leaf(ws, ("graph", "edges", 0, "source"), "1"),
     kept_text_int=lambda ws: _record_leaf(ws, ("explanations", 0, _kept_side(ws)), 5),
-    sub_claim_text_int=lambda ws: _record_leaf(ws, ("graph", "sub_claims", 0), 5),
-    claim_int=lambda ws: _record_leaf(ws, ("graph", "claim"), 5),
+    sub_claim_text_int=lambda ws: _record_leaf(ws, ("sub_claims", 0), 5),
+    claim_int=lambda ws: _record_leaf(ws, ("claim",), 5),
     summary_int=lambda ws: _record_with(ws, summary=5),
     index_str=lambda ws: _verdicts_with(
         ws, lambda verdicts: [dict(v, sub_claim_index=str(v["sub_claim_index"])) for v in verdicts]

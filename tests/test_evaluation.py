@@ -182,8 +182,8 @@ def test_evaluate_run_mixes_successes_and_failures():
     outcomes = [
         outcome("a", "true", "true"),
         outcome("b", "false", "true"),
-        outcome("c", "half", stage="claim_decomposition"),
-        outcome("d", "false", stage="claim_decomposition"),
+        outcome("c", "half", stage=Stage.CLAIM_DECOMPOSITION),
+        outcome("d", "false", stage=Stage.CLAIM_DECOMPOSITION),
     ]
     report = evaluate_run(outcomes, THREE_WAY)
     assert report.claim_count == 4
@@ -196,7 +196,7 @@ def test_evaluate_run_mixes_successes_and_failures():
 
 
 def test_evaluate_run_all_failures_has_no_metrics():
-    outcomes = [outcome("a", "true", stage="inference")]
+    outcomes = [outcome("a", "true", stage=Stage.INFERENCE)]
     report = evaluate_run(outcomes, THREE_WAY)
     assert report.metrics is None
     assert report.mean_discrepancy is None

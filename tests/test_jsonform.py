@@ -244,3 +244,77 @@ def test_a_nested_part_extends_the_path():
     )
     with pytest.raises(TypeError, match="^RunRecord field 'evidence' item 0 field 'k' must be int"):
         RunRecord.from_dict(payload)
+
+
+HIT = [3, 1, "The mayor signed it.", 0.5]
+
+
+def _record_with_hits(*hits):
+    return dict(
+        claim_id="c", claim="x", scheme="three_way", config_hash="h",
+        evidence=[{"sub_claim_index": 1, "items": list(hits), "k": 5}],
+    )
+
+
+def test_an_evidence_hit_is_written_as_the_list_of_its_fields():
+    hit = RetrievedEvidence(*HIT)
+    assert as_json(EvidenceSet(1, (hit,), 5)) == {"sub_claim_index": 1, "items": [HIT], "k": 5}
+    assert from_json(RetrievedEvidence, HIT) == hit
+
+
+def test_an_evidence_hit_reads_back_the_same_from_the_dict_of_its_fields():
+    as_dict = dict(zip(RetrievedEvidence._fields, HIT))
+    from_dict = RunRecord.from_dict(_record_with_hits(as_dict))
+    assert from_dict == RunRecord.from_dict(_record_with_hits(HIT))
+    assert from_dict.evidence[0].items == (RetrievedEvidence(*HIT),)
+    assert type(from_dict.evidence[0].items[0]) is RetrievedEvidence
+
+
+HIT_PATH = "RunRecord field 'evidence' item 0 field 'items' item 0"
+
+
+@pytest.mark.parametrize(
+    "hit, fault",
+    [
+        (HIT[:3], "must hold 4 items, not 3"),
+        (HIT + [0], "must hold 4 items, not 5"),
+        (HIT[:3] + ["high"], "field 'similarity' must be int or float, not str"),
+        (["3"] + HIT[1:], "field 'report_index' must be int, not str"),
+        ("hit", "must be list or dict, not str"),
+        ({"report_index": 3}, "field 'sentence_index' is missing"),
+    ],
+)
+def test_a_fault_in_an_evidence_hit_names_its_path(hit, fault):
+    with pytest.raises(TypeError, match=f"^{HIT_PATH} {fault}$"):
+        RunRecord.from_dict(_record_with_hits(hit))
+
+
+@dataclass(frozen=True)
+class Part:
+    name: str
+    size: int
+
+
+@dataclass(frozen=True)
+class Holder:
+    name: str
+    part: Optional[Part] = field(default=None, metadata={"shares": ("name",)})
+
+
+def test_a_part_writes_no_field_it_shares_and_reads_it_from_its_holder():
+    assert as_json(Holder("a", Part("a", 2))) == {"name": "a", "part": {"size": 2}}
+    assert as_json(Holder("a")) == {"name": "a", "part": None}
+    assert from_json(Holder, {"name": "a", "part": {"size": 2}}) == Holder("a", Part("a", 2))
+    # A copy the part still holds, as an older file's graph does, is ignored.
+    old = {"name": "a", "part": {"name": "stale", "size": 2}}
+    assert from_json(Holder, old) == Holder("a", Part("a", 2))
+    with pytest.raises(TypeError, match="^Holder field 'part' field 'size' must be int, not str$"):
+        from_json(Holder, {"name": "a", "part": {"size": "2"}})
+
+
+def test_a_records_graph_is_written_as_its_edges():
+    graph = ClaimCenteredGraph("x", ("a", "b"), (DependencyEdge(1, 0, SAFEGUARD),))
+    record = RunRecord("c", "x", "three_way", "h", n=2, sub_claims=["a", "b"], graph=graph)
+    payload = record.to_dict()
+    assert payload["graph"] == {"edges": [{"source": 1, "target": 0, "provenance": SAFEGUARD}]}
+    assert RunRecord.from_dict(json.loads(json.dumps(payload))) == record

@@ -19,6 +19,7 @@ from click.testing import CliRunner
 from claimgraph import adapters, jsonform, pipeline, retrieval
 from claimgraph.adapters import LineAdapterClient
 from claimgraph.cli import main as cli_main
+from claimgraph.evaluation import evaluate_run
 from claimgraph.errors import (
     ConfigError,
     EmbeddingError,
@@ -710,6 +711,64 @@ def test_a_failure_keeps_the_cause_at_the_end_of_its_chain(two_records):
     assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
 
 
+class GarblingResponder(ScriptedResponder):
+    """Scripted replies, except that prompts opening with ``marker`` get
+    ``reply 1``, ``reply 2``, ...: none of them parses as a label or a summary."""
+
+    def __init__(self, marker):
+        super().__init__(seed=0)
+        self.marker = marker
+        self.garbled = 0
+
+    def respond(self, prompt):
+        if not prompt.startswith(self.marker):
+            return super().respond(prompt)
+        self.garbled += 1
+        return f"reply {self.garbled}"
+
+
+@pytest.mark.parametrize(
+    "template, stage, message, cause",
+    [
+        (
+            "inference",
+            Stage.INFERENCE,
+            "no parseable label after re-ask: could not find a three_way label in 'reply 2' "
+            "(first reply: could not find a three_way label in 'reply 1')",
+            "UnparseableLabelError: could not find a three_way label in 'reply 2'",
+        ),
+        (
+            "summarize",
+            Stage.FINAL_EXPLANATION_GENERATION,
+            "no usable final-explanation after re-ask",
+            "ValueError: summary reply lacks a final-explanation",
+        ),
+    ],
+)
+def test_a_reply_that_never_parses_is_named_in_the_failure(
+    two_records, template, stage, message, cause
+):
+    provider = GarblingResponder(prompt_marker(template))
+    record = run_claim(build_runtime(PipelineConfig(), provider=provider), two_records[0])
+    assert provider.garbled == 2
+    assert record.failure == Failure(stage, message, cause)
+    assert record.stage_usage[stage]["calls"] == 2
+    assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+
+def test_a_failed_record_without_a_failure_counts_under_unknown(two_records):
+    config = PipelineConfig()
+    done = run_one(config, two_records[0])
+    failed = replace(done, claim_id="failed", failure=Failure(Stage.INFERENCE, "m"), prediction=None)
+    unexplained = replace(done, claim_id="unexplained", prediction=None)
+    assert not unexplained.succeeded and unexplained.failure is None
+    outcomes = pipeline.outcomes_from_records([done, failed, unexplained], config.scheme)
+    assert [o.failure_stage for o in outcomes] == [None, Stage.INFERENCE, None]
+    report = evaluate_run(outcomes, config.scheme)
+    assert report.failures_by_stage == {"inference": 1, "unknown": 1}
+    assert report.to_dict()["failures_by_stage"] == {"inference": 1, "unknown": 1}
+
+
 FORKING_BATCH = """
 import sys
 from claimgraph.gateway.scripted import ScriptedResponder
@@ -1179,6 +1238,48 @@ def test_a_stored_graph_is_ignored_for_the_one_its_parts_form(workspace, tmp_pat
     result = CliRunner().invoke(cli_main, export)
     assert result.exit_code == 0, result.output
     assert result.output == record.explanation_graph
+
+
+EVIDENCE_FIELDS = ("report_index", "sentence_index", "text", "similarity")
+
+
+def _pre_change_form(record) -> dict:
+    """``record``'s JSON form as files held it when each evidence hit was a
+    dict of its fields and the graph repeated the claim and sub-claims."""
+    payload = record.to_dict()
+    for evidence_set in payload["evidence"]:
+        evidence_set["items"] = [dict(zip(EVIDENCE_FIELDS, hit)) for hit in evidence_set["items"]]
+    payload["graph"] = dict(payload["graph"], claim=record.claim, sub_claims=record.sub_claims)
+    return payload
+
+
+@pytest.mark.parametrize("fmt", ["structured", "dot"])
+def test_a_record_in_the_pre_change_form_reads_exports_and_resumes_the_same(
+    workspace, tmp_path, fmt
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    record = load_run_records(run_dir)[0]
+    export = ["export", "--run-dir", str(run_dir), "--claim-id", record.claim_id, "--format", fmt]
+    new_form = CliRunner().invoke(cli_main, export)
+    assert new_form.exit_code == 0, new_form.output
+    old = _pre_change_form(record)
+    assert isinstance(old["evidence"][0]["items"][0], dict) and old["graph"]["sub_claims"]
+    path = run_dir / "runs" / pipeline._record_filename(record.claim_id)
+    jsonform.write_json(path, old)
+    written = path.read_bytes()
+
+    reread = {r.claim_id: r for r in load_run_records(run_dir)}[record.claim_id]
+    assert reread == record
+    assert reread.derived_explanation_graph() == record.derived_explanation_graph()
+    old_form = CliRunner().invoke(cli_main, export)
+    assert old_form.exit_code == 0, old_form.output
+    assert old_form.output == new_form.output
+    # Its claim counts as done: a provider that fails every call is never asked.
+    result = run_batch(workspace.records, workspace.config, run_dir, provider=DeadProvider())
+    assert (result.processed, result.skipped) == (0, len(workspace.records))
+    assert result.report.failure_count == 0
+    assert path.read_bytes() == written
 
 
 def test_export_of_a_claim_without_a_record_names_it(workspace):

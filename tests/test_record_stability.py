@@ -59,16 +59,16 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "8508f930a32544792d9be9c995247cbc0fc6b7ae15bdeefb9226b25c469f7827",
-    "hypergraph": "84413c7400431ff6ed658a770f3bd19a261694e3c717df4a2293a9cbc52295e6",
-    "background": "bd930ad0a4d385cc3005cde87eca47b39b960b90e6e75455e640f48b45e9e1b4",
-    "enhanced": "221fd6436796e81547fb4cd55d6ef323530fc0424ba335161a9ae296539820e4",
-    "external_adapter": "88962acafdd06818d3c2530ef55318ac97753ad7b521d258d86c7ee9dfa817ad",
-    "no_subclaims": "654a4309e2b24c0f068f242eaa5453be647a64b83c4337bca62b98e6a4124f6d",
-    "no_edges": "8c3e08d137cbeffed9aff2e79a689376ac1d49ebec3f675678fd98ec70aa7805",
-    "no_evidence": "155983249162e954f39cd38330c2bb8fd536a13487b6539ee445ec064ff7aa3d",
-    "no_competing": "a0fcd7b11f5ed1eddba5b71431853c2489b3bbabdc47a289a8cfe6f5777cae1a",
-    "no_inference_training": "00b2d3412551134a288f74e189fb3aee8dd461e815a07edc2a9173314452585d",
+    "default": "a60f7ac94730c3926ea46ade0dc234e29084116af099c31c76b9ee84e061ab39",
+    "hypergraph": "482d7ed9a92866d15e7d771eb430769e33a9865021bb844a1acbc71de641a990",
+    "background": "3879c435b5136c4786f32a8e7554b78af8539af2030ea5c6be07e1bd20c70716",
+    "enhanced": "1beb29955e4a8d5a5b2290c31592f38ec20e6c03ed6df192e611011407ca0157",
+    "external_adapter": "410cf3f2814ddf1529a597cce7e828898e9324fcacbfeedf013a0fea5074eb1f",
+    "no_subclaims": "620d4b974d452b8d0f117ae02b77544bb122a607fbaf6ee38a10f902e98da653",
+    "no_edges": "bdf94de435c22849fbea24ea8b0faef1465374f5e2a7a0fc59d299f448d0e16d",
+    "no_evidence": "67b9fcbc55038386b12a52b4afebf1b44a8a724ea4d486955f22b2bc5b38c08e",
+    "no_competing": "be117894d4e18462b782db9d864559cc64e68087626abd99d230f3d58d5a7e31",
+    "no_inference_training": "a74c83bbe37bd1cd2fe2042be32d223e1d06cd86945115a7a4f3b6a11be90b87",
     "claim_only_bare": "7d49ea65bffaf7689fb24e764a7176266936a7d9436dd26fdcb15be84925c825",
 }
 

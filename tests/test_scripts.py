@@ -93,6 +93,25 @@ def test_a_traced_batch_fires_every_span_name(monkeypatch, tmp_path):
     assert wrapped - {span.name for span in tracer.spans} == derived_on_read
 
 
+def test_the_benchmark_reads_a_batch_with_no_problems(monkeypatch, tmp_path):
+    # perfbench/measure.py reads each record file's claim_id, failure and
+    # prediction label, and report.json and cost.json; a change to their form
+    # that it cannot read fails every benchmark batch.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import measure
+    import simprovider
+
+    manifest = build_fixture_dataset(tmp_path / "data", claim_count=3)
+    records, rejects = load_records(load_manifest(manifest))
+    assert not rejects
+    provider = simprovider.CountingProvider()
+    outcome = measure.run_one_batch(run_batch, records, PipelineConfig(), tmp_path / "run", provider)
+    assert outcome.error is None
+    assert outcome.problems == []
+    assert outcome.recorded == outcome.attempted == 3
+    assert outcome.failed == 0
+
+
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
 

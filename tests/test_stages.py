@@ -213,7 +213,7 @@ CALL_SITES = {
         error=(
             PredictionError,
             "no parseable label after re-ask: could not find a three_way label in "
-            "'no verdict'",
+            "'no verdict' (first reply: could not find a three_way label in 'no verdict')",
         ),
         cause=UnparseableLabelError,
     ),
@@ -233,6 +233,7 @@ CALL_SITES = {
             (RE_ASKED,),
         ),
         error=(SummarizationError, "no usable final-explanation after re-ask"),
+        cause=ValueError,
     ),
     "judge_explanation": CallSite(
         lambda gw: judge_explanation(gw, "The claim.", THREE_WAY.label("false"), "Because."),
