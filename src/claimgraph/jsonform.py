@@ -156,13 +156,10 @@ def _decode(plan: tuple, value, path: str, error: Error):
             return Decimal(value)
         except ArithmeticError:
             raise error(f"{path} must be a decimal, not {value!r}") from None
-    if type(value) is list:  # a NamedTuple's list of its fields
+    if type(value) is list:  # a NamedTuple's list of its fields, read as the dict of them
         if len(value) != len(inner):
             raise error(f"{path} must hold {len(inner)} items, not {len(value)}")
-        return build(*(
-            _decode(item_plan, item, f"{path} field {key!r}", error)
-            for (_name, key, item_plan, _required, _shares), item in zip(inner, value)
-        ))
+        value = {key: item for (_name, key, _of, _required, _shares), item in zip(inner, value)}
     fields = {}
     for name, key, field_plan, required, shared in inner:
         if field_plan is None or key not in value:

@@ -29,7 +29,7 @@ from .adapters import (
     StubAdapter,
     check_distribution,
 )
-from .errors import ClaimGraphError, ConfigError, JudgeFailureError, ProviderError
+from .errors import ClaimGraphError, ConfigError
 from .evaluation import ClaimOutcome, EvaluationReport, evaluate_run, judge_explanation
 from .explain import (
     CompetingExplanations,
@@ -51,6 +51,7 @@ from .gateway.ledger import StageUsage
 from .gateway.scripted import ScriptedResponder
 from .graphs import (
     ClaimCenteredGraph,
+    HyperGraph,
     assemble_claim_graph,
     decompose_claim,
     generate_edges,
@@ -344,12 +345,14 @@ class RunRecord:
     through ``from_dict`` (``from_json``).
 
     Each part is written once: an evidence hit as the list of its fields
-    (``[report_index, sentence_index, text, similarity]``) and ``graph`` as
-    ``{"edges": [...]}``, its claim and sub-claims being the record's own
-    ``claim`` and ``sub_claims`` (the field ``shares`` them). A record file
-    written before holds each hit as a dict of its fields and a ``graph``
-    that repeats the claim and sub-claims; it reads back the same, the
-    repeated copies ignored.
+    (``[report_index, sentence_index, text, similarity]``), and ``graph``
+    and ``hypergraph`` as ``{"edges": [...]}`` and ``{"hyperedges": [...],
+    "provenance": [...]}``, sharing the record's ``claim`` and
+    ``sub_claims``; ``n`` is ``len(sub_claims)``. The graph-structure line
+    the prompts held is not kept (under ``no_edges`` a record cannot tell
+    it was left out). An older record file, whose hits are dicts, whose
+    ``graph`` repeats the claim and sub-claims and which holds ``n`` and
+    ``structure_text``, reads back the same, the copies ignored.
 
     The explanation graph is not stored: it is derived from ``graph``,
     ``explanations``, ``verdicts``, ``summary`` and ``prediction``
@@ -364,13 +367,13 @@ class RunRecord:
     scheme: str
     config_hash: str
     gold_label: Optional[str] = None
-    n: int = 0
     sub_claims: List[str] = field(default_factory=list)
     graph: Optional[ClaimCenteredGraph] = field(
         default=None, metadata={"shares": ("claim", "sub_claims")}
     )
-    hypergraph: Optional[dict] = None
-    structure_text: Optional[str] = None
+    hypergraph: Optional[HyperGraph] = field(
+        default=None, metadata={"shares": ("claim", "sub_claims")}
+    )
     evidence: List[EvidenceSet] = field(default_factory=list)
     explanations: List[CompetingExplanations] = field(default_factory=list)
     prediction: Optional[Prediction] = None
@@ -381,6 +384,10 @@ class RunRecord:
     stage_usage: Dict[Stage, StageUsage] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     failure: Optional[Failure] = None
+
+    @property
+    def n(self) -> int:
+        return len(self.sub_claims)
 
     @property
     def succeeded(self) -> bool:
@@ -537,17 +544,16 @@ def _build_structure(
     config: PipelineConfig,
     claim: str,
     sub_claims: Sequence[str],
-) -> Tuple[ClaimCenteredGraph, Optional[dict], Optional[str], List[str]]:
+) -> Tuple[ClaimCenteredGraph, Optional[HyperGraph], str, List[str]]:
     """Generate the configured edges or hyperedges and assemble the claim's graph.
 
-    Returns the graph, the record's ``hypergraph`` and ``structure_text``,
-    and the parser's warnings; the claim thread writes them to the record.
+    Returns the graph, the ``HyperGraph`` (None for a dependency graph), the
+    graph-structure line the prompts get and the parser's warnings.
     """
     if config.graph_structure == HYPERGRAPH:
         hyper, warnings = generate_hyperedges(gw, claim, sub_claims)
-        hypergraph = as_json({"hyperedges": hyper.hyperedges, "provenance": hyper.provenance})
         graph = assemble_claim_graph(claim, sub_claims, set())
-        return graph, hypergraph, hypergraph_to_seq(hyper), warnings
+        return graph, hyper, hypergraph_to_seq(hyper), warnings
     llm_edges, warnings = generate_edges(gw, claim, sub_claims)
     graph = assemble_claim_graph(claim, sub_claims, llm_edges)
     return graph, None, graph_to_seq(graph), warnings
@@ -597,6 +603,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     )
     stages = _ClaimStages(runtime.calls)
     structure: Optional[Future] = None
+    structure_text: Optional[str] = None
     with stages.settled(record):
         if config.ablated("no_subclaims"):
             nodes = [(0, claim)]
@@ -610,7 +617,6 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 Stage.CLAIM_DECOMPOSITION, decompose_claim, gw, claim, template
             )
             record.sub_claims = list(sub_claims)
-            record.n = len(sub_claims)
             nodes = list(enumerate(sub_claims, start=1))
             if config.ablated("no_edges"):
                 record.graph = assemble_claim_graph(claim, sub_claims, set())
@@ -655,8 +661,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
             # Joined whatever happens to retrieval: a sequential run would
             # have the structure on the record before retrieving.
             if structure is not None:
-                graph, record.hypergraph, record.structure_text, warnings = structure.result()
-                record.graph = graph
+                record.graph, record.hypergraph, structure_text, warnings = structure.result()
                 record.warnings.extend(warnings)
         record.evidence = evidence_sets
         entries = [future.result() for future in pending_entries]
@@ -670,7 +675,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
                 defense, prompt = None, build_claim_only_prompt(claim, entries[0], runtime.scheme)
             else:
                 defense = DefenseGraph(record.graph, tuple(entries))
-                prompt = build_inference_prompt(defense, runtime.scheme, record.structure_text)
+                prompt = build_inference_prompt(defense, runtime.scheme, structure_text)
             if config.inference_path == EXTERNAL_ADAPTER:
                 return defense, predict_with_adapter(prompt, runtime.scheme, runtime.adapter)
             return defense, predict_zero_shot(gw, prompt, runtime.scheme)
@@ -686,7 +691,7 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         else:
             outcome = stages.run(
                 Stage.FINAL_EXPLANATION_GENERATION,
-                summarize_explanations, gw, defense, label, record.structure_text,
+                summarize_explanations, gw, defense, label, structure_text,
             )
             record.warnings.extend(outcome.warnings)
             record.verdicts = list(outcome.verdicts)
@@ -990,7 +995,8 @@ def judge_run(
     """Judge every successful claim's final explanation and rebuild the report.
 
     A claim whose judge reply stays out of contract, or whose judge call
-    fails at the provider, is counted under ``judge_failures``.
+    raises anything else, at the provider or in its client, is counted under
+    ``judge_failures``; one claim's judge never aborts the pass.
     """
     run_dir = Path(run_dir)
     records = [r for r in load_run_records(run_dir) if r.gold_label is not None]
@@ -1005,7 +1011,7 @@ def judge_run(
                 try:
                     scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)
                     outcome = replace(outcome, judge=scores)
-                except (JudgeFailureError, ProviderError):
+                except Exception:
                     outcome = replace(outcome, judge_failed=True)
             outcomes.append(outcome)
     finally:

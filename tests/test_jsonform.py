@@ -5,6 +5,7 @@ back equal from the JSON text of its ``as_json`` form; a value its annotation do
 fault that names its path.
 """
 import json
+import typing
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Dict, List, Optional, Tuple
@@ -16,9 +17,15 @@ from hypothesis import strategies as st
 from claimgraph.evaluation import EvaluationReport, MacroMetrics
 from claimgraph.explain import CompetingExplanations
 from claimgraph.gateway import Stage
-from claimgraph.graphs import LLM_GENERATED, SAFEGUARD, ClaimCenteredGraph, DependencyEdge
+from claimgraph.graphs import (
+    LLM_GENERATED,
+    SAFEGUARD,
+    ClaimCenteredGraph,
+    DependencyEdge,
+    HyperGraph,
+)
 from claimgraph.ingest import DatasetStats, Extent
-from claimgraph.jsonform import as_json, from_json
+from claimgraph.jsonform import _plan, as_json, from_json
 from claimgraph.pipeline import (
     ABLATIONS,
     CostReport,
@@ -34,15 +41,20 @@ texts = st.text(max_size=12)
 indices = st.integers(min_value=0, max_value=9)
 numbers = st.one_of(st.integers(-5, 5), st.floats(allow_nan=False))
 maybe_texts = st.none() | texts
+provenances = st.sampled_from([LLM_GENERATED, SAFEGUARD])
 
 graphs = st.builds(
     ClaimCenteredGraph,
     texts,
     st.lists(texts, max_size=4).map(tuple),
-    st.lists(
-        st.builds(DependencyEdge, indices, indices, st.sampled_from([LLM_GENERATED, SAFEGUARD])),
-        max_size=4,
-    ).map(tuple),
+    st.lists(st.builds(DependencyEdge, indices, indices, provenances), max_size=4).map(tuple),
+)
+hypergraphs = st.builds(
+    HyperGraph,
+    texts,
+    st.lists(texts, max_size=4).map(tuple),
+    st.lists(st.lists(indices, max_size=4).map(tuple), max_size=3).map(tuple),
+    st.lists(provenances, max_size=3).map(tuple),
 )
 evidence_sets = st.builds(
     EvidenceSet,
@@ -101,6 +113,7 @@ stats = st.builds(DatasetStats, indices, counts, extents, extents)
 
 PARTS = [
     (ClaimCenteredGraph, graphs),
+    (HyperGraph, hypergraphs),
     (EvidenceSet, evidence_sets),
     (CompetingExplanations, explanations),
     (SubClaimVerdict, verdicts),
@@ -314,7 +327,52 @@ def test_a_part_writes_no_field_it_shares_and_reads_it_from_its_holder():
 
 def test_a_records_graph_is_written_as_its_edges():
     graph = ClaimCenteredGraph("x", ("a", "b"), (DependencyEdge(1, 0, SAFEGUARD),))
-    record = RunRecord("c", "x", "three_way", "h", n=2, sub_claims=["a", "b"], graph=graph)
+    record = RunRecord("c", "x", "three_way", "h", sub_claims=["a", "b"], graph=graph)
     payload = record.to_dict()
     assert payload["graph"] == {"edges": [{"source": 1, "target": 0, "provenance": SAFEGUARD}]}
+    assert "n" not in payload and record.n == 2
     assert RunRecord.from_dict(json.loads(json.dumps(payload))) == record
+
+
+def test_a_records_hypergraph_is_written_as_its_hyperedges_and_read_back_typed():
+    hyper = HyperGraph("x", ("a", "b"), ((1, 2, 0),), (SAFEGUARD,))
+    record = RunRecord("c", "x", "three_way", "h", sub_claims=["a", "b"], hypergraph=hyper)
+    payload = record.to_dict()
+    assert payload["hypergraph"] == {"hyperedges": [[1, 2, 0]], "provenance": [SAFEGUARD]}
+    reread = RunRecord.from_dict(json.loads(json.dumps(payload)))
+    assert reread == record and type(reread.hypergraph) is HyperGraph
+    payload["hypergraph"]["hyperedges"] = [[1, "2"]]
+    with pytest.raises(
+        TypeError,
+        match="^RunRecord field 'hypergraph' field 'hyperedges' item 0 item 1 must be int, not str$",
+    ):
+        RunRecord.from_dict(payload)
+
+
+UNTYPED = {(dict,), (list,), (object, bool)}
+
+
+def _untyped_leaves(plan, path):
+    """The paths under ``plan`` (a ``_plan``) that ``from_json`` reads without a type."""
+    admits, build, inner = plan
+    if build is None:
+        return [path] if admits in UNTYPED else []
+    if build is typing.Union:
+        return [leaf for arm in inner for leaf in _untyped_leaves(arm, path)]
+    if build is list or build is tuple:
+        return _untyped_leaves(inner, f"{path} item")
+    if build is dict:
+        return _untyped_leaves(inner[0], f"{path} key") + _untyped_leaves(inner[1], f"{path} item")
+    if inner is None:  # an Enum or a Decimal
+        return []
+    return [
+        leaf
+        for _name, key, field_plan, _required, _shares in inner
+        if field_plan is not None
+        for leaf in _untyped_leaves(field_plan, f"{path} field {key!r}")
+    ]
+
+
+def test_every_part_of_a_record_is_typed():
+    assert _untyped_leaves(_plan(RunRecord), "RunRecord") == []
+    assert _untyped_leaves(_plan(Tree), "Tree") == ["Tree field 'anything'"]

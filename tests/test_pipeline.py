@@ -38,6 +38,8 @@ from claimgraph.gateway import (
 )
 from claimgraph.gateway import provider as provider_module
 from claimgraph.gateway.scripted import ScriptedResponder
+from claimgraph.graphs import HyperGraph
+from claimgraph.inference import graph_to_seq, hypergraph_to_seq
 from claimgraph.ingest import load_manifest, load_records
 from claimgraph.pipeline import (
     Failure,
@@ -54,7 +56,7 @@ from claimgraph.pipeline import (
 )
 from claimgraph.summarize import export_dot, parse_structured
 
-from test_record_stability import CONFIGS as STABILITY_CONFIGS
+from test_record_stability import CONFIGS as STABILITY_CONFIGS, PromptSpy
 
 STANDARD_TRACE = [
     "claim_decomposition",
@@ -118,13 +120,31 @@ def run_one(config, claim_record):
     return run_claim(build_runtime(config), claim_record)
 
 
+STRUCTURE_LINE = "# Graph Structure: "
+
+
+def run_spied(config, claim_record):
+    """``run_one`` on a ``PromptSpy``: the record and the structure lines its prompts held."""
+    spy = PromptSpy()
+    record = run_claim(build_runtime(config, provider=spy), claim_record)
+    lines = [
+        line.removeprefix(STRUCTURE_LINE)
+        for prompt in spy.prompts
+        for line in prompt.splitlines()
+        if line.startswith(STRUCTURE_LINE)
+    ]
+    return record, lines
+
+
 def test_standard_stage_trace(scripted_config, two_records):
-    record = run_one(scripted_config, two_records[0])
+    record, structure_lines = run_spied(scripted_config, two_records[0])
     assert record.succeeded
     assert record.stage_trace == STANDARD_TRACE
-    assert record.n >= 2
-    assert record.graph is not None
-    assert record.structure_text.startswith("Directed Graph")
+    assert record.n == len(record.sub_claims) >= 2
+    assert record.graph is not None and record.hypergraph is None
+    # Inference and the final explanation both see the dependency graph.
+    assert len(structure_lines) == 2
+    assert all(line.startswith("Directed Graph") for line in structure_lines)
     assert json.loads(record.explanation_graph)["format"] == "explanation-graph/v1"
 
 
@@ -139,12 +159,12 @@ def test_no_subclaims_trace(two_records):
 
 def test_no_edges_trace(two_records):
     config = PipelineConfig(ablations=("no_edges",))
-    record = run_one(config, two_records[0])
+    record, structure_lines = run_spied(config, two_records[0])
     assert record.stage_trace == [s for s in STANDARD_TRACE if s != "edge_generation"]
     # Safeguard links only: every edge points at the claim node.
     assert all(e.target == 0 for e in record.graph.edges)
     assert all(e.provenance == "safeguard" for e in record.graph.edges)
-    assert record.structure_text is None
+    assert structure_lines == []
 
 
 def test_no_evidence_trace(two_records):
@@ -156,12 +176,14 @@ def test_no_evidence_trace(two_records):
 
 def test_hypergraph_trace(two_records):
     config = PipelineConfig(graph_structure="hypergraph")
-    record = run_one(config, two_records[0])
+    record, structure_lines = run_spied(config, two_records[0])
     expected = list(STANDARD_TRACE)
     expected[1] = "hyperedge_generation"
     assert record.stage_trace == expected
-    assert record.structure_text.startswith("Hypergraph")
-    assert record.hypergraph is not None
+    assert len(structure_lines) == 2
+    assert all(line.startswith("Hypergraph") for line in structure_lines)
+    assert isinstance(record.hypergraph, HyperGraph)
+    assert record.hypergraph.sub_claims == tuple(record.sub_claims)
 
 
 def test_background_trace(two_records):
@@ -962,6 +984,37 @@ def test_judge_provider_failure_counts_as_judge_failure(workspace, tmp_path):
     assert on_disk["judge_failures"] == len(succeeded)
 
 
+class FailingSecondJudge(ScriptedResponder):
+    """The scripted provider, whose client raises a plain ``RuntimeError`` on its second judge call."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=0)
+        self.judge_calls = 0
+
+    def generate(self, request):
+        if request.prompt_text.startswith("You are an impartial judge"):
+            self.judge_calls += 1
+            if self.judge_calls == 2:
+                raise RuntimeError("client bug")
+        return super().generate(request)
+
+
+def test_one_claims_judge_raising_anything_counts_as_its_judge_failure(workspace, tmp_path):
+    run_dir = tmp_path / "judged"
+    shutil.copytree(workspace.recorded_run_dir, run_dir)
+    provider = FailingSecondJudge()
+    report = judge_run(run_dir, workspace.config, provider=provider)
+
+    succeeded = [r for r in load_run_records(run_dir) if r.succeeded]
+    assert len(succeeded) >= 3
+    assert provider.judge_calls == len(succeeded)
+    assert report.judge_failure_count == 1
+    assert report.judged_count == len(succeeded) - 1
+    on_disk = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert on_disk == report.to_dict()
+    assert (on_disk["judged"], on_disk["judge_failures"]) == (len(succeeded) - 1, 1)
+
+
 def test_resume_spends_no_provider_calls(workspace):
     provider = FixtureProvider(workspace.fixture_dir)
     result = run_batch(
@@ -1245,11 +1298,18 @@ EVIDENCE_FIELDS = ("report_index", "sentence_index", "text", "similarity")
 
 def _pre_change_form(record) -> dict:
     """``record``'s JSON form as files held it when each evidence hit was a
-    dict of its fields and the graph repeated the claim and sub-claims."""
+    dict of its fields, the graph repeated the claim and sub-claims, the
+    hypergraph was an untyped dict and the record stored ``n`` and its
+    graph-structure line, ``structure_text`` (for a config without ``no_edges``)."""
     payload = record.to_dict()
     for evidence_set in payload["evidence"]:
         evidence_set["items"] = [dict(zip(EVIDENCE_FIELDS, hit)) for hit in evidence_set["items"]]
     payload["graph"] = dict(payload["graph"], claim=record.claim, sub_claims=record.sub_claims)
+    payload["n"] = len(record.sub_claims)
+    if record.hypergraph is not None:
+        payload["structure_text"] = hypergraph_to_seq(record.hypergraph)
+    else:
+        payload["structure_text"] = graph_to_seq(record.graph)
     return payload
 
 
@@ -1265,6 +1325,8 @@ def test_a_record_in_the_pre_change_form_reads_exports_and_resumes_the_same(
     assert new_form.exit_code == 0, new_form.output
     old = _pre_change_form(record)
     assert isinstance(old["evidence"][0]["items"][0], dict) and old["graph"]["sub_claims"]
+    assert old["n"] == len(record.sub_claims) >= 2
+    assert old["structure_text"].startswith("Directed Graph")
     path = run_dir / "runs" / pipeline._record_filename(record.claim_id)
     jsonform.write_json(path, old)
     written = path.read_bytes()
@@ -1280,6 +1342,17 @@ def test_a_record_in_the_pre_change_form_reads_exports_and_resumes_the_same(
     assert (result.processed, result.skipped) == (0, len(workspace.records))
     assert result.report.failure_count == 0
     assert path.read_bytes() == written
+
+
+def test_a_hypergraph_record_in_the_pre_change_form_reads_back_typed(two_records):
+    record = run_one(PipelineConfig(graph_structure="hypergraph"), two_records[0])
+    old = _pre_change_form(record)
+    assert set(old["hypergraph"]) == {"hyperedges", "provenance"}
+    assert old["structure_text"].startswith("Hypergraph")
+    reread = RunRecord.from_dict(json.loads(json.dumps(old)))
+    assert reread == record
+    assert isinstance(reread.hypergraph, HyperGraph)
+    assert reread.to_dict() == record.to_dict()
 
 
 def test_export_of_a_claim_without_a_record_names_it(workspace):
@@ -1394,7 +1467,7 @@ def test_estimated_latency_equals_measured_for_one_claim(shape, workspace, tmp_p
         claim="A claim.",
         scheme="three_way",
         config_hash="0" * 12,
-        n=n,
+        sub_claims=[f"Sub-claim {i}." for i in range(1, n + 1)],
         explanations=[{} for _ in range(nodes)],  # only their number counts here
         stage_trace=list(trace),
         durations={stage: STAGE_SECONDS[stage] for stage in trace},

@@ -59,17 +59,17 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "a60f7ac94730c3926ea46ade0dc234e29084116af099c31c76b9ee84e061ab39",
-    "hypergraph": "482d7ed9a92866d15e7d771eb430769e33a9865021bb844a1acbc71de641a990",
-    "background": "3879c435b5136c4786f32a8e7554b78af8539af2030ea5c6be07e1bd20c70716",
-    "enhanced": "1beb29955e4a8d5a5b2290c31592f38ec20e6c03ed6df192e611011407ca0157",
-    "external_adapter": "410cf3f2814ddf1529a597cce7e828898e9324fcacbfeedf013a0fea5074eb1f",
-    "no_subclaims": "620d4b974d452b8d0f117ae02b77544bb122a607fbaf6ee38a10f902e98da653",
-    "no_edges": "bdf94de435c22849fbea24ea8b0faef1465374f5e2a7a0fc59d299f448d0e16d",
-    "no_evidence": "67b9fcbc55038386b12a52b4afebf1b44a8a724ea4d486955f22b2bc5b38c08e",
-    "no_competing": "be117894d4e18462b782db9d864559cc64e68087626abd99d230f3d58d5a7e31",
-    "no_inference_training": "a74c83bbe37bd1cd2fe2042be32d223e1d06cd86945115a7a4f3b6a11be90b87",
-    "claim_only_bare": "7d49ea65bffaf7689fb24e764a7176266936a7d9436dd26fdcb15be84925c825",
+    "default": "8653f63f98ddfc3aa25eb321260e9ccdd8cca311e7a6e7b6c2404a711e698218",
+    "hypergraph": "e1fcac4fd804e38a970188c6471f4ee11420ee455aa17083b509033695b15f69",
+    "background": "ca152a6321c9a37caf8b2f0c9a49f7ea1e10881d5684158ee15b221a53df546f",
+    "enhanced": "4a1cb87736c22ceeb34486ae38e2fcba17a2445e19ef9ec236455ab09421d962",
+    "external_adapter": "76b0919cc026c79da7e629b6de78b7fdfb3aaa16053ce42fe301427e391c67ab",
+    "no_subclaims": "081af6a7391a3b2f5fca7e42f9fb0c83c00ebd9ac3008affa1358bbffec86057",
+    "no_edges": "7e6f46cc6498eb7fb652e4a049cd2a230234a699988ceeff81487489f218313d",
+    "no_evidence": "286ea3ac86ed9ddf443d2612607fc8d29ebbc6c392074e401f3c091fedf6ec1f",
+    "no_competing": "cb70d8563a96a376189d533b52c1df7fe106128cb82da9e93ccdea10f2c3fbb7",
+    "no_inference_training": "da078bf694d9c588bd3498573c35622e3d12cbb402ecdb20250fe2a053d69800",
+    "claim_only_bare": "8778603c96d673dd54452a950959ecd412061c65add5e2a9b053e2087d8b0beb",
 }
 
 
