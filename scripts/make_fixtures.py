@@ -8,6 +8,13 @@ The output root ends up with three siblings:
                       JSON line per unique provider exchange
   provider_fixtures/  a copy of recorded_run/cache, replayed by the
                       "fixture" provider type
+
+recorded_run/config.json names that fixture provider by absolute path, so
+from any directory the recorded run replays with no new provider calls:
+
+  claimgraph run --manifest OUT/data/manifest.json \
+      --config OUT/recorded_run/config.json --out REPLAY_DIR
+  claimgraph cost --run-dir REPLAY_DIR
 """
 import argparse
 import shutil
@@ -28,9 +35,10 @@ def main() -> None:
     parser.add_argument("--scheme", choices=["three_way", "six_way"], default="three_way")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
+    out = args.out.resolve()
 
     manifest_path = build_fixture_dataset(
-        args.out / "data",
+        out / "data",
         claim_count=args.claims,
         scheme=scheme_by_name(args.scheme),
         seed=args.seed,
@@ -39,12 +47,12 @@ def main() -> None:
     records, rejects = load_records(manifest)
     assert not rejects, rejects
 
-    fixture_dir = args.out / "provider_fixtures"
+    fixture_dir = out / "provider_fixtures"
     config = PipelineConfig(
         scheme_name=args.scheme, provider={"type": "fixture", "path": str(fixture_dir)}
     )
     result = run_batch(
-        records, config, args.out / "recorded_run", provider=ScriptedResponder(seed=0)
+        records, config, out / "recorded_run", provider=ScriptedResponder(seed=0)
     )
     shutil.copytree(result.run_dir / "cache", fixture_dir, dirs_exist_ok=True)
 
@@ -55,6 +63,10 @@ def main() -> None:
     print(f"tokens:    in {totals.input_tokens}  out {totals.output_tokens}")
     if result.report is not None:
         print(result.report.render_text())
+    print("replay:")
+    print(f"  claimgraph run --manifest {manifest_path} "
+          f"--config {result.run_dir / 'config.json'} --out {out / 'replay'}")
+    print(f"  claimgraph cost --run-dir {out / 'replay'}")
 
 
 if __name__ == "__main__":

@@ -11,25 +11,3 @@ from .provider import (
 )
 from .cache import FixtureProvider, ResponseCache, fixture_totals
 from .gateway import LlmGateway, ask
-
-__all__ = [
-    "TemplateId",
-    "PromptTemplate",
-    "get_template",
-    "render_prompt",
-    "render_body",
-    "Stage",
-    "TokenUsage",
-    "TokenLedger",
-    "Pricing",
-    "GenerationRequest",
-    "GenerationResponse",
-    "request_key",
-    "HttpProvider",
-    "FixtureProvider",
-    "count_tokens",
-    "fixture_totals",
-    "ResponseCache",
-    "LlmGateway",
-    "ask",
-]

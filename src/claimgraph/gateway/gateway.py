@@ -1,20 +1,23 @@
 """Gateway facade: the one path through which prompts reach a provider.
 
 Responsibilities: per-stage token accounting, optional response caching,
-retries under the policy in ``claimgraph.retry``, a cap on concurrent
-in-flight provider calls, and (``ask``) the one corrective re-ask loop.
+one provider call per in-flight request key, retries under the policy in
+``claimgraph.retry``, a cap on concurrent in-flight provider calls, and
+(``ask``) the one corrective re-ask loop.
 """
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from concurrent.futures import Future
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ClaimGraphError, ProviderUnavailableError
 from ..retry import with_retries
 from .cache import FixtureProvider, ResponseCache
 from .ledger import Stage, TokenLedger
-from .provider import GenerationRequest, GenerationResponse, Provider
+from .provider import GenerationRequest, GenerationResponse, Provider, request_key
 
 T = TypeVar("T")
 
@@ -41,6 +44,9 @@ class LlmGateway:
         self.max_output_tokens = max_output_tokens
         self._sleep = sleeper
         self._in_flight = threading.Semaphore(max_in_flight)
+        # Calls in flight by request key; a shallow copy shares the map and its lock.
+        self._pending: Dict[str, Future] = {}
+        self._pending_lock = threading.Lock()
 
     def build_request(self, prompt_text: str, stage: Stage) -> GenerationRequest:
         judge = stage == Stage.JUDGE
@@ -56,19 +62,49 @@ class LlmGateway:
 
         A cache hit returns the stored response without touching the provider
         or the ledger (zero new tokens). A reply replayed by a
-        ``FixtureProvider`` is already stored, so it is not cached again.
+        ``FixtureProvider`` is already stored, so it is neither cached again
+        nor coalesced: each send is booked. Otherwise, with a cache, a
+        request whose ``request_key`` is already in flight on this gateway or
+        a copy of it joins that call: it waits for its reply (or its error)
+        and, like a hit, books nothing, so one reply is paid for once
+        however its sends interleave.
         """
         request = self.build_request(prompt_text, stage)
-        if self.cache is not None:
+        if self.cache is None:
+            return self._spend(request, stage)
+        if isinstance(self.provider, FixtureProvider):
+            hit = self.cache.get(request)
+            return hit if hit is not None else self._spend(request, stage)
+        key = request_key(request)
+        with self._pending_lock:
+            # Checked under the lock: a reply is stored before its call leaves _pending.
             hit = self.cache.get(request)
             if hit is not None:
                 return hit
+            flight = self._pending.get(key)
+            leading = flight is None
+            if leading:
+                flight = self._pending[key] = Future()
+        if not leading:
+            return dataclasses.replace(flight.result(), cached=True)
+        try:
+            response = self._spend(request, stage)
+            self.cache.put(request, response)
+            flight.set_result(response)
+            return response
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        finally:
+            with self._pending_lock:
+                del self._pending[key]
+
+    def _spend(self, request: GenerationRequest, stage: Stage) -> GenerationResponse:
+        """One provider call, retried under the policy, booked in the ledger."""
         response = with_retries(
             lambda: self._generate(request), ProviderUnavailableError, self._sleep
         )
         self.ledger.record(stage, response.usage)
-        if self.cache is not None and not isinstance(self.provider, FixtureProvider):
-            self.cache.put(request, response)
         return response
 
     def _generate(self, request: GenerationRequest) -> GenerationResponse:

@@ -162,22 +162,11 @@ def build_claim_only_prompt(
 
 @dataclass(frozen=True)
 class PredictionResult:
+    """A label and its source; an adapter's label is the argmax of its checked probabilities."""
+
     label: VeracityLabel
     source: str
     probabilities: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.source not in (ZERO_SHOT, EXTERNAL_ADAPTER):
-            raise ValueError(f"unknown prediction source {self.source!r}")
-        if self.probabilities is not None:
-            probs = self.probabilities
-            if len(probs) != len(self.label.scheme):
-                raise ValueError("one probability per scheme label expected")
-            if abs(sum(probs) - 1.0) > 1e-6:
-                raise ValueError("probabilities must sum to 1 within 1e-6")
-            best = max(range(len(probs)), key=lambda i: (probs[i], -i))
-            if best != self.label.index:
-                raise ValueError("label must be the argmax (ties to the lower index)")
 
 
 def predict_zero_shot(

@@ -15,10 +15,13 @@ from .errors import SchemeMismatchError, UnparseableLabelError
 
 @dataclass(frozen=True)
 class VeracityScheme:
-    """An ordered label set. Order is least-true to most-true."""
+    """An ordered label set, least-true to most-true, with each label's score
+    and ``aliases``, the (spelling, identifier) pairs some sources use."""
 
     name: str
     labels: Tuple[str, ...]
+    scores: Tuple[float, ...]
+    aliases: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
@@ -37,17 +40,22 @@ class VeracityScheme:
         """Brace-delimited listing used verbatim in prompts, e.g. ``{false, half, true}``."""
         return "{" + ", ".join(self.labels) + "}"
 
+    def unalias(self, identifier: str) -> str:
+        """The identifier an alias stands for; any other text as it is."""
+        return dict(self.aliases).get(identifier, identifier)
 
-THREE_WAY = VeracityScheme("three_way", ("false", "half", "true"))
+
+# Some sources spell the middle three-way class "half-true".
+THREE_WAY = VeracityScheme(
+    "three_way", ("false", "half", "true"), (0.0, 2.5, 5.0), (("half-true", "half"),)
+)
 SIX_WAY = VeracityScheme(
     "six_way",
     ("pants-fire", "false", "barely-true", "half-true", "mostly-true", "true"),
+    (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
 )
 
 _SCHEMES = {s.name: s for s in (THREE_WAY, SIX_WAY)}
-
-# Loader-facing aliases: some sources spell the middle three-way class "half-true".
-_THREE_WAY_ALIASES = {"half-true": "half"}
 
 
 def scheme_by_name(name: str) -> VeracityScheme:
@@ -72,9 +80,7 @@ class VeracityLabel:
 
     @classmethod
     def from_identifier(cls, scheme: VeracityScheme, identifier: str) -> "VeracityLabel":
-        ident = identifier.strip().lower()
-        if scheme is THREE_WAY or scheme.name == THREE_WAY.name:
-            ident = _THREE_WAY_ALIASES.get(ident, ident)
+        ident = scheme.unalias(identifier.strip().lower())
         try:
             return cls(scheme, scheme.labels.index(ident))
         except ValueError:
@@ -103,15 +109,11 @@ def map_six_to_three(label: VeracityLabel) -> VeracityLabel:
 
 def label_to_score(label: VeracityLabel) -> float:
     """Numeric veracity score: 0/2.5/5 for three_way, ordinal 0..5 for six_way."""
-    if label.scheme.name == THREE_WAY.name:
-        return (0.0, 2.5, 5.0)[label.index]
-    if label.scheme.name == SIX_WAY.name:
-        return float(label.index)
-    raise SchemeMismatchError(f"no score mapping for scheme {label.scheme.name}")
+    return label.scheme.scores[label.index]
 
 
 def max_score(scheme: VeracityScheme) -> float:
-    return max(label_to_score(lab) for lab in scheme.all_labels())
+    return max(scheme.scores)
 
 
 def parse_label_string(text: str, scheme: VeracityScheme) -> VeracityLabel:
@@ -123,9 +125,7 @@ def parse_label_string(text: str, scheme: VeracityScheme) -> VeracityLabel:
     "mostly-true" beats the "true" inside it.
     """
     normalized = text.strip().lower()
-    exact = normalized.strip(" \t\r\n.,;:!?\"'()[]")
-    if scheme.name == THREE_WAY.name:
-        exact = _THREE_WAY_ALIASES.get(exact, exact)
+    exact = scheme.unalias(normalized.strip(" \t\r\n.,;:!?\"'()[]"))
     if exact in scheme.labels:
         return VeracityLabel(scheme, scheme.labels.index(exact))
     # Longest-first substring pass; token boundaries keep "true" from

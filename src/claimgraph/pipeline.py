@@ -130,7 +130,10 @@ class PipelineConfig:
     cache_enabled: bool = True
 
     def __post_init__(self) -> None:
-        scheme_by_name(self.scheme_name)
+        try:
+            scheme_by_name(self.scheme_name)
+        except ValueError as exc:
+            raise ConfigError(f"scheme_name: {exc}") from None
         unknown = [a for a in self.ablations if a not in ABLATIONS]
         if unknown:
             raise ConfigError(f"unknown ablations: {unknown}")
@@ -409,8 +412,9 @@ class RunRecord:
     def derived_explanation_graph(self) -> Optional[ExplanationGraph]:
         """The explanation graph of the record's parts, or None when it has none.
 
-        Parts that cannot form one (verdicts that do not cover the sub-claims,
-        a label outside the scheme) raise ConfigError naming the claim.
+        Parts that cannot form one (a graph that fails ``validate``, verdicts
+        that do not cover the sub-claims, a label outside the scheme) raise
+        ConfigError naming the claim.
         """
         if not (self.succeeded and self.graph is not None):
             return None
@@ -418,7 +422,7 @@ class RunRecord:
             if self.summary is None:
                 raise ValueError("it has no summary")
             label = VeracityLabel.from_identifier(scheme_by_name(self.scheme), self.prediction.label)
-            defense = DefenseGraph(self.graph, tuple(self.explanations))
+            defense = DefenseGraph(self.graph.validate(), tuple(self.explanations))
             return build_explanation_graph(defense, self.verdicts, self.summary, label)
         except (ClaimGraphError, ValueError) as exc:
             raise ConfigError(

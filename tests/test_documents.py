@@ -41,6 +41,7 @@ CONFIG_BODIES = {
     "provider_concurrency_zero": '{"provider_concurrency": 0}',
     "provider_str": '{"provider": "x"}',
     "ablations_int": '{"ablations": 5}',
+    "scheme_unknown": '{"scheme_name": "nine_way"}',
 }
 # Decoded, but no runtime can be built from them; only ``run`` builds one.
 RUNTIME_BODIES = {
@@ -139,6 +140,12 @@ def _verdicts_with(workspace, edit):
     return _record_with(workspace, verdicts=edit(_explained_payload(workspace)["verdicts"]))
 
 
+def _edge_added(workspace, source, target):
+    payload = _explained_payload(workspace)
+    payload["graph"]["edges"].append({"source": source, "target": target})
+    return json.dumps(payload)
+
+
 MANIFEST = '{"name": "t", "scheme": "three_way", "split": "test", "claims": 5}'
 USAGE = {"input_tokens": 1, "output_tokens": 1}
 # Record parts of the wrong shape: each is decoded into its typed part.
@@ -191,6 +198,8 @@ UNDERIVABLE_BODIES = {
         ws, explanations=_explained_payload(ws)["explanations"][:-1]
     ),
     "label_outside_scheme": lambda ws: _record_leaf(ws, ("prediction", "label"), "bogus"),
+    "edge_beyond_n": lambda ws: _edge_added(ws, 9, 0),
+    "self_loop": lambda ws: _edge_added(ws, 1, 1),
 }
 # (reader, bodies, what its one error line starts with, if fixed); a callable
 # body is built from the recorded run.
@@ -253,6 +262,14 @@ def test_a_malformed_document_is_one_error_line(workspace, tmp_path, reader, bod
 def test_a_config_value_of_the_wrong_json_type_names_its_field(field, value):
     with pytest.raises(ConfigError, match=f"PipelineConfig field '{field}' must be"):
         PipelineConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize(
+    "build", [PipelineConfig.from_dict, lambda fields: PipelineConfig(**fields)]
+)
+def test_an_unknown_scheme_names_its_field(build):
+    with pytest.raises(ConfigError, match="^scheme_name: unknown label scheme: 'nine_way'$"):
+        build({"scheme_name": "nine_way"})
 
 
 @pytest.mark.parametrize(

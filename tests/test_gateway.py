@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -219,6 +220,106 @@ def test_gateway_gives_up_after_three_attempts():
     with pytest.raises(ProviderUnavailableError):
         gateway.complete("x", Stage.INFERENCE)
     assert provider.calls == 3
+
+
+class HeldProvider(EchoProvider):
+    """An ``EchoProvider`` whose first call waits for ``release`` and then,
+    with ``error`` set, raises it."""
+
+    def __init__(self, error=None):
+        super().__init__()
+        self.release = threading.Event()
+        self.error = error
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        with self.lock:
+            first = self.calls == 0
+            self.calls += 1
+        if first:
+            assert self.release.wait(timeout=30)
+            if self.error is not None:
+                raise self.error
+        return GenerationResponse(f"echo: {request.prompt_text}", TokenUsage(2, 2))
+
+
+class CountedCache(ResponseCache):
+    """A store that counts its lookups; a send looks up before it calls or joins."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.gets = 0
+
+    def get(self, request):
+        self.gets += 1
+        return super().get(request)
+
+
+def send_copies(gateway, provider, arrived, copies=6):
+    """Send one prompt from ``copies`` threads, each through its own copy of
+    ``gateway`` with its own ledger; the first send is held until
+    ``arrived()`` says every copy has been sent."""
+    outcomes, ledgers = [None] * copies, [TokenLedger() for _ in range(copies)]
+
+    def send(i):
+        each = copy.copy(gateway)
+        each.ledger = ledgers[i]
+        try:
+            outcomes[i] = each.complete("same prompt", Stage.INFERENCE)
+        except Exception as exc:
+            outcomes[i] = exc
+
+    threads = [threading.Thread(target=send, args=(i,)) for i in range(copies)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 30
+    while not arrived() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    provider.release.set()
+    for thread in threads:
+        thread.join(timeout=30)
+    return outcomes, [ledger.totals() for ledger in ledgers]
+
+
+def test_copies_of_a_request_in_flight_join_its_one_provider_call(tmp_path):
+    provider, cache = HeldProvider(), CountedCache(tmp_path)
+    gateway = make_gateway(provider, cache=cache)
+    outcomes, usages = send_copies(gateway, provider, lambda: cache.gets == 6)
+    assert provider.calls == 1
+    assert [response.text for response in outcomes] == ["echo: same prompt"] * 6
+    # The first send is booked once; a joined copy books nothing, like a hit.
+    assert usages[0] == {"inference": {"input_tokens": 2, "output_tokens": 2, "calls": 1}}
+    assert usages[1:] == [{}] * 5
+    assert [response.cached for response in outcomes] == [False] + [True] * 5
+    assert gateway._pending == {}
+    assert gateway.complete("same prompt", Stage.INFERENCE).cached
+
+
+def test_copies_of_a_failing_request_share_its_error_and_the_next_send_calls_again(tmp_path):
+    provider, cache = HeldProvider(error=ProviderError("refused")), CountedCache(tmp_path)
+    gateway = make_gateway(provider, cache=cache)
+    outcomes, usages = send_copies(gateway, provider, lambda: cache.gets == 6)
+    assert provider.calls == 1
+    assert all(isinstance(outcome, ProviderError) for outcome in outcomes)
+    assert usages == [{}] * 6
+    assert gateway.complete("same prompt", Stage.INFERENCE).text == "echo: same prompt"
+    assert provider.calls == 2
+
+
+def test_without_a_cache_or_with_fixtures_every_send_is_booked(tmp_path):
+    provider = HeldProvider()
+    _, usages = send_copies(make_gateway(provider), provider, lambda: provider.calls == 6)
+    assert provider.calls == 6
+    assert [usage["inference"]["calls"] for usage in usages] == [1] * 6
+
+    _, request, fixture_dir = record_through_run_cache(tmp_path, "replayed")
+    replay = FixtureProvider(fixture_dir)
+    ledger = TokenLedger()
+    gateway = make_gateway(replay, ledger=ledger, cache=ResponseCache(tmp_path / "run2"))
+    for _ in range(2):
+        gateway.complete(request.prompt_text, Stage.INFERENCE)
+    assert replay.call_count == 2
+    assert ledger.totals()["inference"]["calls"] == 2
 
 
 def test_judge_stage_runs_at_temperature_zero():

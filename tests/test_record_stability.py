@@ -21,11 +21,16 @@ Each document digest is a sha256 over the bytes of a document a run writes:
 and the fixture dataset's ``manifest.json``, whose ``expected_stats`` are
 computed. ``cost.json``'s three timing values are nulled first, and its text
 must be the indented JSON form of what it holds, so the rest of its bytes are
-pinned. Digests move on purpose by the rule for record digests.
+pinned. The batch documents must keep their digests when the provider holds
+the first send of each prompt the claims send twice, so that the copy is sent
+while the first is in flight. Digests move on purpose by the rule for record
+digests.
 """
 import hashlib
 import json
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -213,13 +218,51 @@ def cost_without_timings(text: str) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
+def check_documents(name, run_dir) -> None:
+    report = (run_dir / "report.json").read_text(encoding="utf-8")
+    cost = (run_dir / "cost.json").read_text(encoding="utf-8")
+    assert sha256_text(report) == DOCUMENT_DIGESTS[f"{name}/report.json"]
+    assert sha256_text(cost_without_timings(cost)) == DOCUMENT_DIGESTS[f"{name}/cost.json"]
+
+
 @pytest.mark.parametrize("name", DOCUMENT_CONFIGS)
 def test_batch_documents_match_golden_digests(name, claims, tmp_path):
     run_batch(claims, PipelineConfig(**CONFIGS[name]), tmp_path, provider=ScriptedResponder(seed=0))
-    report = (tmp_path / "report.json").read_text(encoding="utf-8")
-    cost = (tmp_path / "cost.json").read_text(encoding="utf-8")
-    assert sha256_text(report) == DOCUMENT_DIGESTS[f"{name}/report.json"]
-    assert sha256_text(cost_without_timings(cost)) == DOCUMENT_DIGESTS[f"{name}/cost.json"]
+    check_documents(name, tmp_path)
+
+
+class SlowFirstSpy(ScriptedResponder):
+    """The default scripted provider, holding the first send of each ``held``
+    prompt for 0.3 s, so that a copy is sent while it is still in flight."""
+
+    def __init__(self, held) -> None:
+        super().__init__(seed=0)
+        self.held = set(held)
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        with self.lock:
+            first = request.prompt_text in self.held
+            self.held.discard(request.prompt_text)
+        if first:
+            time.sleep(0.3)
+        return super().generate(request)
+
+
+@pytest.mark.parametrize("name", DOCUMENT_CONFIGS)
+def test_batch_documents_do_not_depend_on_when_a_copy_is_sent(name, claims, tmp_path):
+    # The prompts a cacheless run sends more than once; a batch's cache
+    # answers each copy, or its call joins the first send's.
+    config = PipelineConfig(**CONFIGS[name])
+    spy = PromptSpy()
+    runtime = build_runtime(config, provider=spy)
+    for claim in claims:
+        run_claim(runtime, claim)
+    runtime.close()
+    copied = [prompt for prompt, sends in Counter(spy.prompts).items() if sends > 1]
+    assert copied
+    run_batch(claims, config, tmp_path, provider=SlowFirstSpy(copied))
+    check_documents(name, tmp_path)
 
 
 def test_fixture_manifest_matches_golden_digest(manifest_path):

@@ -1,63 +1,82 @@
-"""Smoke tests of the offline scripts and of the test and benchmark tooling."""
+"""Smoke tests of the offline scripts and of the test and benchmark tooling.
+
+``make_fixtures.py`` records a fixture set, and the ``claimgraph`` CLI
+replays it in a subprocess, as a user would; the benchmark's tracer and
+reader are checked against a real batch.
+"""
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from claimgraph.fixtures import build_fixture_dataset
+from claimgraph.gateway import Stage
 from claimgraph.ingest import load_manifest, load_records
 from claimgraph.pipeline import PipelineConfig, load_run_records, run_batch
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args, cwd=None):
+    """``python *args`` in a subprocess, with the repository's src importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name), *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         timeout=120,
     )
 
 
 def test_make_fixtures_then_replay_them(tmp_path):
-    made = run_script("make_fixtures.py", "--out", tmp_path, "--claims", 2)
+    # A relative --out, replayed from another directory: the recorded config
+    # names its fixture set by absolute path.
+    (tmp_path / "elsewhere").mkdir()
+    script = REPO / "scripts" / "make_fixtures.py"
+    made = run_python(script, "--out", "made", "--claims", 2, cwd=tmp_path)
     assert made.returncode == 0, made.stderr
-    fixture_dir = tmp_path / "provider_fixtures"
-    recorded = (tmp_path / "recorded_run" / "cache" / "responses.jsonl").read_bytes()
+    out = tmp_path / "made"
+    fixture_dir = out / "provider_fixtures"
+    recorded = (out / "recorded_run" / "cache" / "responses.jsonl").read_bytes()
     assert recorded
     assert [p.name for p in fixture_dir.iterdir()] == ["responses.jsonl"]
     assert (fixture_dir / "responses.jsonl").read_bytes() == recorded
     assert f"({len(recorded.splitlines())} exchanges recorded)" in made.stdout
+    assert f"--config {out / 'recorded_run' / 'config.json'}" in made.stdout
 
-    replayed = run_script(
-        "run_fixture_batch.py",
-        "--manifest", tmp_path / "data" / "manifest.json",
-        "--out", tmp_path / "replay",
-        "--fixtures", fixture_dir,
+    replay = tmp_path / "replay"
+    replayed = run_python(
+        "-m", "claimgraph.cli", "run",
+        "--manifest", out / "data" / "manifest.json",
+        "--config", out / "recorded_run" / "config.json",
+        "--out", replay,
+        cwd=tmp_path / "elsewhere",
     )
     assert replayed.returncode == 0, replayed.stderr
     assert "processed 2, skipped 0" in replayed.stdout
     # A fixture miss would still write a record, as a failure.
-    records = load_run_records(tmp_path / "replay")
+    records = load_run_records(replay)
     assert len(records) == 2 and all(r.succeeded for r in records)
+    # Replayed replies are stored already; the run books them and stores none.
+    assert not (replay / "cache" / "responses.jsonl").exists()
 
-
-def test_run_fixture_batch_rejects_a_negative_limit(tmp_path):
-    result = run_script(
-        "run_fixture_batch.py",
-        "--manifest", tmp_path / "manifest.json",
-        "--out", tmp_path / "run",
-        "--limit", -1,
+    cost = run_python(
+        "-m", "claimgraph.cli", "cost", "--run-dir", replay, cwd=tmp_path / "elsewhere"
     )
-    assert result.returncode == 2
-    assert "argument --limit: must be at least 0, not -1" in result.stderr
-    assert not (tmp_path / "run").exists()
+    assert cost.returncode == 0, cost.stderr
+    # Every stage a default run calls the provider in, booked as when it was recorded.
+    stages = {Stage.CLAIM_DECOMPOSITION, Stage.EDGE_GENERATION, Stage.EXPLANATION_GENERATION,
+              Stage.INFERENCE, Stage.FINAL_EXPLANATION_GENERATION}
+    assert {line.split()[0] for line in cost.stdout.splitlines()} >= stages
+    recorded_usage = json.loads((out / "recorded_run" / "cost.json").read_text())["stage_tokens"]
+    assert set(recorded_usage) == stages
+    assert json.loads((replay / "cost.json").read_text())["stage_tokens"] == recorded_usage
 
 
 def test_traced_benchmark_wraps_only_names_that_exist(monkeypatch):
