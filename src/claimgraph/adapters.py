@@ -16,7 +16,7 @@ import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence
 
 from .errors import AdapterContractError
-from .retry import new_session, post_json, with_retries
+from .retry import full_jitter, new_session, post_json, with_retries
 
 if TYPE_CHECKING:
     import requests
@@ -87,11 +87,13 @@ class HttpAdapterClient:
         timeout: float = 60.0,
         session: Optional[requests.Session] = None,
         sleeper: Callable[[float], None] = time.sleep,
+        jitter: Callable[[float], float] = full_jitter,
     ) -> None:
         self.url = url
         self.timeout = timeout
         self.session = session or new_session()
         self._sleep = sleeper
+        self._jitter = jitter
 
     def predict(self, prompt_text: str, labels: List[str]) -> Sequence[float]:
         body = {"prompt_text": prompt_text, "labels": labels}
@@ -99,6 +101,7 @@ class HttpAdapterClient:
             lambda: post_json(self.session, self.url, body, self.timeout, AdapterContractError),
             AdapterContractError,
             self._sleep,
+            self._jitter,
         )
         return _reply_probabilities(payload)
 

@@ -80,6 +80,17 @@ def _apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
 @click.option("--background/--no-background", "with_background", default=None)
 @click.option("--inference", "inference_path", type=click.Choice(["zero_shot", "external_adapter"]), default=None)
 @click.option("--model-id", default=None)
+@click.option(
+    "--claim-concurrency", type=click.IntRange(min=1), default=None,
+    help=f"Claims run at once (default: the --config's, else {PipelineConfig.claim_concurrency}). "
+    "Not in the config hash: a resume may change it.",
+)
+@click.option(
+    "--provider-concurrency", type=click.IntRange(min=1), default=None,
+    help="Provider calls in flight at once across the run (default: the --config's, else "
+    f"{PipelineConfig.provider_concurrency}); lower it to fit the provider's own limit. "
+    "Not in the config hash: a resume may change it.",
+)
 @click.option("--limit", type=click.IntRange(min=0), default=None)
 @click.option("--force", is_flag=True, default=False)
 def run(
@@ -93,6 +104,8 @@ def run(
     with_background: bool,
     inference_path: str,
     model_id: str,
+    claim_concurrency: int,
+    provider_concurrency: int,
     limit: int,
     force: bool,
 ) -> None:
@@ -117,6 +130,8 @@ def run(
             "with_background": with_background,
             "inference_path": inference_path,
             "model_id": model_id,
+            "claim_concurrency": claim_concurrency,
+            "provider_concurrency": provider_concurrency,
         },
     )
     records, rejects = load_records(manifest)

@@ -1,4 +1,5 @@
 """Exception hierarchy shared across the pipeline."""
+from typing import Optional
 
 
 class ClaimGraphError(Exception):
@@ -26,7 +27,16 @@ class ProviderError(ClaimGraphError):
 
 
 class RetryableProviderError(ProviderError):
-    """Transport error, HTTP 429 or 5xx: the one failure ``retry.with_retries`` retries."""
+    """Transport error, HTTP 429 or 5xx: the one failure ``retry.with_retries`` retries.
+
+    ``retry_after``, when set, is how many seconds the service asked callers
+    to wait (its ``Retry-After`` header): a floor on the sleep before the
+    next attempt.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ProviderUnavailableError(ProviderError):

@@ -11,10 +11,11 @@ import dataclasses
 import threading
 import time
 from concurrent.futures import Future
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ClaimGraphError, ProviderUnavailableError
-from ..retry import with_retries
+from ..retry import full_jitter, with_retries
 from .cache import FixtureProvider, ResponseCache
 from .ledger import Stage, TokenLedger
 from .provider import GenerationRequest, GenerationResponse, Provider, request_key
@@ -32,8 +33,9 @@ class LlmGateway:
         generation_temperature: float = 0.8,
         judge_temperature: float = 0.0,
         max_output_tokens: Optional[int] = 1024,
-        max_in_flight: int = 8,
+        max_in_flight: Optional[int] = None,
         sleeper: Callable[[float], None] = time.sleep,
+        jitter: Callable[[float], float] = full_jitter,
     ) -> None:
         self.provider = provider
         self.ledger = ledger if ledger is not None else TokenLedger()
@@ -43,7 +45,11 @@ class LlmGateway:
         self.judge_temperature = judge_temperature
         self.max_output_tokens = max_output_tokens
         self._sleep = sleeper
-        self._in_flight = threading.Semaphore(max_in_flight)
+        self._jitter = jitter
+        # No cap of its own without max_in_flight: a run's is its provider_concurrency.
+        self._in_flight = (
+            nullcontext() if max_in_flight is None else threading.Semaphore(max_in_flight)
+        )
         # Calls in flight by request key; a shallow copy shares the map and its lock.
         self._pending: Dict[str, Future] = {}
         self._pending_lock = threading.Lock()
@@ -102,7 +108,7 @@ class LlmGateway:
     def _spend(self, request: GenerationRequest, stage: Stage) -> GenerationResponse:
         """One provider call, retried under the policy, booked in the ledger."""
         response = with_retries(
-            lambda: self._generate(request), ProviderUnavailableError, self._sleep
+            lambda: self._generate(request), ProviderUnavailableError, self._sleep, self._jitter
         )
         self.ledger.record(stage, response.usage)
         return response

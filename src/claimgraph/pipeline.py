@@ -104,8 +104,25 @@ STANDARD = "standard"
 ENHANCED = "enhanced"
 
 
+# Field metadata of a run option: a setting that cannot change a record, left out of config_hash.
+RUN_OPTION = {"run_option": True}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    """What a run directory is made with; ``config.json`` stores every field.
+
+    ``claim_concurrency``, ``provider_concurrency`` and the two ``pricing_*``
+    fields are run options (``RUN_OPTION``): how many claims and provider
+    calls run at once, and what ``cost.json`` charges per token, which is
+    recomputed from the records on every batch. None can change a record,
+    so ``config_hash`` leaves them out and a resume may change them.
+    ``provider_concurrency`` caps the gateway's in-flight calls and sizes
+    the run's call pool. ``cache_enabled`` is no run option: with a sampled
+    provider, a cache hit or a joined call reuses one reply where an
+    uncached run samples again, so it can change a record.
+    """
+
     scheme_name: str = "three_way"
     k: int = 5
     background_pool_size: int = 20
@@ -123,10 +140,10 @@ class PipelineConfig:
         default_factory=lambda: {"type": "hashing", "dimension": 64}
     )
     adapter: Optional[Dict[str, object]] = None
-    pricing_input_per_million: str = "0.50"
-    pricing_output_per_million: str = "1.50"
-    claim_concurrency: int = 4
-    provider_concurrency: int = 8
+    pricing_input_per_million: str = field(default="0.50", metadata=RUN_OPTION)
+    pricing_output_per_million: str = field(default="1.50", metadata=RUN_OPTION)
+    claim_concurrency: int = field(default=4, metadata=RUN_OPTION)
+    provider_concurrency: int = field(default=16, metadata=RUN_OPTION)
     cache_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -187,7 +204,12 @@ class PipelineConfig:
         return read_json(path, ConfigError, "config", cls.from_dict)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
+        """sha256 of every field but the run options, which cannot change a record."""
+        form = self.to_dict()
+        for option in dataclasses.fields(self):
+            if option.metadata.get("run_option"):
+                del form[option.name]
+        canonical = json.dumps(form, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -998,26 +1020,39 @@ def judge_run(
 ) -> EvaluationReport:
     """Judge every successful claim's final explanation and rebuild the report.
 
-    A claim whose judge reply stays out of contract, or whose judge call
-    raises anything else, at the provider or in its client, is counted under
-    ``judge_failures``; one claim's judge never aborts the pass.
+    The claims' judge calls do not depend on each other, so each runs on the
+    run's call pool (``runtime.calls``), bounded by the gateway's in-flight
+    cap; the results are joined in record order, so ``report.json`` does not
+    depend on the order they finish in. A claim whose judge reply stays out
+    of contract, or whose judge call raises anything else, at the provider
+    or in its client, is counted under ``judge_failures``; one claim's judge
+    never aborts the pass.
     """
     run_dir = Path(run_dir)
     records = [r for r in load_run_records(run_dir) if r.gold_label is not None]
     runtime = build_runtime(config, run_dir, provider=provider)
-    gateway = runtime.gateway
-    outcomes = []
+    judging: List[Tuple[ClaimOutcome, Optional[Future]]] = []
     try:
         for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
             graph = record.derived_explanation_graph()
             explanation = (record.summary or "") if graph is None else judge_payload(graph)
+            scores = None
             if record.succeeded and explanation:
-                try:
-                    scores = judge_explanation(gateway, record.claim, outcome.gold, explanation)
-                    outcome = replace(outcome, judge=scores)
-                except Exception:
-                    outcome = replace(outcome, judge_failed=True)
-            outcomes.append(outcome)
+                scores = runtime.calls.submit(
+                    judge_explanation, runtime.gateway, record.claim, outcome.gold, explanation
+                )
+            judging.append((outcome, scores))
+        outcomes = [_judged(outcome, scores) for outcome, scores in judging]
     finally:
         runtime.close()
     return _write_report(run_dir, outcomes, config.scheme)
+
+
+def _judged(outcome: ClaimOutcome, scores: Optional[Future]) -> ClaimOutcome:
+    """``outcome`` with its judge's scores, or counted as a judge failure if the judge raised."""
+    if scores is None:
+        return outcome
+    try:
+        return replace(outcome, judge=scores.result())
+    except Exception:
+        return replace(outcome, judge_failed=True)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmbeddingError
 from .records import ClaimRecord
-from .retry import new_session, post_json, with_retries
+from .retry import full_jitter, new_session, post_json, with_retries
 
 if TYPE_CHECKING:
     import requests
@@ -179,6 +179,7 @@ class RemoteEncoderClient:
         timeout: float = 30.0,
         session: Optional[requests.Session] = None,
         sleeper: Callable[[float], None] = time.sleep,
+        jitter: Callable[[float], float] = full_jitter,
     ) -> None:
         if dimension < 1:
             raise ValueError("dimension must be positive")
@@ -187,6 +188,7 @@ class RemoteEncoderClient:
         self.timeout = timeout
         self.session = session or new_session()
         self._sleep = sleeper
+        self._jitter = jitter
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
@@ -196,6 +198,7 @@ class RemoteEncoderClient:
             lambda: post_json(self.session, self.endpoint, body, self.timeout, EmbeddingError),
             EmbeddingError,
             self._sleep,
+            self._jitter,
         )
         try:
             vectors = np.asarray(payload["embeddings"], dtype=np.float64)

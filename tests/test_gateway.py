@@ -45,6 +45,7 @@ from claimgraph.gateway import (
 from claimgraph.gateway import provider as provider_module
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.retrieval import RemoteEncoderClient
+from claimgraph.retry import full_jitter
 
 
 class EchoProvider:
@@ -65,6 +66,11 @@ class EchoProvider:
 def make_gateway(provider, **kwargs):
     kwargs.setdefault("sleeper", lambda _s: None)
     return LlmGateway(provider, **kwargs)
+
+
+def upper_end(ceiling):
+    """The backoff draw pinned to the top of its range."""
+    return ceiling
 
 
 def test_count_tokens_is_whitespace_split():
@@ -207,7 +213,7 @@ def test_gateway_records_usage_and_caches(tmp_path):
 def test_gateway_retries_then_succeeds():
     provider = EchoProvider(fail_first=2)
     sleeps = []
-    gateway = LlmGateway(provider, sleeper=sleeps.append)
+    gateway = LlmGateway(provider, sleeper=sleeps.append, jitter=upper_end)
     response = gateway.complete("x", Stage.INFERENCE)
     assert response.text == "echo: x"
     assert provider.calls == 3
@@ -616,10 +622,11 @@ def test_a_corrupt_cache_entry_is_evicted_and_counts_as_a_miss(tmp_path, line):
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
+    def __init__(self, status_code=200, payload=None, headers=None):
         self.status_code = status_code
         self.payload = payload
         self.text = str(payload)
+        self.headers = headers or {}
 
     def json(self):
         if isinstance(self.payload, Exception):
@@ -725,20 +732,23 @@ def test_http_sends_max_tokens_and_authorization_only_when_set():
 # --- One retry policy: the gateway, the encoder and the HTTP adapter ---------
 
 
-def via_gateway(session, sleeper):
+def via_gateway(session, sleeper, jitter=upper_end):
     provider = HttpProvider("http://llm.invalid/v1", session=session)
-    return LlmGateway(provider, sleeper=sleeper).complete("one two", Stage.INFERENCE).text
+    gateway = LlmGateway(provider, sleeper=sleeper, jitter=jitter)
+    return gateway.complete("one two", Stage.INFERENCE).text
 
 
-def via_encoder(session, sleeper):
+def via_encoder(session, sleeper, jitter=upper_end):
     encoder = RemoteEncoderClient(
-        "http://encoder.invalid/embed", 2, session=session, sleeper=sleeper
+        "http://encoder.invalid/embed", 2, session=session, sleeper=sleeper, jitter=jitter
     )
     return encoder.embed_batch(["a", "b"]).tolist()
 
 
-def via_adapter(session, sleeper):
-    adapter = HttpAdapterClient("http://adapter.invalid/predict", session=session, sleeper=sleeper)
+def via_adapter(session, sleeper, jitter=upper_end):
+    adapter = HttpAdapterClient(
+        "http://adapter.invalid/predict", session=session, sleeper=sleeper, jitter=jitter
+    )
     return adapter.predict("p", ["false", "half", "true"])
 
 
@@ -823,3 +833,84 @@ def test_final_failures_get_one_post_and_no_sleep(client, failure):
         spec.call(session, sleeps.append)
     assert len(session.posts) == 1
     assert sleeps == []
+
+
+# --- Backoff: a full-jitter draw, floored by a Retry-After -------------------
+
+
+def lower_end(ceiling):
+    """The backoff draw pinned to the bottom of its range."""
+    return 0.0
+
+
+def test_each_backoff_is_drawn_below_a_doubling_ceiling():
+    ceilings, sleeps = [], []
+
+    def draw(ceiling):
+        ceilings.append(ceiling)
+        return ceiling / 4
+
+    gateway = LlmGateway(EchoProvider(fail_first=2), sleeper=sleeps.append, jitter=draw)
+    assert gateway.complete("x", Stage.INFERENCE).text == "echo: x"
+    assert ceilings == [0.5, 1.0]
+    assert sleeps == [0.125, 0.25]
+
+
+@given(st.floats(min_value=0.0, max_value=60.0))
+def test_full_jitter_draws_within_its_ceiling(ceiling):
+    assert 0.0 <= full_jitter(ceiling) <= ceiling
+
+
+# Retry-After headers and the floor each sets: only delta-seconds set one.
+RETRY_AFTER = {
+    "present": ({"Retry-After": "2"}, 2.0),
+    "padded": ({"Retry-After": " 3 "}, 3.0),
+    "zero": ({"Retry-After": "0"}, 0.0),
+    "absent": ({}, None),
+    "http_date": ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+    "fraction": ({"Retry-After": "1.5"}, None),
+    "negative": ({"Retry-After": "-1"}, None),
+    "malformed": ({"Retry-After": "soon"}, None),
+    "non_ascii_digit": ({"Retry-After": "\u0663"}, None),
+}
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("case", RETRY_AFTER)
+def test_a_429_or_503_carries_its_retry_after_in_delta_seconds(status, case):
+    headers, retry_after = RETRY_AFTER[case]
+    with pytest.raises(RetryableProviderError) as raised:
+        http_generate(FakeResponse(status, {}, headers))
+    assert raised.value.retry_after == retry_after
+
+
+@pytest.mark.parametrize("status", [500, 502])
+def test_other_5xx_replies_carry_no_retry_after(status):
+    with pytest.raises(RetryableProviderError) as raised:
+        http_generate(FakeResponse(status, {}, {"Retry-After": "2"}))
+    assert raised.value.retry_after is None
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+@pytest.mark.parametrize(
+    "case, jitter, sleep",
+    [
+        ("present", lower_end, 2.0),
+        ("present", upper_end, 2.0),
+        ("zero", lower_end, 0.0),
+        ("zero", upper_end, 0.5),
+        ("absent", lower_end, 0.0),
+        ("absent", upper_end, 0.5),
+        ("malformed", lower_end, 0.0),
+        ("malformed", upper_end, 0.5),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_a_retry_after_is_a_floor_on_the_drawn_sleep(client, case, jitter, sleep):
+    spec = CLIENTS[client]
+    headers, _retry_after = RETRY_AFTER[case]
+    session = FakeSession(FakeResponse(429, {}, headers), FakeResponse(200, spec.good_reply))
+    sleeps = []
+    assert spec.call(session, sleeps.append, jitter) == spec.returns
+    assert len(session.posts) == 2
+    assert sleeps == [sleep]

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import gc
 import json
@@ -68,11 +69,27 @@ STANDARD_TRACE = [
 ]
 
 
+RUN_OPTIONS = {
+    "claim_concurrency": 1,
+    "provider_concurrency": 3,
+    "pricing_input_per_million": "2.00",
+    "pricing_output_per_million": "6.00",
+}
+
+
 def test_config_hash_tracks_content():
     a, b = PipelineConfig(), PipelineConfig()
     assert a.config_hash() == b.config_hash()
     assert PipelineConfig(k=3).config_hash() != a.config_hash()
     assert len(a.config_hash()) == 12
+    # Run options cannot change a record, so the hash leaves them out.
+    fields = dataclasses.fields(PipelineConfig)
+    assert {f.name for f in fields if f.metadata.get("run_option")} == set(RUN_OPTIONS)
+    for name, value in RUN_OPTIONS.items():
+        assert PipelineConfig(**{name: value}).config_hash() == a.config_hash()
+    assert PipelineConfig(**RUN_OPTIONS).config_hash() == a.config_hash()
+    # A cache hit or a joined call reuses a sampled reply, so cache_enabled can.
+    assert PipelineConfig(cache_enabled=False).config_hash() != a.config_hash()
 
 
 def test_ablations_are_sorted_and_deduped():
@@ -985,16 +1002,20 @@ def test_judge_provider_failure_counts_as_judge_failure(workspace, tmp_path):
 
 
 class FailingSecondJudge(ScriptedResponder):
-    """The scripted provider, whose client raises a plain ``RuntimeError`` on its second judge call."""
+    """The scripted provider, whose client raises a plain ``RuntimeError`` on its
+    second judge call; judge calls run at once, so they are counted under a lock."""
 
     def __init__(self) -> None:
         super().__init__(seed=0)
         self.judge_calls = 0
+        self.lock = threading.Lock()
 
     def generate(self, request):
         if request.prompt_text.startswith("You are an impartial judge"):
-            self.judge_calls += 1
-            if self.judge_calls == 2:
+            with self.lock:
+                self.judge_calls += 1
+                second = self.judge_calls == 2
+            if second:
                 raise RuntimeError("client bug")
         return super().generate(request)
 
@@ -1077,6 +1098,94 @@ def test_config_mismatch_guard(workspace, two_records, tmp_path):
         run_batch(two_records, PipelineConfig(k=2), run_dir)
     result = run_batch(two_records, PipelineConfig(k=2), run_dir, force=True)
     assert result.skipped == 2  # existing records are still honored
+
+
+def _tree_bytes(directory: Path) -> dict:
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("option", RUN_OPTIONS)
+def test_a_resume_may_change_a_run_option(two_records, tmp_path, option):
+    run_dir = tmp_path / "run"
+    run_batch(two_records[:1], PipelineConfig(), run_dir)
+    done = _file_bytes(run_dir / "runs")
+    provider = CountingRefuser(lambda prompt: False, None)
+    config = PipelineConfig(**{option: RUN_OPTIONS[option]})
+    result = run_batch(two_records, config, run_dir, provider=provider)
+    assert (result.processed, result.skipped) == (1, 1)
+    assert provider.answered == booked_calls(pipeline.load_run_record(run_dir, two_records[1].claim_id))
+    assert {name: _file_bytes(run_dir / "runs")[name] for name in done} == done
+    # config.json stores the options the run was resumed with; cost.json is priced by them.
+    assert load_run_config(run_dir) == config
+    cost = json.loads((run_dir / "cost.json").read_text(encoding="utf-8"))
+    assert cost == cost_report(run_dir, config).to_dict()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"k": 2}, {"scheme_name": "six_way"}, {"ablations": ("no_edges",)}, {"cache_enabled": False}],
+    ids=["k", "scheme_name", "ablation", "cache_enabled"],
+)
+def test_a_resume_may_not_change_what_a_record_holds(two_records, tmp_path, change):
+    run_dir = tmp_path / "run"
+    run_batch(two_records[:1], PipelineConfig(), run_dir)
+    before = _tree_bytes(run_dir)
+    with pytest.raises(ConfigError, match="run directory was created with a different config"):
+        run_batch(two_records, PipelineConfig(**change), run_dir)
+    assert _tree_bytes(run_dir) == before
+
+
+# config.json of a default run, as written when the hash still covered the run
+# options and provider_concurrency defaulted to 8.
+OLD_DEFAULT_CONFIG_JSON = """{
+  "scheme_name": "three_way",
+  "k": 5,
+  "background_pool_size": 20,
+  "decomposition": "standard",
+  "graph_structure": "dependency",
+  "with_background": false,
+  "ablations": [],
+  "inference_path": "zero_shot",
+  "generation_temperature": 0.8,
+  "judge_temperature": 0.0,
+  "model_id": "offline-scripted",
+  "max_output_tokens": 1024,
+  "provider": {
+    "type": "scripted"
+  },
+  "embedder": {
+    "type": "hashing",
+    "dimension": 64
+  },
+  "adapter": null,
+  "pricing_input_per_million": "0.50",
+  "pricing_output_per_million": "1.50",
+  "claim_concurrency": 4,
+  "provider_concurrency": 8,
+  "cache_enabled": true,
+  "config_hash": "e8355168e6a6"
+}"""
+
+
+def test_a_run_directory_stamped_under_the_old_hash_resumes_under_the_defaults(
+    workspace, two_records, tmp_path
+):
+    run_dir = tmp_path / "run"
+    run_batch(two_records[:1], PipelineConfig(), run_dir)
+    (run_dir / "config.json").write_text(OLD_DEFAULT_CONFIG_JSON, encoding="utf-8")
+    (record_path,) = (run_dir / "runs").iterdir()
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    record_path.write_text(json.dumps(dict(record, config_hash="e8355168e6a6")), encoding="utf-8")
+    assert load_run_config(run_dir) == PipelineConfig(provider_concurrency=8)
+    assert PipelineConfig().provider_concurrency == 16
+
+    run = ["run", "--manifest", str(workspace.manifest_path), "--out", str(run_dir), "--limit", "2"]
+    result = CliRunner().invoke(cli_main, run)
+    assert result.exit_code == 0, result.output
+    assert "processed 1, skipped 1 (already done)" in result.output
+    stamped = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+    assert stamped == dict(PipelineConfig().to_dict(), config_hash=PipelineConfig().config_hash())
+    assert {r.claim_id for r in load_run_records(run_dir)} == {r.claim_id for r in two_records}
 
 
 def test_unreadable_run_config_is_a_config_error(workspace, two_records, tmp_path):
@@ -1548,6 +1657,35 @@ def test_cli_run_accepts_a_runs_own_config(workspace, tmp_path):
     assert result.exit_code == 0, result.output
     assert "processed 1, skipped 0" in result.output
     assert (again / "config.json").read_bytes() == config_path.read_bytes()
+
+
+def test_cli_run_sets_both_concurrency_flags(workspace, tmp_path, monkeypatch):
+    seen = []
+    build = pipeline.build_runtime
+
+    def building(config, *args, **kwargs):
+        runtime = build(config, *args, **kwargs)
+        seen.append((runtime.calls._max_workers, runtime.gateway._in_flight._value))
+        return runtime
+
+    monkeypatch.setattr(pipeline, "build_runtime", building)
+    run_dir = tmp_path / "run"
+    run = ["run", "--manifest", str(workspace.manifest_path), "--out", str(run_dir)]
+    result = CliRunner().invoke(cli_main, [*run, "--limit", "1"])
+    assert result.exit_code == 0, result.output
+    flags = ["--claim-concurrency", "1", "--provider-concurrency", "3"]
+    result = CliRunner().invoke(cli_main, [*run, "--limit", "2", *flags])
+    assert result.exit_code == 0, result.output
+    assert "processed 1, skipped 1" in result.output
+    config = load_run_config(run_dir)
+    assert (config.claim_concurrency, config.provider_concurrency) == (1, 3)
+    assert seen == [(16, 16), (3, 3)]
+
+    result = CliRunner().invoke(cli_main, [*run, "--provider-concurrency", "0"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--provider-concurrency'" in result.output
+    help_text = CliRunner().invoke(cli_main, ["run", "--help"]).output
+    assert "--claim-concurrency" in help_text and "--provider-concurrency" in help_text
 
 
 def test_cli_run_rejects_a_negative_limit(workspace, tmp_path):

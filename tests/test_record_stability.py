@@ -18,8 +18,8 @@ the record digests of those configs move with it.
 
 Each document digest is a sha256 over the bytes of a document a run writes:
 ``report.json`` and ``cost.json`` of a scripted batch over the same claims,
-and the fixture dataset's ``manifest.json``, whose ``expected_stats`` are
-computed. ``cost.json``'s three timing values are nulled first, and its text
+the default batch's ``report.json`` once ``judge_run`` has judged it, and the
+fixture dataset's ``manifest.json``, whose ``expected_stats`` are computed. ``cost.json``'s three timing values are nulled first, and its text
 must be the indented JSON form of what it holds, so the rest of its bytes are
 pinned. The batch documents must keep their digests when the provider holds
 the first send of each prompt the claims send twice, so that the copy is sent
@@ -39,7 +39,7 @@ from claimgraph.fixtures import build_fixture_dataset
 from claimgraph.gateway import Stage
 from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.ingest import load_manifest, load_records
-from claimgraph.pipeline import PipelineConfig, build_runtime, run_batch, run_claim
+from claimgraph.pipeline import PipelineConfig, build_runtime, judge_run, run_batch, run_claim
 
 STUB_ADAPTER = {"type": "stub", "probabilities": [0.1, 0.7, 0.2]}
 
@@ -64,17 +64,17 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "8653f63f98ddfc3aa25eb321260e9ccdd8cca311e7a6e7b6c2404a711e698218",
-    "hypergraph": "e1fcac4fd804e38a970188c6471f4ee11420ee455aa17083b509033695b15f69",
-    "background": "ca152a6321c9a37caf8b2f0c9a49f7ea1e10881d5684158ee15b221a53df546f",
-    "enhanced": "4a1cb87736c22ceeb34486ae38e2fcba17a2445e19ef9ec236455ab09421d962",
-    "external_adapter": "76b0919cc026c79da7e629b6de78b7fdfb3aaa16053ce42fe301427e391c67ab",
-    "no_subclaims": "081af6a7391a3b2f5fca7e42f9fb0c83c00ebd9ac3008affa1358bbffec86057",
-    "no_edges": "7e6f46cc6498eb7fb652e4a049cd2a230234a699988ceeff81487489f218313d",
-    "no_evidence": "286ea3ac86ed9ddf443d2612607fc8d29ebbc6c392074e401f3c091fedf6ec1f",
-    "no_competing": "cb70d8563a96a376189d533b52c1df7fe106128cb82da9e93ccdea10f2c3fbb7",
-    "no_inference_training": "da078bf694d9c588bd3498573c35622e3d12cbb402ecdb20250fe2a053d69800",
-    "claim_only_bare": "8778603c96d673dd54452a950959ecd412061c65add5e2a9b053e2087d8b0beb",
+    "default": "7f808b8d8d9ecb896e184283b6a000667b5ffeeb1bcd6a1ff3b5492ba64e3b73",
+    "hypergraph": "20fc4b091856760b7cfd191ab4edf3bfc859e9389f04f45b170d9b32cb18a5e5",
+    "background": "59766a80dbec1568fa19865857ca389a62653c62e8166ce0db029bebc3c87b8a",
+    "enhanced": "8ae6a19c4e8a300748ca47b1755d4502fadf79e1f80ec9a9024009beb72248bc",
+    "external_adapter": "411f9b82749c116463dd5493c6c46d208bcf1e4b476b398cd8125ebbc45e8bd5",
+    "no_subclaims": "9279dbe90c2ee8f4b04e92504dd9afcb045ac798ab92317e03c7cbe165fc2fab",
+    "no_edges": "3b730463a64052825a69ca58c93a22a5cafbd34c3acd0099ffa5373fa9c976fc",
+    "no_evidence": "01c0376d99b0a58eae470be78f8bf501e4c16140993cc6ebe708b60bda6f9798",
+    "no_competing": "bf538dd8db743d5f47dc024703adf646d7d9e9fad5a094c353bc4188989cc3f0",
+    "no_inference_training": "3956ae158638270256b7f769c320d270492089473fd79611016354c6672298e3",
+    "claim_only_bare": "cd35e4d56621a204821f2a5427e0569c095755f7dd955608848f5ef33c80d106",
 }
 
 
@@ -89,6 +89,7 @@ DOCUMENT_DIGESTS = {
     "background/cost.json": "afe096ed3525b113062b6607bb977d2f7c7d0f1086783da989a971f9a477bbbb",
     "external_adapter/report.json": "8ee54a3daec1ed1724d52145dfc4d22cfcc1df78538064ee4244109b791b40af",
     "external_adapter/cost.json": "6ac2cae60c1c3e427617fadab1f38eb598c9f72a7e31414c3558f34d58a9741d",
+    "default/judged/report.json": "f156152f4e101930d8773d4fc9309a733b7bf6554edbc0be346ed307318cacd9",
     "manifest.json": "f68d135d9757f4b0a7b79c91efa0174470b7852250aa27ab2a3e01b134e15df6",
 }
 
@@ -263,6 +264,16 @@ def test_batch_documents_do_not_depend_on_when_a_copy_is_sent(name, claims, tmp_
     assert copied
     run_batch(claims, config, tmp_path, provider=SlowFirstSpy(copied))
     check_documents(name, tmp_path)
+
+
+def test_a_judged_report_matches_its_golden_digest(claims, tmp_path):
+    # The judge calls run at once; ShuffledSpy makes them finish out of order.
+    config = PipelineConfig(**CONFIGS["default"])
+    run_batch(claims, config, tmp_path, provider=ScriptedResponder(seed=0))
+    judge_run(tmp_path, config, provider=ShuffledSpy())
+    report = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert json.loads(report)["judged"] == len(claims)
+    assert sha256_text(report) == DOCUMENT_DIGESTS["default/judged/report.json"]
 
 
 def test_fixture_manifest_matches_golden_digest(manifest_path):
