@@ -64,8 +64,6 @@ def ingest(manifest_path: str, reject_log: str, allow_empty_reports: bool) -> No
 
 def _apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     changes = {k: v for k, v in overrides.items() if v is not None and v != ()}
-    if not changes:
-        return config
     return dataclasses.replace(config, **changes)
 
 
@@ -82,17 +80,16 @@ def _apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
 @click.option("--model-id", default=None)
 @click.option(
     "--claim-concurrency", type=click.IntRange(min=1), default=None,
-    help=f"Claims run at once (default: the --config's, else {PipelineConfig.claim_concurrency}). "
-    "Not in the config hash: a resume may change it.",
+    help=f"Claims run at once (default: the config's, else {PipelineConfig.claim_concurrency}). "
+    "A run option: a resume may change it.",
 )
 @click.option(
     "--provider-concurrency", type=click.IntRange(min=1), default=None,
-    help="Provider calls in flight at once across the run (default: the --config's, else "
+    help="Provider calls in flight at once across the run (default: the config's, else "
     f"{PipelineConfig.provider_concurrency}); lower it to fit the provider's own limit. "
-    "Not in the config hash: a resume may change it.",
+    "A run option: a resume may change it.",
 )
 @click.option("--limit", type=click.IntRange(min=0), default=None)
-@click.option("--force", is_flag=True, default=False)
 def run(
     manifest_path: str,
     run_dir: str,
@@ -107,19 +104,24 @@ def run(
     claim_concurrency: int,
     provider_concurrency: int,
     limit: int,
-    force: bool,
 ) -> None:
-    """Process a dataset into a run directory (resumes if it exists)."""
+    """Process a dataset into a run directory, resuming from its config.json.
+
+    Flags override --config, else that config.json, else the defaults. A resume
+    that changes a field other than a run option is refused.
+    """
     manifest = load_manifest(manifest_path)
     if config_path:
         config = PipelineConfig.from_file(config_path)
-        if config.scheme_name != manifest.scheme.name:
-            raise click.ClickException(
-                f"config scheme {config.scheme_name} does not match "
-                f"manifest scheme {manifest.scheme.name}"
-            )
+    elif (Path(run_dir) / "config.json").exists():
+        config = load_run_config(run_dir)
     else:
         config = PipelineConfig(scheme_name=manifest.scheme.name)
+    if config.scheme_name != manifest.scheme.name:
+        raise click.ClickException(
+            f"config scheme {config.scheme_name} does not match "
+            f"manifest scheme {manifest.scheme.name}"
+        )
     config = _apply_overrides(
         config,
         {
@@ -139,7 +141,7 @@ def run(
         click.echo(f"skipping {len(rejects)} rejected records", err=True)
     if limit is not None:
         records = records[:limit]
-    result = run_batch(records, config, run_dir, force=force)
+    result = run_batch(records, config, run_dir)
     click.echo(f"processed {result.processed}, skipped {result.skipped} (already done)")
     if result.report is not None:
         click.echo(result.report.render_text())

@@ -44,9 +44,9 @@ class GenerationResponse:
 def request_key(request: GenerationRequest) -> str:
     """sha256 of (model_id, prompt_text, temperature), the key of a stored reply.
 
-    ``max_output_tokens`` is left out: a run directory refuses a config with
-    another hash unless forced, so the config fixes it for every request the
-    run's cache sees and it cannot tell two of them apart.
+    ``max_output_tokens`` is left out: a run directory refuses a config whose
+    ``max_output_tokens`` differs from its ``config.json``, so it is fixed for
+    every request the run's cache sees and cannot tell two of them apart.
     ``test_request_key_depends_on_identity_fields`` pins this. Hashed once per
     request, kept in its ``__dict__`` (a ``cached_property``'s one lock before
     Python 3.12 would queue every request's first use).

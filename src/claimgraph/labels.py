@@ -121,8 +121,8 @@ def parse_label_string(text: str, scheme: VeracityScheme) -> VeracityLabel:
 
     The whole string (after trimming whitespace and surrounding punctuation,
     case-insensitively) is tried as an exact identifier first. Otherwise the
-    longest identifier that occurs in the text as a standalone token wins, so
-    "mostly-true" beats the "true" inside it.
+    longest identifier or alias that occurs in the text as a standalone token
+    wins, so "mostly-true" beats the "true" inside it.
     """
     normalized = text.strip().lower()
     exact = scheme.unalias(normalized.strip(" \t\r\n.,;:!?\"'()[]"))
@@ -130,10 +130,10 @@ def parse_label_string(text: str, scheme: VeracityScheme) -> VeracityLabel:
         return VeracityLabel(scheme, scheme.labels.index(exact))
     # Longest-first substring pass; token boundaries keep "true" from
     # matching inside "untrue" or "mostly-true".
-    for ident in sorted(scheme.labels, key=len, reverse=True):
-        pattern = r"(?<![a-z0-9-])" + re.escape(ident) + r"(?![a-z0-9-])"
+    for spelling in sorted([*scheme.labels, *dict(scheme.aliases)], key=len, reverse=True):
+        pattern = r"(?<![a-z0-9-])" + re.escape(spelling) + r"(?![a-z0-9-])"
         if re.search(pattern, normalized):
-            return VeracityLabel(scheme, scheme.labels.index(ident))
+            return VeracityLabel(scheme, scheme.labels.index(scheme.unalias(spelling)))
     raise UnparseableLabelError(
         f"could not find a {scheme.name} label in {text!r}"
     )

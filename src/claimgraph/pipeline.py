@@ -104,7 +104,7 @@ STANDARD = "standard"
 ENHANCED = "enhanced"
 
 
-# Field metadata of a run option: a setting that cannot change a record, left out of config_hash.
+# Field metadata of a run option: a setting that cannot change a record, so a resume may change it.
 RUN_OPTION = {"run_option": True}
 
 
@@ -116,7 +116,7 @@ class PipelineConfig:
     fields are run options (``RUN_OPTION``): how many claims and provider
     calls run at once, and what ``cost.json`` charges per token, which is
     recomputed from the records on every batch. None can change a record,
-    so ``config_hash`` leaves them out and a resume may change them.
+    so a resume may change them; ``run_batch`` refuses a change to any other.
     ``provider_concurrency`` caps the gateway's in-flight calls and sizes
     the run's call pool. ``cache_enabled`` is no run option: with a sampled
     provider, a cache hit or a joined call reuses one reply where an
@@ -193,7 +193,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
         """A config from its JSON form; a bad field raises ConfigError naming it."""
-        # A run's config.json also stores its hash, which is recomputed.
+        # An older run's config.json also stores a hash of the config, which is ignored.
         unknown = set(payload) - {f.name for f in dataclasses.fields(cls)} - {"config_hash"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -202,15 +202,6 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
         return read_json(path, ConfigError, "config", cls.from_dict)
-
-    def config_hash(self) -> str:
-        """sha256 of every field but the run options, which cannot change a record."""
-        form = self.to_dict()
-        for option in dataclasses.fields(self):
-            if option.metadata.get("run_option"):
-                del form[option.name]
-        canonical = json.dumps(form, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -385,12 +376,14 @@ class RunRecord:
     succeeded and has a ``graph``. A record file written when the graph was
     stored still holds an ``explanation_graph`` key; the copy is ignored and
     the graph derived from the parts.
+
+    A record does not name its config: it has its run directory's (see
+    ``run_batch``). An older record's hash of its config is ignored.
     """
 
     claim_id: str
     claim: str
     scheme: str
-    config_hash: str
     gold_label: Optional[str] = None
     sub_claims: List[str] = field(default_factory=list)
     graph: Optional[ClaimCenteredGraph] = field(
@@ -624,7 +617,6 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
         claim_id=claim_record.claim_id,
         claim=claim,
         scheme=config.scheme_name,
-        config_hash=config.config_hash(),
         gold_label=claim_record.gold_label.identifier if claim_record.gold_label else None,
     )
     stages = _ClaimStages(runtime.calls)
@@ -785,8 +777,7 @@ def _prepare_run_dir(run_dir: Path, config: PipelineConfig) -> None:
     """
     (run_dir / "runs").mkdir(parents=True, exist_ok=True)
     sweep_temp_files(run_dir, run_dir / "runs", run_dir / "cache")
-    payload = dict(config.to_dict(), config_hash=config.config_hash())
-    write_json(run_dir / "config.json", payload, indent=2)
+    write_json(run_dir / "config.json", config.to_dict(), indent=2)
 
 
 def run_batch(
@@ -794,10 +785,12 @@ def run_batch(
     config: PipelineConfig,
     run_dir: Union[str, Path],
     provider=None,
-    force: bool = False,
 ) -> BatchResult:
     """Process a dataset into a run directory, resuming if partially done.
 
+    A run directory holds the records of the one config its ``config.json``
+    states: a config that differs from it in a field other than a run option
+    is refused, naming each such field, and the directory left as it was.
     Claims that already have a record on disk are not re-run (their provider
     calls were already spent); everything else goes through a bounded thread
     pool, and each record is written as soon as its claim finishes. Per-claim
@@ -809,12 +802,15 @@ def run_batch(
     written, so a config it cannot be built from leaves no stamped directory.
     """
     run_dir = Path(run_dir)
-    if (run_dir / "config.json").exists() and not force:
-        if load_run_config(run_dir).config_hash() != config.config_hash():
-            raise ConfigError(
-                "run directory was created with a different config; "
-                "use a fresh directory or pass force"
-            )
+    if (run_dir / "config.json").exists():
+        was, given = load_run_config(run_dir).to_dict(), config.to_dict()
+        differing = [f.name for f in dataclasses.fields(config)
+                     if not f.metadata.get("run_option") and was[f.name] != given[f.name]]
+        if differing:
+            values = [" and ".join(f"{n}={json.dumps(form[n])}" for n in differing)
+                      for form in (was, given)]
+            raise ConfigError(f"run directory was created with {values[0]}, "
+                              f"not {values[1]}; use a fresh directory")
     runtime = build_runtime(config, run_dir, provider=provider)
     pool = ThreadPoolExecutor(max_workers=config.claim_concurrency)
     processed = 0

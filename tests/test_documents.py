@@ -323,7 +323,7 @@ def test_config_items_are_checked_where_the_annotation_types_them(payload, fault
     ],
 )
 def test_record_items_are_checked_down_to_the_leaves(fields, fault):
-    payload = dict(claim_id="c", claim="x", scheme="three_way", config_hash="h", **fields)
+    payload = dict(claim_id="c", claim="x", scheme="three_way", **fields)
     with pytest.raises(TypeError, match=f"^RunRecord {fault}$"):
         RunRecord.from_dict(payload)
 

@@ -236,7 +236,7 @@ def test_a_dicts_keys_are_read_and_written_by_their_annotation():
     usage = {"input_tokens": 1, "output_tokens": 2, "calls": 1}
     record = RunRecord.from_dict(
         dict(
-            claim_id="c", claim="x", scheme="three_way", config_hash="h",
+            claim_id="c", claim="x", scheme="three_way",
             stage_trace=["inference"], durations={"inference": 0.5},
             stage_usage={"inference": dict(usage, extra=7)},
         )
@@ -252,7 +252,7 @@ def test_a_dicts_keys_are_read_and_written_by_their_annotation():
 
 def test_a_nested_part_extends_the_path():
     payload = dict(
-        claim_id="c", claim="x", scheme="three_way", config_hash="h",
+        claim_id="c", claim="x", scheme="three_way",
         evidence=[{"sub_claim_index": 1, "items": [], "k": "5"}],
     )
     with pytest.raises(TypeError, match="^RunRecord field 'evidence' item 0 field 'k' must be int"):
@@ -264,7 +264,7 @@ HIT = [3, 1, "The mayor signed it.", 0.5]
 
 def _record_with_hits(*hits):
     return dict(
-        claim_id="c", claim="x", scheme="three_way", config_hash="h",
+        claim_id="c", claim="x", scheme="three_way",
         evidence=[{"sub_claim_index": 1, "items": list(hits), "k": 5}],
     )
 

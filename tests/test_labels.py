@@ -68,6 +68,19 @@ def test_half_true_alias_resolves_in_three_way():
     assert parse_label_string("half-true", THREE_WAY).identifier == "half"
 
 
+def test_half_true_alias_resolves_inside_three_way_prose():
+    for text in ("The claim is half-true.", "Label: half-true", "HALF-TRUE, mostly"):
+        assert parse_label_string(text, THREE_WAY).identifier == "half"
+    # Only the alias is a spelling of a three-way label; other six-way names are not.
+    with pytest.raises(UnparseableLabelError):
+        parse_label_string("mostly-true", THREE_WAY)
+    with pytest.raises(UnparseableLabelError):
+        parse_label_string("The claim is mostly-true.", THREE_WAY)
+    # Six-way has no aliases, so its prose parsing is unchanged.
+    assert parse_label_string("The claim is half-true.", SIX_WAY).identifier == "half-true"
+    assert parse_label_string("Label: barely-true", SIX_WAY).identifier == "barely-true"
+
+
 def test_parse_exact_with_punctuation():
     assert parse_label_string("  True. ", THREE_WAY).identifier == "true"
     assert parse_label_string('"pants-fire"', SIX_WAY).identifier == "pants-fire"

@@ -42,6 +42,7 @@ from claimgraph.gateway.scripted import ScriptedResponder
 from claimgraph.graphs import HyperGraph
 from claimgraph.inference import graph_to_seq, hypergraph_to_seq
 from claimgraph.ingest import load_manifest, load_records
+from claimgraph.labels import SIX_WAY
 from claimgraph.pipeline import (
     Failure,
     PipelineConfig,
@@ -57,7 +58,7 @@ from claimgraph.pipeline import (
 )
 from claimgraph.summarize import export_dot, parse_structured
 
-from test_record_stability import CONFIGS as STABILITY_CONFIGS, PromptSpy
+from test_record_stability import CONFIGS as STABILITY_CONFIGS, STUB_ADAPTER, PromptSpy
 
 STANDARD_TRACE = [
     "claim_decomposition",
@@ -77,19 +78,67 @@ RUN_OPTIONS = {
 }
 
 
-def test_config_hash_tracks_content():
-    a, b = PipelineConfig(), PipelineConfig()
-    assert a.config_hash() == b.config_hash()
-    assert PipelineConfig(k=3).config_hash() != a.config_hash()
-    assert len(a.config_hash()) == 12
-    # Run options cannot change a record, so the hash leaves them out.
+# The config a resume is compared with, and a value of each field that differs from it.
+RESUMED = PipelineConfig(adapter=STUB_ADAPTER)
+CHANGED = {
+    "scheme_name": "six_way",
+    "k": 3,
+    "background_pool_size": 10,
+    "decomposition": "enhanced",
+    "graph_structure": "hypergraph",
+    "with_background": True,
+    "ablations": ("no_edges",),
+    "inference_path": "external_adapter",
+    "generation_temperature": 0.5,
+    "judge_temperature": 0.3,
+    "model_id": "another-model",
+    "max_output_tokens": 512,
+    "provider": {"type": "scripted", "seed": 1},
+    "embedder": {"type": "hashing", "dimension": 32},
+    "adapter": {"type": "stub", "probabilities": [0.2, 0.6, 0.2]},
+    # A cache hit or a joined call reuses a sampled reply, so cache_enabled can change a record.
+    "cache_enabled": False,
+    **RUN_OPTIONS,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig)])
+def test_every_config_field_is_compared_on_resume_or_is_a_run_option(name, tmp_path):
+    run_dir = tmp_path / "run"
+    run_batch([], RESUMED, run_dir)
+    config = replace(RESUMED, **{name: CHANGED[name]})
+    assert getattr(config, name) != getattr(RESUMED, name)
+    if name in RUN_OPTIONS:
+        run_batch([], config, run_dir)
+        assert load_run_config(run_dir) == config
+        return
+    was, given = RESUMED.to_dict()[name], config.to_dict()[name]
+    message = (
+        f"run directory was created with {name}={json.dumps(was)}, "
+        f"not {name}={json.dumps(given)}; use a fresh directory"
+    )
+    with pytest.raises(ConfigError) as refused:
+        run_batch([], config, run_dir)
+    assert str(refused.value) == message
+    assert load_run_config(run_dir) == RESUMED
+
+
+def test_the_run_options_are_the_fields_marked_run_option():
     fields = dataclasses.fields(PipelineConfig)
     assert {f.name for f in fields if f.metadata.get("run_option")} == set(RUN_OPTIONS)
-    for name, value in RUN_OPTIONS.items():
-        assert PipelineConfig(**{name: value}).config_hash() == a.config_hash()
-    assert PipelineConfig(**RUN_OPTIONS).config_hash() == a.config_hash()
-    # A cache hit or a joined call reuses a sampled reply, so cache_enabled can.
-    assert PipelineConfig(cache_enabled=False).config_hash() != a.config_hash()
+    assert set(CHANGED) == {f.name for f in fields}
+
+
+def test_a_refused_resume_names_every_differing_field(two_records, tmp_path):
+    run_dir = tmp_path / "run"
+    run_batch([], PipelineConfig(), run_dir)
+    changed = PipelineConfig(k=3, cache_enabled=False, provider_concurrency=2)
+    with pytest.raises(ConfigError) as refused:
+        run_batch(two_records, changed, run_dir)
+    assert str(refused.value) == (
+        "run directory was created with k=5 and cache_enabled=true, "
+        "not k=3 and cache_enabled=false; use a fresh directory"
+    )
 
 
 def test_ablations_are_sorted_and_deduped():
@@ -843,7 +892,7 @@ def test_no_call_pool_size_deadlocks_the_forked_pairs(tmp_path, provider_concurr
     records, _rejects = load_records(load_manifest(manifest))
     run_batch(records, PipelineConfig(), tmp_path / "default", provider=ScriptedResponder(seed=0))
     forked, default = (
-        [replace(record, durations={}, config_hash="") for record in load_run_records(run_dir)]
+        [replace(record, durations={}) for record in load_run_records(run_dir)]
         for run_dir in (tmp_path / "run", tmp_path / "default")
     )
     assert len(forked) == 20 and forked == default
@@ -1096,8 +1145,6 @@ def test_config_mismatch_guard(workspace, two_records, tmp_path):
     run_batch(two_records, PipelineConfig(), run_dir)
     with pytest.raises(ConfigError):
         run_batch(two_records, PipelineConfig(k=2), run_dir)
-    result = run_batch(two_records, PipelineConfig(k=2), run_dir, force=True)
-    assert result.skipped == 2  # existing records are still honored
 
 
 def _tree_bytes(directory: Path) -> dict:
@@ -1130,13 +1177,15 @@ def test_a_resume_may_not_change_what_a_record_holds(two_records, tmp_path, chan
     run_dir = tmp_path / "run"
     run_batch(two_records[:1], PipelineConfig(), run_dir)
     before = _tree_bytes(run_dir)
-    with pytest.raises(ConfigError, match="run directory was created with a different config"):
+    (name,) = change
+    with pytest.raises(ConfigError, match=f"^run directory was created with {name}=.*, not {name}="):
         run_batch(two_records, PipelineConfig(**change), run_dir)
     assert _tree_bytes(run_dir) == before
 
 
-# config.json of a default run, as written when the hash still covered the run
-# options and provider_concurrency defaulted to 8.
+# config.json of a default run, as written when a hash of the config (then
+# covering the run options too) was stored beside its fields and
+# provider_concurrency defaulted to 8.
 OLD_DEFAULT_CONFIG_JSON = """{
   "scheme_name": "three_way",
   "k": 5,
@@ -1167,14 +1216,18 @@ OLD_DEFAULT_CONFIG_JSON = """{
 }"""
 
 
-def test_a_run_directory_stamped_under_the_old_hash_resumes_under_the_defaults(
+def test_a_run_directory_stamped_with_a_config_hash_resumes_under_its_stored_config(
     workspace, two_records, tmp_path
 ):
     run_dir = tmp_path / "run"
-    run_batch(two_records[:1], PipelineConfig(), run_dir)
+    run_batch(two_records[:1], PipelineConfig(provider_concurrency=8), run_dir)
+    claim_id = two_records[0].claim_id
+    export = ["export", "--run-dir", str(run_dir), "--claim-id", claim_id]
+    exported = CliRunner().invoke(cli_main, export).output
     (run_dir / "config.json").write_text(OLD_DEFAULT_CONFIG_JSON, encoding="utf-8")
     (record_path,) = (run_dir / "runs").iterdir()
     record = json.loads(record_path.read_text(encoding="utf-8"))
+    assert "config_hash" not in record
     record_path.write_text(json.dumps(dict(record, config_hash="e8355168e6a6")), encoding="utf-8")
     assert load_run_config(run_dir) == PipelineConfig(provider_concurrency=8)
     assert PipelineConfig().provider_concurrency == 16
@@ -1184,8 +1237,43 @@ def test_a_run_directory_stamped_under_the_old_hash_resumes_under_the_defaults(
     assert result.exit_code == 0, result.output
     assert "processed 1, skipped 1 (already done)" in result.output
     stamped = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
-    assert stamped == dict(PipelineConfig().to_dict(), config_hash=PipelineConfig().config_hash())
+    assert stamped == PipelineConfig(provider_concurrency=8).to_dict()
     assert {r.claim_id for r in load_run_records(run_dir)} == {r.claim_id for r in two_records}
+    assert CliRunner().invoke(cli_main, export).output == exported
+
+
+def _files_naming(run_dir: Path, text: str) -> list:
+    return [path for path, data in _tree_bytes(run_dir).items() if text.encode() in data]
+
+
+def test_a_cli_resume_starts_from_the_run_directory_config(workspace, tmp_path):
+    run_dir = tmp_path / "run"
+    run = ["run", "--manifest", str(workspace.manifest_path), "--out", str(run_dir)]
+    runner = CliRunner()
+    first = runner.invoke(cli_main, [*run, "--k", "3", "--provider-concurrency", "4", "--limit", "1"])
+    assert first.exit_code == 0, first.output
+
+    plain = runner.invoke(cli_main, [*run, "--limit", "2"])
+    assert plain.exit_code == 0, plain.output
+    assert "processed 1, skipped 1 (already done)" in plain.output
+    assert load_run_config(run_dir) == PipelineConfig(k=3, provider_concurrency=4)
+
+    before = _tree_bytes(run_dir)
+    refused = runner.invoke(cli_main, [*run, "--k", "2"])
+    assert refused.exit_code == 1
+    assert "Error: run directory was created with k=3, not k=2; use a fresh directory" in refused.output
+    assert _tree_bytes(run_dir) == before
+
+    option = runner.invoke(cli_main, [*run, "--limit", "2", "--provider-concurrency", "8"])
+    assert option.exit_code == 0, option.output
+    assert "processed 0, skipped 2 (already done)" in option.output
+    assert load_run_config(run_dir) == PipelineConfig(k=3, provider_concurrency=8)
+    assert _files_naming(run_dir, "config_hash") == []
+
+    six_way = build_fixture_dataset(tmp_path / "six_way", claim_count=2, scheme=SIX_WAY)
+    other = runner.invoke(cli_main, ["run", "--manifest", str(six_way), "--out", str(run_dir)])
+    assert other.exit_code == 1
+    assert "Error: config scheme three_way does not match manifest scheme six_way" in other.output
 
 
 def test_unreadable_run_config_is_a_config_error(workspace, two_records, tmp_path):
@@ -1575,7 +1663,6 @@ def test_estimated_latency_equals_measured_for_one_claim(shape, workspace, tmp_p
         claim_id="c1",
         claim="A claim.",
         scheme="three_way",
-        config_hash="0" * 12,
         sub_claims=[f"Sub-claim {i}." for i in range(1, n + 1)],
         explanations=[{} for _ in range(nodes)],  # only their number counts here
         stage_trace=list(trace),

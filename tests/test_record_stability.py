@@ -64,17 +64,17 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "7f808b8d8d9ecb896e184283b6a000667b5ffeeb1bcd6a1ff3b5492ba64e3b73",
-    "hypergraph": "20fc4b091856760b7cfd191ab4edf3bfc859e9389f04f45b170d9b32cb18a5e5",
-    "background": "59766a80dbec1568fa19865857ca389a62653c62e8166ce0db029bebc3c87b8a",
-    "enhanced": "8ae6a19c4e8a300748ca47b1755d4502fadf79e1f80ec9a9024009beb72248bc",
-    "external_adapter": "411f9b82749c116463dd5493c6c46d208bcf1e4b476b398cd8125ebbc45e8bd5",
-    "no_subclaims": "9279dbe90c2ee8f4b04e92504dd9afcb045ac798ab92317e03c7cbe165fc2fab",
-    "no_edges": "3b730463a64052825a69ca58c93a22a5cafbd34c3acd0099ffa5373fa9c976fc",
-    "no_evidence": "01c0376d99b0a58eae470be78f8bf501e4c16140993cc6ebe708b60bda6f9798",
-    "no_competing": "bf538dd8db743d5f47dc024703adf646d7d9e9fad5a094c353bc4188989cc3f0",
-    "no_inference_training": "3956ae158638270256b7f769c320d270492089473fd79611016354c6672298e3",
-    "claim_only_bare": "cd35e4d56621a204821f2a5427e0569c095755f7dd955608848f5ef33c80d106",
+    "default": "ccd3852939cfa4ff505ff0720b4df0a1ff8f5e474539450aeb90be261a721d6c",
+    "hypergraph": "77e559b97f48fa1807002ad2d8d9967bf8309afc586ca3162c85db7a0c8df17b",
+    "background": "887c6a6f70a2bcd159f886c2d6bc69d7ccdeb42fa2153295b8c167c2f168da40",
+    "enhanced": "bf03d46e94db661f2b6975c1110581f0cadbe9f110fd4a5c2c0482f4abcd9fda",
+    "external_adapter": "735b4ec496af5afdfeb8bfe037609c45469b3a321f30881768d919ccbd6830e4",
+    "no_subclaims": "5a75099c35c09d3987c85cbb394e6fb27332cb3eec18ab29209beac0f19f9481",
+    "no_edges": "4147a4ed636430e7ec5d380cf97b1fde7b9c557253fef052933ef976ba4c028d",
+    "no_evidence": "791216376b79313352730308c7633733a81e8e537e5a68fe80eb3e65c1f9f89f",
+    "no_competing": "a82679798576c54a6001a623a2fa810d721308eaa242b8465961f0c09c6a3112",
+    "no_inference_training": "ccd3852939cfa4ff505ff0720b4df0a1ff8f5e474539450aeb90be261a721d6c",
+    "claim_only_bare": "14fda5902d41c8f0af2e968da2dae3c42f12b1b72938b190250bbfc135c997c0",
 }
 
 
