@@ -18,11 +18,13 @@ Every file the program writes is replaced atomically by ``write_text``
 ``read_json``. The one exception is an append-only JSON-lines log, such as
 the response store's: an ``Appender`` holds it open and adds one compact line
 per ``append``, and ``read_json_lines`` reads it back, skipping any line that
-does not decode.
+does not decode. One writer at a time holds a directory (``locked``), so
+``sweep_temp_files`` never removes a live writer's temp file.
 """
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import functools
 import json
 import os
@@ -216,6 +218,24 @@ def read_json_lines(path: Union[str, Path], decode: Callable[[object], T]) -> Li
         except (ValueError, TypeError):
             continue
     return entries
+
+
+@contextmanager
+def locked(error: Error, what: str, directory: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``directory``; one held elsewhere raises ``error`` at once.
+
+    A lock on the directory adds no file to it; the kernel drops it when its
+    holder dies, so a killed writer leaves no stale lock."""
+    directory.mkdir(parents=True, exist_ok=True)
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise error(f"{what} {directory} is in use by another batch") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def sweep_temp_files(*directories: Path) -> None:

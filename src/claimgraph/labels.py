@@ -7,8 +7,8 @@ their scheme; mixing schemes raises ``SchemeMismatchError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from .errors import SchemeMismatchError, UnparseableLabelError
 
@@ -16,16 +16,21 @@ from .errors import SchemeMismatchError, UnparseableLabelError
 @dataclass(frozen=True)
 class VeracityScheme:
     """An ordered label set, least-true to most-true, with each label's score
-    and ``aliases``, the (spelling, identifier) pairs some sources use."""
+    and ``aliases``, the (spelling, identifier) pairs some sources use.
+    ``spellings``, the one lookup table, maps each identifier and alias to an index."""
 
     name: str
     labels: Tuple[str, ...]
     scores: Tuple[float, ...]
     aliases: Tuple[Tuple[str, str], ...] = ()
+    spellings: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate label identifiers in scheme")
+        spellings = {label: index for index, label in enumerate(self.labels)}
+        spellings.update((alias, spellings[label]) for alias, label in self.aliases)
+        object.__setattr__(self, "spellings", spellings)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -39,10 +44,6 @@ class VeracityScheme:
     def render_label_set(self) -> str:
         """Brace-delimited listing used verbatim in prompts, e.g. ``{false, half, true}``."""
         return "{" + ", ".join(self.labels) + "}"
-
-    def unalias(self, identifier: str) -> str:
-        """The identifier an alias stands for; any other text as it is."""
-        return dict(self.aliases).get(identifier, identifier)
 
 
 # Some sources spell the middle three-way class "half-true".
@@ -80,13 +81,10 @@ class VeracityLabel:
 
     @classmethod
     def from_identifier(cls, scheme: VeracityScheme, identifier: str) -> "VeracityLabel":
-        ident = scheme.unalias(identifier.strip().lower())
-        try:
-            return cls(scheme, scheme.labels.index(ident))
-        except ValueError:
-            raise UnparseableLabelError(
-                f"{identifier!r} is not a label of scheme {scheme.name}"
-            ) from None
+        index = scheme.spellings.get(identifier.strip().lower())
+        if index is None:
+            raise UnparseableLabelError(f"{identifier!r} is not a label of scheme {scheme.name}")
+        return cls(scheme, index)
 
     def __str__(self) -> str:
         return self.identifier
@@ -100,11 +98,7 @@ def map_six_to_three(label: VeracityLabel) -> VeracityLabel:
     """
     if label.scheme.name != SIX_WAY.name:
         raise SchemeMismatchError("map_six_to_three expects a six_way label")
-    if label.index <= 2:
-        return VeracityLabel(THREE_WAY, 0)
-    if label.index == 3:
-        return VeracityLabel(THREE_WAY, 1)
-    return VeracityLabel(THREE_WAY, 2)
+    return VeracityLabel(THREE_WAY, (0, 0, 0, 1, 2, 2)[label.index])
 
 
 def label_to_score(label: VeracityLabel) -> float:
@@ -125,15 +119,13 @@ def parse_label_string(text: str, scheme: VeracityScheme) -> VeracityLabel:
     wins, so "mostly-true" beats the "true" inside it.
     """
     normalized = text.strip().lower()
-    exact = scheme.unalias(normalized.strip(" \t\r\n.,;:!?\"'()[]"))
-    if exact in scheme.labels:
-        return VeracityLabel(scheme, scheme.labels.index(exact))
+    exact = scheme.spellings.get(normalized.strip(" \t\r\n.,;:!?\"'()[]"))
+    if exact is not None:
+        return VeracityLabel(scheme, exact)
     # Longest-first substring pass; token boundaries keep "true" from
     # matching inside "untrue" or "mostly-true".
-    for spelling in sorted([*scheme.labels, *dict(scheme.aliases)], key=len, reverse=True):
+    for spelling in sorted(scheme.spellings, key=len, reverse=True):
         pattern = r"(?<![a-z0-9-])" + re.escape(spelling) + r"(?![a-z0-9-])"
         if re.search(pattern, normalized):
-            return VeracityLabel(scheme, scheme.labels.index(scheme.unalias(spelling)))
-    raise UnparseableLabelError(
-        f"could not find a {scheme.name} label in {text!r}"
-    )
+            return VeracityLabel(scheme, scheme.spellings[spelling])
+    raise UnparseableLabelError(f"could not find a {scheme.name} label in {text!r}")

@@ -68,7 +68,7 @@ from .inference import (
     predict_with_adapter,
     predict_zero_shot,
 )
-from .jsonform import as_json, from_json, read_json, sweep_temp_files, unreadable, write_json
+from .jsonform import as_json, from_json, locked, read_json, sweep_temp_files, unreadable, write_json
 from .labels import VeracityLabel, VeracityScheme, scheme_by_name
 from .records import ClaimRecord
 from .retrieval import (
@@ -767,13 +767,12 @@ class BatchResult:
 
 
 def _prepare_run_dir(run_dir: Path, config: PipelineConfig) -> None:
-    """Create ``run_dir`` and its ``runs/``, write its config and sweep orphaned temp files.
+    """Create ``run_dir``'s ``runs/``, write its config and sweep orphaned temp files.
 
     A process killed inside ``jsonform.write_text`` leaves its temp file
     behind in the run directory, ``runs/`` or ``cache/``. Nothing reads one,
     but a copy of the cache directory would carry it along, so the batch
-    about to run removes them (``sweep_temp_files``); one run directory
-    serves one batch at a time.
+    about to run removes them (``sweep_temp_files``) under the directory's lock.
     """
     (run_dir / "runs").mkdir(parents=True, exist_ok=True)
     sweep_temp_files(run_dir, run_dir / "runs", run_dir / "cache")
@@ -800,6 +799,8 @@ def run_batch(
     closed. The reports are built from the records read at the start plus
     the ones written here. The runtime is built before ``config.json`` is
     written, so a config it cannot be built from leaves no stamped directory.
+    Its lock (``jsonform.locked``) is held from the temp-file sweep and the read
+    of the done records to the last report; a batch refused it changes nothing.
     """
     run_dir = Path(run_dir)
     if (run_dir / "config.json").exists():
@@ -812,32 +813,30 @@ def run_batch(
             raise ConfigError(f"run directory was created with {values[0]}, "
                               f"not {values[1]}; use a fresh directory")
     runtime = build_runtime(config, run_dir, provider=provider)
-    pool = ThreadPoolExecutor(max_workers=config.claim_concurrency)
-    processed = 0
     try:
-        _prepare_run_dir(run_dir, config)
-        done = {r.claim_id: r for r in load_run_records(run_dir)}
-        pending = [r for r in records if r.claim_id not in done]
-        futures = [pool.submit(run_claim, runtime, c) for c in pending]
-        for future in as_completed(futures):
-            record = future.result()
-            _write_record(run_dir, record)
-            done[record.claim_id] = record
-            processed += 1
+        with locked(ConfigError, "run directory", run_dir):
+            pool = ThreadPoolExecutor(max_workers=config.claim_concurrency)
+            processed = 0
+            try:
+                _prepare_run_dir(run_dir, config)
+                done = {r.claim_id: r for r in load_run_records(run_dir)}
+                pending = [r for r in records if r.claim_id not in done]
+                futures = [pool.submit(run_claim, runtime, c) for c in pending]
+                for future in as_completed(futures):
+                    record = future.result()
+                    _write_record(run_dir, record)
+                    done[record.claim_id] = record
+                    processed += 1
+            finally:
+                # After an error (a record that cannot be written), claims not yet
+                # started are cancelled; the running ones finish before the close.
+                pool.shutdown(cancel_futures=True)
+            # The order load_run_records reads them in: by file name.
+            on_disk = sorted(done.values(), key=lambda r: _record_filename(r.claim_id))
+            report = write_reports(run_dir, config, on_disk)
     finally:
-        # After an error (a record that cannot be written), claims not yet
-        # started are cancelled; the running ones finish before the close.
-        pool.shutdown(cancel_futures=True)
         runtime.close()
-    # The order load_run_records reads them in: by file name.
-    on_disk = sorted(done.values(), key=lambda r: _record_filename(r.claim_id))
-    report = write_reports(run_dir, config, on_disk)
-    return BatchResult(
-        run_dir=run_dir,
-        processed=processed,
-        skipped=len(records) - processed,
-        report=report,
-    )
+    return BatchResult(run_dir, processed, skipped=len(records) - processed, report=report)
 
 
 def outcomes_from_records(
@@ -1022,26 +1021,27 @@ def judge_run(
     depend on the order they finish in. A claim whose judge reply stays out
     of contract, or whose judge call raises anything else, at the provider
     or in its client, is counted under ``judge_failures``; one claim's judge
-    never aborts the pass.
+    never aborts the pass. It holds the directory's lock throughout.
     """
     run_dir = Path(run_dir)
-    records = [r for r in load_run_records(run_dir) if r.gold_label is not None]
-    runtime = build_runtime(config, run_dir, provider=provider)
-    judging: List[Tuple[ClaimOutcome, Optional[Future]]] = []
-    try:
-        for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
-            graph = record.derived_explanation_graph()
-            explanation = (record.summary or "") if graph is None else judge_payload(graph)
-            scores = None
-            if record.succeeded and explanation:
-                scores = runtime.calls.submit(
-                    judge_explanation, runtime.gateway, record.claim, outcome.gold, explanation
-                )
-            judging.append((outcome, scores))
-        outcomes = [_judged(outcome, scores) for outcome, scores in judging]
-    finally:
-        runtime.close()
-    return _write_report(run_dir, outcomes, config.scheme)
+    with locked(ConfigError, "run directory", run_dir):
+        records = [r for r in load_run_records(run_dir) if r.gold_label is not None]
+        runtime = build_runtime(config, run_dir, provider=provider)
+        judging: List[Tuple[ClaimOutcome, Optional[Future]]] = []
+        try:
+            for record, outcome in zip(records, outcomes_from_records(records, config.scheme)):
+                graph = record.derived_explanation_graph()
+                explanation = (record.summary or "") if graph is None else judge_payload(graph)
+                scores = None
+                if record.succeeded and explanation:
+                    scores = runtime.calls.submit(
+                        judge_explanation, runtime.gateway, record.claim, outcome.gold, explanation
+                    )
+                judging.append((outcome, scores))
+            outcomes = [_judged(outcome, scores) for outcome, scores in judging]
+        finally:
+            runtime.close()
+        return _write_report(run_dir, outcomes, config.scheme)
 
 
 def _judged(outcome: ClaimOutcome, scores: Optional[Future]) -> ClaimOutcome:

@@ -1,8 +1,10 @@
-"""Claim records: the unit of work flowing through the pipeline."""
+"""Claim records: the unit of work flowing through the pipeline.
+
+``claimgraph.ingest`` builds them and checks each rule they keep, once."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .labels import VeracityLabel
 
@@ -13,12 +15,6 @@ class Report:
 
     sentences: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.sentences:
-            raise ValueError("report has no sentences")
-        if any(not s.strip() for s in self.sentences):
-            raise ValueError("report contains a blank sentence")
-
 
 @dataclass(frozen=True)
 class ClaimRecord:
@@ -26,9 +22,3 @@ class ClaimRecord:
     claim: str
     reports: Tuple[Report, ...]
     gold_label: Optional[VeracityLabel] = None
-
-    def __post_init__(self) -> None:
-        if not self.claim_id.strip():
-            raise ValueError("claim_id must be non-empty")
-        if not self.claim.strip():
-            raise ValueError("claim text must be non-empty")

@@ -3,12 +3,14 @@
 Reports are exploded into a per-claim corpus of candidate sentences; each
 sub-claim pulls its own top-k by cosine similarity over pooled embeddings.
 
-Cost: every step is linear in the size of its input. Splitting is one regex
-pass over the report; the hashing embedder hashes each distinct word once
-and builds a batch with one ``np.bincount``; an index is built with
-vectorised passes over its rows, and a query scores every row with one BLAS
-matrix-vector product, then scores exactly only the rows that can still be
-in its top k.
+Cost: every step is linear in the size of its input. Splitting is one
+``re.split`` over the report, whose pattern refuses a closer that ends an
+abbreviation with fixed-width lookbehinds, one per abbreviation length, so
+no Python code runs per sentence. The hashing embedder hashes each distinct
+word once and builds a batch with one ``np.bincount``; an index is built
+with vectorised passes over its rows, and a query scores every row with one
+BLAS matrix-vector product, then scores exactly only the rows that can still
+be in its top k.
 
 Exactness: the outputs are bitwise those of the straightforward loops (see
 ``tests/test_text_path.py``): the same sentences, the same embedding bits,
@@ -50,34 +52,29 @@ _ABBREVIATIONS = frozenset(
     }
 )
 
-# A whitespace-delimited token that ends in ., ! or ?. Such a token closes
-# a sentence unless it is a known abbreviation. The lookbehind anchors each
-# match at a token start, so one left-to-right pass finds every closing token
-# in time linear in the text.
-_CLOSING_TOKEN = re.compile(r"(?<!\S)\S*[.!?](?=\s|$)")
+# A sentence boundary: a closing ., ! or ? (captured, so it stays with its
+# sentence) and the whitespace run after it. A closer that ends a whole
+# abbreviation token is refused by a negative lookbehind per abbreviation
+# length (a lookbehind has a fixed width), each anchored at a token start.
+_BOUNDARY = re.compile(r"([.!?])" + "".join(
+    rf"(?<!(?<!\S)(?:{'|'.join(map(re.escape, same_length))}))"
+    for _, same_length in itertools.groupby(sorted(_ABBREVIATIONS, key=lambda a: (len(a), a)), len)
+) + r"\s+")
 
 
 def split_report_sentences(text: str) -> List[str]:
     """Split report text into sentences on ., ! and ? runs.
 
-    A period closing a known abbreviation does not split. A trailing
-    fragment without a terminator still counts as a sentence. Whitespace-only
-    input yields an empty list. One regex pass over the text: the cost is
-    linear in its length.
+    A closer followed by whitespace ends a sentence unless its token is one
+    of ``_ABBREVIATIONS`` exactly (``x.U.S.`` still closes). A trailing
+    fragment without a terminator still counts as a sentence; whitespace-only
+    input yields an empty list. Cost: one ``re.split`` over the stripped text,
+    linear in its length; a ``map`` rejoins each piece with its closer, so no
+    Python code runs per sentence, and every sentence comes out stripped.
     """
-    sentences: List[str] = []
-    start = 0
-    for match in _CLOSING_TOKEN.finditer(text):
-        if match.group() in _ABBREVIATIONS:
-            continue
-        piece = text[start : match.end()].strip()
-        if piece:
-            sentences.append(piece)
-        start = match.end()
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    parts = _BOUNDARY.split(text.strip())
+    # The tail is empty only when the whole text is: a stripped text ends in a non-space.
+    return [*map(str.__add__, parts[0:-1:2], parts[1::2]), parts[-1]] if parts[-1] else []
 
 
 @dataclass(frozen=True)

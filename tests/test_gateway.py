@@ -44,6 +44,7 @@ from claimgraph.gateway import (
 )
 from claimgraph.gateway import provider as provider_module
 from claimgraph.gateway.scripted import ScriptedResponder
+from claimgraph.pipeline import PipelineConfig, run_batch
 from claimgraph.retrieval import RemoteEncoderClient
 from claimgraph.retry import full_jitter
 
@@ -478,6 +479,26 @@ def test_a_miss_through_the_gateway_hashes_its_request_once(tmp_path, monkeypatc
     assert len(hashed) == 1
     assert gateway.complete("hello", Stage.INFERENCE).cached  # a new request, hashed anew
     assert len(hashed) == 2
+
+
+def test_a_batch_hashes_each_request_once(two_records, tmp_path, monkeypatch):
+    """``request_key`` runs in ``complete``, ``get`` and ``put``, but hashes a
+    request only the first time: one hash per request built, hit or miss."""
+    hashed, built = [], []
+    build_request = LlmGateway.build_request
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    def counted(self, prompt_text, stage):
+        built.append(prompt_text)
+        return build_request(self, prompt_text, stage)
+
+    monkeypatch.setattr(provider_module, "hashlib", SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(LlmGateway, "build_request", counted)
+    run_batch(two_records, PipelineConfig(), tmp_path / "run")
+    assert len(built) > 2 * 4 and len(hashed) == len(built)
 
 
 KILLED_WRITER = """

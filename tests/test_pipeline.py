@@ -4,7 +4,9 @@ import gc
 import json
 import os
 import re
+import select
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -1138,6 +1140,80 @@ def test_fixture_replay_writes_no_copy_of_the_fixtures(workspace, tmp_path):
     assert result.processed == 2
     assert all(r.succeeded for r in load_run_records(run_dir))
     assert list((run_dir / "cache").iterdir()) == []
+
+
+class GatedProvider:
+    """Scripted replies, each held until ``release`` is set; ``entered`` is set by the first call."""
+
+    def __init__(self):
+        self.inner = ScriptedResponder(seed=0)
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def generate(self, request):
+        self.entered.set()
+        if not self.release.wait(60):
+            raise RuntimeError("never released")
+        return self.inner.generate(request)
+
+
+def test_a_second_batch_on_a_locked_directory_fails_at_once(two_records, tmp_path):
+    run_dir = tmp_path / "run"
+    gate = GatedProvider()
+    in_use = f"^run directory {re.escape(str(run_dir))} is in use by another batch$"
+    with ThreadPoolExecutor(max_workers=1) as outside:
+        first = outside.submit(run_batch, two_records, PipelineConfig(), run_dir, gate)
+        try:
+            assert gate.entered.wait(30)
+            # A temp file of the first batch's, mid-write: a second sweep would delete it.
+            (run_dir / "runs" / "record.json.0123456789abcdef.tmp").write_text("{", encoding="utf-8")
+            before = _tree_bytes(run_dir)
+            started = time.monotonic()
+            with pytest.raises(ConfigError, match=in_use):
+                run_batch(two_records, PipelineConfig(), run_dir)
+            with pytest.raises(ConfigError, match=in_use):
+                judge_run(run_dir, PipelineConfig())
+            assert time.monotonic() - started < 10
+            assert _tree_bytes(run_dir) == before
+        finally:
+            gate.release.set()
+        result = first.result(timeout=60)
+    assert (result.processed, result.report.failure_count) == (2, 0)
+    assert len(load_run_records(run_dir)) == 2
+
+
+STALLED_BATCH = """
+import sys, time
+from claimgraph.ingest import load_manifest, load_records
+from claimgraph.pipeline import PipelineConfig, run_batch
+
+class Stalled:
+    def generate(self, request):
+        print("stalled", flush=True)
+        time.sleep(600)
+
+records, _rejects = load_records(load_manifest(sys.argv[1]))
+run_batch(records[:2], PipelineConfig(), sys.argv[2], provider=Stalled())
+"""
+
+
+def test_a_batch_killed_while_it_holds_the_lock_leaves_the_directory_usable(workspace, tmp_path):
+    run_dir = tmp_path / "run"
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-c", STALLED_BATCH, str(workspace.manifest_path), str(run_dir)]
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        assert select.select([child.stdout], [], [], 60)[0], "the child never reached the provider"
+        assert child.stdout.readline() == "stalled\n"
+        with pytest.raises(ConfigError, match="is in use by another batch"):
+            run_batch(workspace.records[:2], PipelineConfig(), run_dir)
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    result = run_batch(workspace.records[:2], PipelineConfig(), run_dir)
+    assert (result.processed, result.report.failure_count) == (2, 0)
 
 
 def test_config_mismatch_guard(workspace, two_records, tmp_path):

@@ -88,7 +88,10 @@ def bits(value):
 
 # --- splitter ----------------------------------------------------------------
 
-SEPARATORS = [" ", "  ", "\n", "\t", "\u00a0", "\u2003", "\u3000", " \n "]
+# "\x1c", "\x85" and "\u2028" are whitespace to str.strip and to the regex \s alike.
+SEPARATORS = [
+    " ", "  ", "\n", "\t", "\u00a0", "\u2003", "\u3000", " \n ", "\x1c", "\x85", "\u2028",
+]
 TOKENS = sorted(_ABBREVIATIONS) + [
     "word", "no.", "end.", "why?", "stop!", "Really?!", "wait...", "so..", "?!",
     "...", ".", "a.b.c.d.e.f.", "U.S.A.", "x.U.S.", "(U.S.)", "Mr.Smith.",
