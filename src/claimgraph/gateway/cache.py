@@ -3,7 +3,8 @@
 A store is a directory holding one append-only log, ``responses.jsonl``,
 and nothing else is read from it. Each stored reply is one compact JSON
 line, ``[request_key, input_tokens, output_tokens, text]``. The log is read
-once when the store is opened, into a dict that lookups use. A put of a key
+once when the store is opened, into a dict that lookups use; an older line's
+64-hex key is cut to the 32 of ``request_key``, so it still answers. A put of a key
 the store does not hold appends its line through a ``jsonform.Appender``,
 which holds the log open from the first put (its tail checked then) to
 ``close()``.
@@ -34,7 +35,7 @@ def _from_line(line: object) -> Tuple[str, GenerationResponse]:
     if type(line) is not list or [type(item) for item in line] != [str, int, int, str]:
         raise ValueError("not a [request_key, input_tokens, output_tokens, text] line")
     key, input_tokens, output_tokens, text = line
-    return key, GenerationResponse(text, TokenUsage(input_tokens, output_tokens))
+    return key[:32], GenerationResponse(text, TokenUsage(input_tokens, output_tokens))
 
 
 def _entries(root: Path) -> Dict[str, GenerationResponse]:

@@ -2,7 +2,7 @@
 
 A provider is anything with ``generate(request) -> GenerationResponse``.
 Requests are identified by a stable content hash of (model_id, temperature,
-prompt_text); the response store in ``cache.py`` keys on it. Fixture replay
+prompt_text), 128 bits of sha256; the response store in ``cache.py`` keys on it. Fixture replay
 (``FixtureProvider``) lives there too: a fixture set is a copy of a recorded
 run's ``cache/`` directory.
 """
@@ -42,7 +42,7 @@ class GenerationResponse:
 
 
 def request_key(request: GenerationRequest) -> str:
-    """sha256 of (model_id, prompt_text, temperature), the key of a stored reply.
+    """The first 32 hex (128 bits) of the sha256 of (model_id, prompt_text, temperature), a reply's key.
 
     ``max_output_tokens`` is left out: a run directory refuses a config whose
     ``max_output_tokens`` differs from its ``config.json``, so it is fixed for
@@ -62,7 +62,7 @@ def request_key(request: GenerationRequest) -> str:
             sort_keys=True,
             ensure_ascii=False,
         )
-        key = request.__dict__["_key"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        key = request.__dict__["_key"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
     return key
 
 

@@ -7,7 +7,7 @@ the claim directly, whatever the model returned.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -37,7 +37,7 @@ class DependencyEdge:
 class ClaimCenteredGraph:
     claim: str
     sub_claims: Tuple[str, ...]
-    edges: Tuple[DependencyEdge, ...]
+    edges: Tuple[DependencyEdge, ...] = field(metadata={"rows": True})
 
     @property
     def n(self) -> int:

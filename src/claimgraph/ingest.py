@@ -112,8 +112,9 @@ def load_records(
     rejects: List[RejectedRecord] = []
     seen_ids: set = set()
     with unreadable(DatasetError, "claims file", manifest.claims_path):
-        # Not read_text: its newline translation is slow, and splitlines does the same.
-        lines = manifest.claims_path.read_bytes().decode("utf-8").splitlines()
+        # Lines end at \n, \r\n or \r only; str.splitlines also splits a JSON string's raw U+2028.
+        text = manifest.claims_path.read_bytes().decode("utf-8")
+        lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     for line_no, line in enumerate(lines, start=1):
         if not line or line.isspace():
             continue

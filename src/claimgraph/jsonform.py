@@ -5,10 +5,11 @@ Record parts, configs, exported graphs and the documents a run writes
 encoder, ``as_json``, and one decoder, its inverse ``from_json``, which read
 a dict's keys as they read its values and a ``TypedDict`` as a dataclass. A field
 written under another key names it once, in ``field(metadata={"json": key})``.
-A ``NamedTuple`` is written as the list of its fields, in order, such as a
-retrieved evidence hit's ``[report_index, sentence_index, text, similarity]``;
-it is read back from that list or from the dict of its fields, the form files
-written before it was a ``NamedTuple`` hold. A part that repeats fields of the
+A ``field(metadata={"rows": True})`` writes each of its parts (a dataclass or
+``TypedDict`` of 2+ fields) as a row, the list of its fields in order, as a
+SQLite row leaves names to the schema: an evidence hit is ``[report_index,
+sentence_index, text, similarity]``; it reads back from its row or, as older
+files hold it, from the dict of its fields. A part that repeats fields of the
 dataclass holding it names them in ``field(metadata={"shares": names})``:
 they are written once, on the holder, and the part reads them back from
 there, ignoring the copies an older file still holds in the part (a run
@@ -27,6 +28,7 @@ import dataclasses
 import fcntl
 import functools
 import json
+import operator
 import os
 import typing
 import weakref
@@ -44,9 +46,9 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 def as_json(value):
     """``value`` as plain JSON values: a dataclass becomes the dict of its
-    fields, each under its JSON key and without the keys it ``shares`` with
-    its holder, a tuple (a ``NamedTuple`` too) a list, an Enum its value and a
-    Decimal its ``str``, recursively, a dict's keys included; scalars return at once."""
+    fields, each under its JSON key, without the keys it ``shares`` with its
+    holder and with a ``rows`` field's parts as rows, a tuple a list, an Enum its value
+    and a Decimal its ``str``, recursively, a dict's keys included; scalars return at once."""
     kind = type(value)
     if kind in _SCALARS:
         return value
@@ -58,46 +60,52 @@ def as_json(value):
         return value.value
     if kind is Decimal:
         return str(value)
-    if isinstance(value, tuple):  # a NamedTuple
-        return [as_json(item) for item in value]
     form = {}
-    for name, key, _of, _required, shared in _plan(kind)[2]:
-        item = form[key] = as_json(getattr(value, name))
+    for name, key, _of, _required, shared, row in _plan(kind)[2]:
+        item = getattr(value, name)
+        if row is not None:  # each part as the tuple of its fields' values
+            item = {k: row(part) for k, part in item.items()} if type(item) is dict else [*map(row, item)]
+        item = form[key] = as_json(item)
         if shared and item is not None:
             for held in shared:
                 del item[held]
     return form
 
 
+def _row(hint) -> Callable:
+    """The getter of a part's field values, in declaration order, for a ``rows`` field of ``hint``."""
+    args = typing.get_args(hint)
+    part = args[1] if typing.get_origin(hint) is dict else args[0]
+    names = [name for name, *_ in _plan(part)[2]]
+    return (operator.itemgetter if typing.is_typeddict(part) else operator.attrgetter)(*names)
+
+
 @functools.lru_cache(maxsize=None)
-def _plan(hint) -> tuple:
+def _plan(hint, row: bool = False) -> tuple:
     """How ``from_json`` reads annotation ``hint``: ``(admits, build, inner)``.
 
     ``admits`` are its JSON types (a float admits an int, a tuple is a list, a
-    dataclass or TypedDict a dict, a NamedTuple a list or a dict, an Enum its
-    values' types, a Decimal a str, ``object`` all), ``build`` what it becomes
-    (None: itself) and ``inner`` the plans of its members or items, a dict's
-    ``(keys, items)`` plans, or each field's ``(name, key, plan, required,
-    shares)``, its plan None when it is not passed back (``init=False``)."""
+    dataclass or TypedDict a dict, or a list too as a ``rows`` part, ``row``, an
+    Enum its values' types, a Decimal a str, ``object`` all), ``build`` what it
+    becomes (None: itself) and ``inner`` the plans of its members or items, a dict's
+    ``(keys, items)`` plans, or each field's ``(name, key, plan, required, shares,
+    row)``, its plan None if not passed back (``init=False``), its row a ``_row``."""
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is Union:
-        arms = tuple(map(_plan, args))
+        arms = tuple(_plan(arm, row) for arm in args)
         return sum((arm[0] for arm in arms), ()), Union, arms
+    admits = (list, dict) if row else (dict,)
     if dataclasses.is_dataclass(origin):
         hints, missing = typing.get_type_hints(origin), dataclasses.MISSING
-        return (dict,), origin, tuple(
-            (f.name, f.metadata.get("json", f.name), _plan(hints[f.name]) if f.init else None,
-             f.init and f.default is f.default_factory is missing, f.metadata.get("shares", ()))
+        return admits, origin, tuple(
+            (f.name, f.metadata.get("json", f.name), _plan(hints[f.name], "rows" in f.metadata) if f.init else None,
+             f.init and f.default is f.default_factory is missing, f.metadata.get("shares", ()),
+             _row(hints[f.name]) if "rows" in f.metadata else None)
             for f in dataclasses.fields(origin)
         )
     if typing.is_typeddict(origin):
-        return (dict,), origin, tuple(
-            (name, name, _plan(hint), name in origin.__required_keys__, ())
-            for name, hint in typing.get_type_hints(origin).items()
-        )
-    if isinstance(origin, type) and issubclass(origin, tuple) and hasattr(origin, "_fields"):
-        return (list, dict), origin, tuple(
-            (name, name, _plan(hint), name not in origin._field_defaults, ())
+        return admits, origin, tuple(
+            (name, name, _plan(hint), name in origin.__required_keys__, (), None)
             for name, hint in typing.get_type_hints(origin).items()
         )
     if isinstance(origin, EnumMeta):
@@ -106,7 +114,7 @@ def _plan(hint) -> tuple:
         return (str,), Decimal, None
     admits = {float: (int, float), tuple: (list,), object: (object, bool)}.get(origin, (origin,))
     if origin in (list, tuple, dict) and args:
-        return admits, origin, tuple(map(_plan, args)) if origin is dict else _plan(args[0])
+        return admits, origin, (_plan(args[0]), _plan(args[1], row)) if origin is dict else _plan(args[0], row)
     return admits, None, None
 
 
@@ -119,14 +127,14 @@ def from_json(kind, value, error: Error = TypeError):
     """The ``kind`` whose ``as_json`` form is ``value``, rebuilt by its annotations.
 
     A dict's keys are decoded by its key annotation, and a ``TypedDict`` as a
-    dataclass, by its required keys, into a plain dict. A ``NamedTuple`` is
-    read from the list of all its fields or as a dataclass, from the dict of
+    dataclass, by its required keys, into a plain dict. A ``rows`` part is read
+    from the list of all its fields or, as older files hold it, the dict of
     them. A part's ``shares`` are read from its holder's keys. Keys naming no
     field or an ``init=False`` one are ignored, a ``Union`` takes its first
     member that admits the value and ``object`` is unchecked. A fault raises
     ``error`` with its path: ``RunRecord field 'evidence' item 0 field 'k'
-    must be int, not str`` or ``RunRecord field 'durations' key 'x' must be a
-    Stage value``.
+    must be int, not str`` or ``RunRecord field 'verdicts' item 1 must hold 4
+    items, not 3``.
     """
     return _decode(_plan(kind), value, kind.__name__, error)
 
@@ -158,12 +166,12 @@ def _decode(plan: tuple, value, path: str, error: Error):
             return Decimal(value)
         except ArithmeticError:
             raise error(f"{path} must be a decimal, not {value!r}") from None
-    if type(value) is list:  # a NamedTuple's list of its fields, read as the dict of them
+    if type(value) is list:  # a row: the list of the part's fields, read as the dict of them
         if len(value) != len(inner):
             raise error(f"{path} must hold {len(inner)} items, not {len(value)}")
-        value = {key: item for (_name, key, _of, _required, _shares), item in zip(inner, value)}
+        value = {field[1]: item for field, item in zip(inner, value)}  # field[1]: its key
     fields = {}
-    for name, key, field_plan, required, shared in inner:
+    for name, key, field_plan, required, shared, _row_of in inner:
         if field_plan is None or key not in value:
             if required:
                 raise error(f"{path} field {key!r} is missing")

@@ -360,15 +360,15 @@ class RunRecord:
     a stage written as its value, and a record file is read back only
     through ``from_dict`` (``from_json``).
 
-    Each part is written once: an evidence hit as the list of its fields
-    (``[report_index, sentence_index, text, similarity]``), and ``graph``
-    and ``hypergraph`` as ``{"edges": [...]}`` and ``{"hyperedges": [...],
-    "provenance": [...]}``, sharing the record's ``claim`` and
-    ``sub_claims``; ``n`` is ``len(sub_claims)``. The graph-structure line
-    the prompts held is not kept (under ``no_edges`` a record cannot tell
-    it was left out). An older record file, whose hits are dicts, whose
-    ``graph`` repeats the claim and sub-claims and which holds ``n`` and
-    ``structure_text``, reads back the same, the copies ignored.
+    Each part is written once, and each evidence hit, explanation, verdict,
+    graph edge and stage's usage as a row, the list of its fields in order
+    (``jsonform``). ``graph`` and ``hypergraph`` are ``{"edges": [...]}`` and
+    ``{"hyperedges": [...], "provenance": [...]}``, sharing the record's
+    ``claim`` and ``sub_claims``; ``n`` is ``len(sub_claims)``. The
+    graph-structure line the prompts held is not kept (under ``no_edges`` a
+    record cannot tell it was left out). An older file (parts as dicts, a
+    ``graph`` repeating the claim and sub-claims, ``n``, ``structure_text``)
+    reads back the same, the copies ignored.
 
     The explanation graph is not stored: it is derived from ``graph``,
     ``explanations``, ``verdicts``, ``summary`` and ``prediction``
@@ -393,13 +393,13 @@ class RunRecord:
         default=None, metadata={"shares": ("claim", "sub_claims")}
     )
     evidence: List[EvidenceSet] = field(default_factory=list)
-    explanations: List[CompetingExplanations] = field(default_factory=list)
+    explanations: List[CompetingExplanations] = field(default_factory=list, metadata={"rows": True})
     prediction: Optional[Prediction] = None
-    verdicts: List[SubClaimVerdict] = field(default_factory=list)
+    verdicts: List[SubClaimVerdict] = field(default_factory=list, metadata={"rows": True})
     summary: Optional[str] = None
     stage_trace: List[Stage] = field(default_factory=list)
     durations: Dict[Stage, float] = field(default_factory=dict)
-    stage_usage: Dict[Stage, StageUsage] = field(default_factory=dict)
+    stage_usage: Dict[Stage, StageUsage] = field(default_factory=dict, metadata={"rows": True})
     warnings: List[str] = field(default_factory=list)
     failure: Optional[Failure] = None
 

@@ -27,7 +27,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -84,9 +84,9 @@ class EvidenceCandidate:
     text: str
 
 
-class RetrievedEvidence(NamedTuple):
-    """One top-k hit; a record holds about k per node, so it is written as a
-    list (``[report_index, sentence_index, text, similarity]``), not a dict."""
+@dataclass(frozen=True)
+class RetrievedEvidence:
+    """One top-k hit, about k per node, so a row: ``[report_index, sentence_index, text, similarity]``."""
 
     report_index: int
     sentence_index: int
@@ -97,7 +97,7 @@ class RetrievedEvidence(NamedTuple):
 @dataclass(frozen=True)
 class EvidenceSet:
     sub_claim_index: int
-    items: Tuple[RetrievedEvidence, ...]
+    items: Tuple[RetrievedEvidence, ...] = field(metadata={"rows": True})
     k: int
 
     @property

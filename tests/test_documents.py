@@ -7,6 +7,7 @@ with one ``Error:`` line, never a traceback. A config whose runtime cannot
 be built must leave no ``config.json`` behind, so the corrected config is
 not refused.
 """
+import dataclasses
 import json
 import operator
 import shutil
@@ -19,6 +20,8 @@ from click.testing import CliRunner
 from claimgraph import pipeline
 from claimgraph.cli import main as cli_main
 from claimgraph.errors import ConfigError
+from claimgraph.explain import CompetingExplanations
+from claimgraph.graphs import LLM_GENERATED, DependencyEdge
 from claimgraph.pipeline import (
     PipelineConfig,
     RunRecord,
@@ -26,6 +29,7 @@ from claimgraph.pipeline import (
     load_run_records,
     run_batch,
 )
+from claimgraph.summarize import SubClaimVerdict
 
 TRUNCATED, NOT_AN_OBJECT, EMPTY = '{"k": ', "[]", "{}"
 NO_SUCH_DIRECTORY = str(Path(__file__).with_name("no-such-fixtures"))
@@ -122,6 +126,15 @@ def _record_with(workspace, **fields):
     return json.dumps(dict(_explained_payload(workspace), **fields))
 
 
+def _at(kind, name):
+    """The position of field ``name`` in a row of ``kind``, as a record writes its parts."""
+    return [f.name for f in dataclasses.fields(kind)].index(name)
+
+
+def _row_with(row, position, value):
+    return [value if i == position else item for i, item in enumerate(row)]
+
+
 def _record_leaf(workspace, path, value):
     """The explained record with the leaf at ``path``, keys and indices, set to ``value``."""
     payload = _explained_payload(workspace)
@@ -131,9 +144,9 @@ def _record_leaf(workspace, path, value):
 
 
 def _kept_side(workspace):
-    """The side of node 1's pair that its verdict keeps in the explanation graph."""
-    verdict = _explained_payload(workspace)["verdicts"][0]["verdict"]
-    return "true_oriented" if verdict else "false_oriented"
+    """The position of the side of node 1's pair that its verdict keeps in the explanation graph."""
+    verdict = _explained_payload(workspace)["verdicts"][0][_at(SubClaimVerdict, "verdict")]
+    return _at(CompetingExplanations, "true_oriented" if verdict else "false_oriented")
 
 
 def _verdicts_with(workspace, edit):
@@ -142,7 +155,7 @@ def _verdicts_with(workspace, edit):
 
 def _edge_added(workspace, source, target):
     payload = _explained_payload(workspace)
-    payload["graph"]["edges"].append({"source": source, "target": target})
+    payload["graph"]["edges"].append([source, target, LLM_GENERATED])
     return json.dumps(payload)
 
 
@@ -155,6 +168,7 @@ PART_BODIES = {
         ws, explanations=[{"sub_claim_index": "a"}]
     ),
     "graph_edges_int": lambda ws: _record_with(ws, graph={"edges": 5}),
+    "explanation_row_short": lambda ws: _record_with(ws, explanations=[[1, "a", "b"]]),
 }
 # Records whose nested values are wrong: each stage must be a stage of a
 # claim, each duration a number, each usage entry the ledger's int counts.
@@ -171,20 +185,22 @@ RECORD_BODIES = {
         ws, stage_usage={"inference": dict(USAGE, calls="1")}
     ),
 }
-VERDICT = ("verdicts", 0, "verdict")
+VERDICT = ("verdicts", 0, _at(SubClaimVerdict, "verdict"))
+INDEX = _at(SubClaimVerdict, "sub_claim_index")
+EDGE_SOURCE = ("graph", "edges", 0, _at(DependencyEdge, "source"))
 # A fault in a part the explanation graph is derived from: the record is unreadable.
 GRAPH_BODIES = dict(
     DOCUMENT_BODIES,
     sub_claims_int=lambda ws: _record_leaf(ws, ("sub_claims",), 5),
     verdict_str=lambda ws: _record_leaf(ws, VERDICT, "no"),
     verdict_int=lambda ws: _record_leaf(ws, VERDICT, 0),
-    edge_source_str=lambda ws: _record_leaf(ws, ("graph", "edges", 0, "source"), "1"),
+    edge_source_str=lambda ws: _record_leaf(ws, EDGE_SOURCE, "1"),
     kept_text_int=lambda ws: _record_leaf(ws, ("explanations", 0, _kept_side(ws)), 5),
     sub_claim_text_int=lambda ws: _record_leaf(ws, ("sub_claims", 0), 5),
     claim_int=lambda ws: _record_leaf(ws, ("claim",), 5),
     summary_int=lambda ws: _record_with(ws, summary=5),
     index_str=lambda ws: _verdicts_with(
-        ws, lambda verdicts: [dict(v, sub_claim_index=str(v["sub_claim_index"])) for v in verdicts]
+        ws, lambda verdicts: [_row_with(v, INDEX, str(v[INDEX])) for v in verdicts]
     ),
 )
 # Parts that read back but cannot form an explanation graph.
@@ -192,7 +208,7 @@ UNDERIVABLE_BODIES = {
     "verdicts_short": lambda ws: _verdicts_with(ws, lambda verdicts: verdicts[:-1]),
     "verdicts_repeated": lambda ws: _verdicts_with(ws, lambda verdicts: verdicts[:1] + verdicts[:-1]),
     "verdict_beyond_n": lambda ws: _verdicts_with(
-        ws, lambda verdicts: verdicts[:-1] + [dict(verdicts[-1], sub_claim_index=len(verdicts) + 1)]
+        ws, lambda verdicts: verdicts[:-1] + [_row_with(verdicts[-1], INDEX, len(verdicts) + 1)]
     ),
     "explanations_short": lambda ws: _record_with(
         ws, explanations=_explained_payload(ws)["explanations"][:-1]

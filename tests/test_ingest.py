@@ -163,6 +163,16 @@ def test_load_records_skips_blank_lines(tmp_path):
     assert len(records) == 1 and not rejects
 
 
+@pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
+def test_a_line_break_a_json_string_holds_raw_does_not_split_its_line(tmp_path, mark):
+    # str.splitlines breaks at these; a JSON string written with ensure_ascii=False holds them raw.
+    claim = f"The dam was{mark}finished in 2015."
+    path = write_dataset(tmp_path, [json.dumps(dict(GOOD_ROW, claim=claim), ensure_ascii=False)])
+    assert mark in (tmp_path / "claims.jsonl").read_text(encoding="utf-8")
+    records, rejects = load_records(load_manifest(path))
+    assert [r.claim for r in records] == [claim] and rejects == []
+
+
 def test_reject_log_is_one_json_object_per_line(tmp_path):
     rows = [GOOD_ROW, dict(GOOD_ROW, id="bad", claim="")]
     _, rejects = load_records(load_manifest(write_dataset(tmp_path, rows)))
@@ -298,7 +308,7 @@ def reference_parse_claim_record(payload, scheme, allow_empty_reports):
 
 def reference_load_records(manifest, allow_empty_reports):
     records, rejects, seen_ids = [], [], set()
-    lines = manifest.claims_path.read_text(encoding="utf-8").splitlines()
+    lines = manifest.claims_path.read_text(encoding="utf-8").split("\n")
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue

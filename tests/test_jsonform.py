@@ -4,11 +4,12 @@ Every typed record part, the config and each document a run writes must come
 back equal from the JSON text of its ``as_json`` form; a value its annotation does not admit is a
 fault that names its path.
 """
+import dataclasses
 import json
 import typing
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, TypedDict
 
 import pytest
 from hypothesis import given
@@ -270,13 +271,13 @@ def _record_with_hits(*hits):
 
 
 def test_an_evidence_hit_is_written_as_the_list_of_its_fields():
-    hit = RetrievedEvidence(*HIT)
-    assert as_json(EvidenceSet(1, (hit,), 5)) == {"sub_claim_index": 1, "items": [HIT], "k": 5}
-    assert from_json(RetrievedEvidence, HIT) == hit
+    evidence = EvidenceSet(1, (RetrievedEvidence(*HIT),), 5)
+    assert as_json(evidence) == {"sub_claim_index": 1, "items": [HIT], "k": 5}
+    assert from_json(EvidenceSet, as_json(evidence)) == evidence
 
 
 def test_an_evidence_hit_reads_back_the_same_from_the_dict_of_its_fields():
-    as_dict = dict(zip(RetrievedEvidence._fields, HIT))
+    as_dict = dict(zip([f.name for f in dataclasses.fields(RetrievedEvidence)], HIT))
     from_dict = RunRecord.from_dict(_record_with_hits(as_dict))
     assert from_dict == RunRecord.from_dict(_record_with_hits(HIT))
     assert from_dict.evidence[0].items == (RetrievedEvidence(*HIT),)
@@ -329,9 +330,61 @@ def test_a_records_graph_is_written_as_its_edges():
     graph = ClaimCenteredGraph("x", ("a", "b"), (DependencyEdge(1, 0, SAFEGUARD),))
     record = RunRecord("c", "x", "three_way", "h", sub_claims=["a", "b"], graph=graph)
     payload = record.to_dict()
-    assert payload["graph"] == {"edges": [{"source": 1, "target": 0, "provenance": SAFEGUARD}]}
+    assert payload["graph"] == {"edges": [[1, 0, SAFEGUARD]]}
     assert "n" not in payload and record.n == 2
     assert RunRecord.from_dict(json.loads(json.dumps(payload))) == record
+
+
+class Tally(TypedDict):
+    hits: int
+    misses: int
+
+
+@dataclass(frozen=True)
+class Sheet:
+    leaves: List[Leaf] = field(default_factory=list, metadata={"rows": True})
+    tallies: Dict[str, Tally] = field(default_factory=dict, metadata={"rows": True})
+    loose: Tuple[Leaf, ...] = ()
+
+
+SHEET = Sheet([Leaf(1, 0.5)], {"a": Tally(hits=2, misses=3)}, (Leaf(2),))
+SHEET_FORM = {"leaves": [[1, 0.5]], "tallies": {"a": [2, 3]}, "loose": [{"count": 2, "share": 0.0}]}
+
+
+def test_a_rows_fields_parts_are_written_as_rows_and_read_from_rows_or_dicts():
+    assert as_json(SHEET) == SHEET_FORM
+    assert from_json(Sheet, SHEET_FORM) == SHEET
+    keyed = dict(
+        SHEET_FORM, leaves=[{"count": 1, "share": 0.5}], tallies={"a": {"hits": 2, "misses": 3}}
+    )
+    assert from_json(Sheet, keyed) == SHEET
+    # Only a part of a rows field is read from a row.
+    with pytest.raises(TypeError, match="^Sheet field 'loose' item 0 must be dict, not list$"):
+        from_json(Sheet, dict(SHEET_FORM, loose=[[2, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "payload, fault",
+    [
+        ({"leaves": [[1, 0.5], [2]]}, "field 'leaves' item 1 must hold 2 items, not 1"),
+        ({"tallies": {"a": [2, 3, 4]}}, "field 'tallies' item 'a' must hold 2 items, not 3"),
+        ({"leaves": [[1, "x"]]}, "field 'leaves' item 0 field 'share' must be int or float, not str"),
+        ({"leaves": ["x"]}, "field 'leaves' item 0 must be list or dict, not str"),
+    ],
+)
+def test_a_fault_in_a_row_names_its_field_and_item(payload, fault):
+    with pytest.raises(TypeError, match=f"^Sheet {fault}$"):
+        from_json(Sheet, payload)
+
+
+def test_a_record_row_of_the_wrong_length_is_one_error_naming_its_field_and_item():
+    verdicts = [SubClaimVerdict(1, True), SubClaimVerdict(2, False)]
+    record = RunRecord("c", "x", "three_way", verdicts=verdicts)
+    payload = record.to_dict()
+    assert payload["verdicts"] == [[1, True, "", False], [2, False, "", False]]
+    payload["verdicts"][1] = payload["verdicts"][1][:3]
+    with pytest.raises(TypeError, match="^RunRecord field 'verdicts' item 1 must hold 4 items, not 3$"):
+        RunRecord.from_dict(payload)
 
 
 def test_a_records_hypergraph_is_written_as_its_hyperedges_and_read_back_typed():
@@ -367,7 +420,7 @@ def _untyped_leaves(plan, path):
         return []
     return [
         leaf
-        for _name, key, field_plan, _required, _shares in inner
+        for _name, key, field_plan, *_ in inner
         if field_plan is not None
         for leaf in _untyped_leaves(field_plan, f"{path} field {key!r}")
     ]

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import gc
+import hashlib
 import json
 import os
 import re
@@ -1216,13 +1217,6 @@ def test_a_batch_killed_while_it_holds_the_lock_leaves_the_directory_usable(work
     assert (result.processed, result.report.failure_count) == (2, 0)
 
 
-def test_config_mismatch_guard(workspace, two_records, tmp_path):
-    run_dir = tmp_path / "run"
-    run_batch(two_records, PipelineConfig(), run_dir)
-    with pytest.raises(ConfigError):
-        run_batch(two_records, PipelineConfig(k=2), run_dir)
-
-
 def _tree_bytes(directory: Path) -> dict:
     return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
 
@@ -1567,14 +1561,35 @@ def test_a_stored_graph_is_ignored_for_the_one_its_parts_form(workspace, tmp_pat
 
 
 EVIDENCE_FIELDS = ("report_index", "sentence_index", "text", "similarity")
+# The fields of the parts a record writes as rows, keyed as files held them before.
+EXPLANATION_FIELDS = ("sub_claim_index", "false_oriented", "true_oriented", "analysis", "background")
+VERDICT_FIELDS = ("sub_claim_index", "verdict", "reasoning", "fallback")
+EDGE_FIELDS = ("source", "target", "provenance")
+USAGE_FIELDS = ("input_tokens", "output_tokens", "calls")
+
+
+def _keyed_form(payload: dict) -> dict:
+    """A record's JSON form as files held it before explanations, verdicts,
+    graph edges and stage usage were rows: each part the dict of its fields."""
+    payload = dict(
+        payload,
+        explanations=[dict(zip(EXPLANATION_FIELDS, row)) for row in payload["explanations"]],
+        verdicts=[dict(zip(VERDICT_FIELDS, row)) for row in payload["verdicts"]],
+        stage_usage={stage: dict(zip(USAGE_FIELDS, row)) for stage, row in payload["stage_usage"].items()},
+    )
+    if payload["graph"] is not None:
+        edges = [dict(zip(EDGE_FIELDS, row)) for row in payload["graph"]["edges"]]
+        payload["graph"] = dict(payload["graph"], edges=edges)
+    return payload
 
 
 def _pre_change_form(record) -> dict:
-    """``record``'s JSON form as files held it when each evidence hit was a
-    dict of its fields, the graph repeated the claim and sub-claims, the
-    hypergraph was an untyped dict and the record stored ``n`` and its
-    graph-structure line, ``structure_text`` (for a config without ``no_edges``)."""
-    payload = record.to_dict()
+    """``record``'s JSON form as files held it when each part was a dict of
+    its fields (``_keyed_form``, and each evidence hit), the graph repeated
+    the claim and sub-claims, the hypergraph was an untyped dict and the
+    record stored ``n`` and its graph-structure line, ``structure_text`` (for
+    a config without ``no_edges``)."""
+    payload = _keyed_form(record.to_dict())
     for evidence_set in payload["evidence"]:
         evidence_set["items"] = [dict(zip(EVIDENCE_FIELDS, hit)) for hit in evidence_set["items"]]
     payload["graph"] = dict(payload["graph"], claim=record.claim, sub_claims=record.sub_claims)
@@ -1626,6 +1641,74 @@ def test_a_hypergraph_record_in_the_pre_change_form_reads_back_typed(two_records
     assert reread == record
     assert isinstance(reread.hypergraph, HyperGraph)
     assert reread.to_dict() == record.to_dict()
+
+
+class RequestSpy(ScriptedResponder):
+    """The default scripted provider, keeping every request it is sent."""
+
+    def __init__(self) -> None:
+        super().__init__(seed=0)
+        self.requests = []
+
+    def generate(self, request):
+        self.requests.append(request)
+        return super().generate(request)
+
+
+def _sha256_key(request) -> str:
+    """The 64-hex key a store held for ``request`` when keys were the whole sha256."""
+    fields = {"model_id": request.model_id, "prompt_text": request.prompt_text,
+              "temperature": request.temperature}
+    text = json.dumps(fields, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _cli(*argv) -> str:
+    result = CliRunner().invoke(cli_main, [str(arg) for arg in argv])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+def test_a_run_directory_in_the_keyed_form_resumes_and_reads_the_same(workspace, tmp_path):
+    """Record files with keyed parts and a store with 64-hex keys, as written
+    before parts were rows and keys 128 bits, still resume, cost, export and judge."""
+    claims, config = workspace.records[:3], PipelineConfig()
+    new, old = tmp_path / "new", tmp_path / "old"
+    spy = RequestSpy()
+    run_batch(claims, config, new, provider=spy)
+    shutil.copytree(new, old)
+    records = load_run_records(new)
+    for path in (old / "runs").iterdir():
+        jsonform.write_json(path, _keyed_form(json.loads(path.read_text(encoding="utf-8"))))
+    full = {provider_module.request_key(request): _sha256_key(request) for request in spy.requests}
+    log = old / "cache" / "responses.jsonl"
+    lines = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    log.write_text("".join(json.dumps([full[key], *rest]) + "\n" for key, *rest in lines), encoding="utf-8")
+    assert all(len(key) == 64 and key.startswith(short) for short, key in full.items())
+    assert isinstance(json.loads(next((old / "runs").iterdir()).read_text())["verdicts"][0], dict)
+
+    # Every old record decodes equal to its new form.
+    assert load_run_records(old) == records
+    assert _cli("cost", "--run-dir", old) == _cli("cost", "--run-dir", new)
+    for record in records:
+        for fmt in ("structured", "dot"):
+            export = ("export", "--claim-id", record.claim_id, "--format", fmt, "--run-dir")
+            assert _cli(*export, old) == _cli(*export, new)
+    assert judge_run(old, config).to_dict() == judge_run(new, config).to_dict()
+
+    # A resume skips the done claims, and a lost record's replies are all in the store.
+    lost = old / "runs" / pipeline._record_filename(claims[0].claim_id)
+    lost.unlink()
+    kept = _file_bytes(old / "runs")
+    provider = CountingRefuser(lambda prompt: False, None)
+    result = run_batch(claims, config, old, provider=provider)
+    assert (result.processed, result.skipped, provider.answered) == (1, 2, 0)
+    assert {name: _file_bytes(old / "runs")[name] for name in kept} == kept
+    replayed = pipeline.load_run_record(old, claims[0].claim_id)
+    (original,) = [r for r in records if r.claim_id == claims[0].claim_id]
+    assert replace(replayed, durations={}, stage_usage={}) == replace(
+        original, durations={}, stage_usage={}
+    )
 
 
 def test_export_of_a_claim_without_a_record_names_it(workspace):

@@ -25,6 +25,10 @@ pinned. The batch documents must keep their digests when the provider holds
 the first send of each prompt the claims send twice, so that the copy is sent
 while the first is in flight. Digests move on purpose by the rule for record
 digests.
+
+The mean bytes per claim that a default batch's record files (less their
+``durations``) and response log hold are capped at what their compact forms
+take, so a part written back in a longer form fails here first.
 """
 import hashlib
 import json
@@ -64,17 +68,17 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "ccd3852939cfa4ff505ff0720b4df0a1ff8f5e474539450aeb90be261a721d6c",
-    "hypergraph": "77e559b97f48fa1807002ad2d8d9967bf8309afc586ca3162c85db7a0c8df17b",
-    "background": "887c6a6f70a2bcd159f886c2d6bc69d7ccdeb42fa2153295b8c167c2f168da40",
-    "enhanced": "bf03d46e94db661f2b6975c1110581f0cadbe9f110fd4a5c2c0482f4abcd9fda",
-    "external_adapter": "735b4ec496af5afdfeb8bfe037609c45469b3a321f30881768d919ccbd6830e4",
-    "no_subclaims": "5a75099c35c09d3987c85cbb394e6fb27332cb3eec18ab29209beac0f19f9481",
-    "no_edges": "4147a4ed636430e7ec5d380cf97b1fde7b9c557253fef052933ef976ba4c028d",
-    "no_evidence": "791216376b79313352730308c7633733a81e8e537e5a68fe80eb3e65c1f9f89f",
-    "no_competing": "a82679798576c54a6001a623a2fa810d721308eaa242b8465961f0c09c6a3112",
-    "no_inference_training": "ccd3852939cfa4ff505ff0720b4df0a1ff8f5e474539450aeb90be261a721d6c",
-    "claim_only_bare": "14fda5902d41c8f0af2e968da2dae3c42f12b1b72938b190250bbfc135c997c0",
+    "default": "e28e02dd1b1ee0eb605348c6d0f2060c48d30aadba14ac71e435654f9a06350b",
+    "hypergraph": "2f7eb79e8074524727f08c189da6aa9d055d725ae326219fcafd6c3fd7d66fd1",
+    "background": "005d6adbd2db4c5967b03ecbf87815aff4a0cd8ff16f56a08ea83c148caf74eb",
+    "enhanced": "bec692d84f5f3677d3707a10665eec5c4de21043cc1bb3ed35ae12833bf178f0",
+    "external_adapter": "ba615afedd08f23857141c5e39b39102c84dde660682171153c5e743d5b7ac37",
+    "no_subclaims": "dbc4e921a3eec39d59226629e7ab5f7ff2eb8b8ad69b430edbd67ebee78641e3",
+    "no_edges": "08458f0f7f9469ae10793ce71e9d828811d79ac89d655d7d236ba4dfdde6756f",
+    "no_evidence": "2c4c5e120bd8e2161565c9331cf4f673f25b606a5dc4ebb65d9bfc5d79f0fbea",
+    "no_competing": "452403c106b658b74e35484e3c65f20b6a76c2524091b1db7fc6b0331a92e0b5",
+    "no_inference_training": "e28e02dd1b1ee0eb605348c6d0f2060c48d30aadba14ac71e435654f9a06350b",
+    "claim_only_bare": "94d48175467e00a857e2fa3d8d7542e6771f2ab5fbb8c33fd88539fcf8f0669e",
 }
 
 
@@ -274,6 +278,25 @@ def test_a_judged_report_matches_its_golden_digest(claims, tmp_path):
     report = (tmp_path / "report.json").read_text(encoding="utf-8")
     assert json.loads(report)["judged"] == len(claims)
     assert sha256_text(report) == DOCUMENT_DIGESTS["default/judged/report.json"]
+
+
+# Mean bytes per claim a default scripted batch over the forty claims writes:
+# its record files, less the compact JSON of their timing-only durations, and
+# its response log. A record part written back as a dict of its fields, or a
+# longer request key, goes over them.
+RECORD_BYTES_PER_CLAIM = 3746
+LOG_BYTES_PER_CLAIM = 2298
+
+
+def test_a_batch_writes_no_more_bytes_per_claim_than_its_compact_forms(claims, tmp_path):
+    run_batch(claims, PipelineConfig(), tmp_path, provider=ScriptedResponder(seed=0))
+    texts = [path.read_text(encoding="utf-8") for path in (tmp_path / "runs").iterdir()]
+    timing = sum(len(json.dumps(json.loads(text)["durations"], separators=(",", ":"))) for text in texts)
+    record_bytes = sum(len(text.encode("utf-8")) for text in texts) - timing
+    log_bytes = (tmp_path / "cache" / "responses.jsonl").stat().st_size
+    assert len(texts) == len(claims)
+    assert record_bytes / len(claims) <= RECORD_BYTES_PER_CLAIM
+    assert log_bytes / len(claims) <= LOG_BYTES_PER_CLAIM
 
 
 def test_fixture_manifest_matches_golden_digest(manifest_path):
