@@ -6,10 +6,13 @@ encoder, ``as_json``, and one decoder, its inverse ``from_json``, which read
 a dict's keys as they read its values and a ``TypedDict`` as a dataclass. A field
 written under another key names it once, in ``field(metadata={"json": key})``.
 A ``field(metadata={"rows": True})`` writes each of its parts (a dataclass or
-``TypedDict`` of 2+ fields) as a row, the list of its fields in order, as a
-SQLite row leaves names to the schema: an evidence hit is ``[report_index,
-sentence_index, text, similarity]``; it reads back from its row or, as older
-files hold it, from the dict of its fields. A part that repeats fields of the
+``TypedDict`` of 2+ fields) as a row, the list of its fields' forms in order,
+as a SQLite row leaves names to the schema, a part's own ``rows`` fields
+included: an evidence set is ``[sub_claim_index, hits, k]``, each hit
+``[report_index, sentence_index, text, similarity]`` (a run record then
+writes the text as an index into its table of distinct texts,
+``RunRecord.to_dict``). A part reads back from its row or, as older files
+hold it, from the dict of its fields. A part that repeats fields of the
 dataclass holding it names them in ``field(metadata={"shares": names})``:
 they are written once, on the holder, and the part reads them back from
 there, ignoring the copies an older file still holds in the part (a run
@@ -63,8 +66,9 @@ def as_json(value):
     form = {}
     for name, key, _of, _required, shared, row in _plan(kind)[2]:
         item = getattr(value, name)
-        if row is not None:  # each part as the tuple of its fields' values
-            item = {k: row(part) for k, part in item.items()} if type(item) is dict else [*map(row, item)]
+        if row is not None:
+            form[key] = _rows(row, item)
+            continue
         item = form[key] = as_json(item)
         if shared and item is not None:
             for held in shared:
@@ -72,12 +76,23 @@ def as_json(value):
     return form
 
 
+def _rows(row: Callable, parts):
+    """A ``rows`` field's ``parts``, a list or a dict of them, each as its ``row``."""
+    if type(parts) is dict:
+        return {as_json(key): row(part) for key, part in parts.items()}
+    return [*map(row, parts)]
+
+
 def _row(hint) -> Callable:
-    """The getter of a part's field values, in declaration order, for a ``rows`` field of ``hint``."""
+    """The writer of a part's row, its fields' JSON forms in declaration order,
+    for a ``rows`` field of ``hint``; a field of the part marked ``rows`` writes rows too."""
     args = typing.get_args(hint)
     part = args[1] if typing.get_origin(hint) is dict else args[0]
-    names = [name for name, *_ in _plan(part)[2]]
-    return (operator.itemgetter if typing.is_typeddict(part) else operator.attrgetter)(*names)
+    fields = _plan(part)[2]
+    getter = operator.itemgetter if typing.is_typeddict(part) else operator.attrgetter
+    values = getter(*(name for name, *_ in fields))
+    rows = [f[5] for f in fields]
+    return lambda part: [as_json(v) if row is None else _rows(row, v) for v, row in zip(values(part), rows)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,8 +103,9 @@ def _plan(hint, row: bool = False) -> tuple:
     dataclass or TypedDict a dict, or a list too as a ``rows`` part, ``row``, an
     Enum its values' types, a Decimal a str, ``object`` all), ``build`` what it
     becomes (None: itself) and ``inner`` the plans of its members or items, a dict's
-    ``(keys, items)`` plans, or each field's ``(name, key, plan, required, shares,
-    row)``, its plan None if not passed back (``init=False``), its row a ``_row``."""
+    ``(keys, items)`` plans, an Enum's map of values to members, or each field's
+    ``(name, key, plan, required, shares, row)``, its plan None if not passed back
+    (``init=False``), its row a ``_row``."""
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
     if origin is Union:
         arms = tuple(_plan(arm, row) for arm in args)
@@ -109,7 +125,8 @@ def _plan(hint, row: bool = False) -> tuple:
             for name, hint in typing.get_type_hints(origin).items()
         )
     if isinstance(origin, EnumMeta):
-        return tuple({type(member.value): None for member in origin}), origin, None
+        members = {member.value: member for member in origin}
+        return tuple({type(value): None for value in members}), origin, members
     if origin is Decimal:
         return (str,), Decimal, None
     admits = {float: (int, float), tuple: (list,), object: (object, bool)}.get(origin, (origin,))
@@ -158,9 +175,10 @@ def _decode(plan: tuple, value, path: str, error: Error):
             for k, v in value.items()
         }
     if isinstance(build, EnumMeta):
-        if value not in {member.value for member in build}:
+        member = inner.get(value)
+        if member is None:
             raise error(f"{path} must be a {build.__name__} value, not {value!r}")
-        return build(value)
+        return member
     if build is Decimal:
         try:
             return Decimal(value)

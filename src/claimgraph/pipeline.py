@@ -76,6 +76,7 @@ from .retrieval import (
     EvidenceSet,
     HashingBagOfWordsEmbedder,
     RemoteEncoderClient,
+    RetrievedEvidence,
     build_corpus,
     build_corpus_index,
     retrieve_top_k,
@@ -333,6 +334,33 @@ def _root_cause(error: BaseException) -> Optional[str]:
     return None if root is error else f"{type(root).__name__}: {root}"
 
 
+# Where a hit row holds its text: [report_index, sentence_index, text, similarity].
+_TEXT = [f.name for f in dataclasses.fields(RetrievedEvidence)].index("text")
+
+
+def _texts_inlined(evidence, texts):
+    """A copy of a record's ``evidence`` rows with each hit row's index into
+    ``texts`` replaced by its text; any other shape is left for ``from_json`` to check."""
+    if type(texts) is not list:
+        raise TypeError(f"RunRecord field 'texts' must be list, not {type(texts).__name__}")
+    if type(evidence) is not list:
+        return evidence
+    sets = [*evidence]
+    for i, row in enumerate(sets):
+        if type(row) is list and len(row) == 3 and type(row[1]) is list:
+            sets[i] = row = [row[0], [*row[1]], row[2]]
+            for j, hit in enumerate(row[1]):
+                if type(hit) is list and len(hit) == 4:
+                    index = hit[_TEXT]
+                    if type(index) is not int or not 0 <= index < len(texts):
+                        raise TypeError(
+                            f"RunRecord field 'evidence' item {i} field 'items' item {j} field 'text'"
+                            f" must index the {len(texts)} texts, not {index!r}"
+                        )
+                    row[1][j] = [*hit[:_TEXT], texts[index], *hit[_TEXT + 1:]]
+    return sets
+
+
 @dataclass
 class RunRecord:
     """Everything one claim's run produced.
@@ -356,19 +384,23 @@ class RunRecord:
 
     Retrieved evidence lives only in ``evidence``, one set per node;
     ``explanations`` holds the texts written over it and does not repeat it.
-    Its parts are typed. ``to_dict`` is its JSON form (``jsonform.as_json``),
-    a stage written as its value, and a record file is read back only
-    through ``from_dict`` (``from_json``).
+    Its parts are typed. ``to_dict`` is its JSON form (``jsonform.as_json``
+    with the evidence texts in one table), a stage written as its value, and
+    a record file is read back only through ``from_dict`` (``from_json``).
 
-    Each part is written once, and each evidence hit, explanation, verdict,
-    graph edge and stage's usage as a row, the list of its fields in order
-    (``jsonform``). ``graph`` and ``hypergraph`` are ``{"edges": [...]}`` and
-    ``{"hyperedges": [...], "provenance": [...]}``, sharing the record's
-    ``claim`` and ``sub_claims``; ``n`` is ``len(sub_claims)``. The
-    graph-structure line the prompts held is not kept (under ``no_edges`` a
-    record cannot tell it was left out). An older file (parts as dicts, a
-    ``graph`` repeating the claim and sub-claims, ``n``, ``structure_text``)
-    reads back the same, the copies ignored.
+    Each part is written once, and each evidence set and hit, explanation,
+    verdict, graph edge and stage's usage as a row, the list of its fields in
+    order (``jsonform``). The sub-claims of a claim rank one corpus, so their
+    hits share sentences: ``texts`` holds each distinct evidence text once, in
+    first-use order, and a hit names its text by its index there, ``[report_index,
+    sentence_index, text index, similarity]``. ``graph`` and ``hypergraph`` are
+    ``{"edges": [...]}`` and ``{"hyperedges": [...], "provenance": [...]}``,
+    sharing the record's ``claim`` and ``sub_claims``; ``n`` is
+    ``len(sub_claims)``. The graph-structure line the prompts held is not kept
+    (under ``no_edges`` a record cannot tell it was left out). An older file
+    (no ``texts``, each hit holding its text; parts as dicts, a ``graph``
+    repeating the claim and sub-claims, ``n``, ``structure_text``) reads back
+    the same, the copies ignored.
 
     The explanation graph is not stored: it is derived from ``graph``,
     ``explanations``, ``verdicts``, ``summary`` and ``prediction``
@@ -392,7 +424,7 @@ class RunRecord:
     hypergraph: Optional[HyperGraph] = field(
         default=None, metadata={"shares": ("claim", "sub_claims")}
     )
-    evidence: List[EvidenceSet] = field(default_factory=list)
+    evidence: List[EvidenceSet] = field(default_factory=list, metadata={"rows": True})
     explanations: List[CompetingExplanations] = field(default_factory=list, metadata={"rows": True})
     prediction: Optional[Prediction] = None
     verdicts: List[SubClaimVerdict] = field(default_factory=list, metadata={"rows": True})
@@ -412,12 +444,24 @@ class RunRecord:
         return self.failure is None and self.prediction is not None
 
     def to_dict(self) -> dict:
-        """The record in its JSON form (``as_json``), the one written to disk."""
-        return as_json(self)
+        """The record in its JSON form (``as_json``), the one written to disk,
+        each hit's text an index into ``texts``."""
+        form = as_json(self)
+        texts = {}
+        for _node, hits, _k in form["evidence"]:
+            for hit in hits:
+                hit[_TEXT] = texts.setdefault(hit[_TEXT], len(texts))
+        form["texts"] = [*texts]
+        return form
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        """A record from its JSON form (``from_json``); ``Stage.JUDGE`` is no stage of a claim."""
+        """A record from its JSON form (``from_json``); ``Stage.JUDGE`` is no stage of a claim.
+
+        With ``texts``, a hit row's text is an index into it; one that is no
+        int or out of range raises TypeError naming its field and item."""
+        if "texts" in payload:
+            payload = dict(payload, evidence=_texts_inlined(payload.get("evidence"), payload["texts"]))
         record = from_json(cls, payload)
         failed_at = [record.failure.stage] if record.failure else []
         if Stage.JUDGE in {*record.stage_trace, *record.durations, *record.stage_usage, *failed_at}:

@@ -86,7 +86,10 @@ class EvidenceCandidate:
 
 @dataclass(frozen=True)
 class RetrievedEvidence:
-    """One top-k hit, about k per node, so a row: ``[report_index, sentence_index, text, similarity]``."""
+    """One top-k hit, about k per node, so a row: ``[report_index, sentence_index, text, similarity]``.
+
+    The sub-claims of a claim rank one corpus and share hits, so a run record
+    writes ``text`` as an index into its table of distinct texts (``RunRecord.to_dict``)."""
 
     report_index: int
     sentence_index: int
@@ -96,6 +99,8 @@ class RetrievedEvidence:
 
 @dataclass(frozen=True)
 class EvidenceSet:
+    """A node's top-k hits; a run record writes it as a row, ``[sub_claim_index, hits, k]``."""
+
     sub_claim_index: int
     items: Tuple[RetrievedEvidence, ...] = field(metadata={"rows": True})
     k: int

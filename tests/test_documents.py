@@ -29,6 +29,7 @@ from claimgraph.pipeline import (
     load_run_records,
     run_batch,
 )
+from claimgraph.retrieval import EvidenceSet, RetrievedEvidence
 from claimgraph.summarize import SubClaimVerdict
 
 TRUNCATED, NOT_AN_OBJECT, EMPTY = '{"k": ', "[]", "{}"
@@ -159,6 +160,8 @@ def _edge_added(workspace, source, target):
     return json.dumps(payload)
 
 
+# The first hit of node 1's evidence set: its index into the record's ``texts``.
+HIT_TEXT = ("evidence", 0, _at(EvidenceSet, "items"), 0, _at(RetrievedEvidence, "text"))
 MANIFEST = '{"name": "t", "scheme": "three_way", "split": "test", "claims": 5}'
 USAGE = {"input_tokens": 1, "output_tokens": 1}
 # Record parts of the wrong shape: each is decoded into its typed part.
@@ -169,6 +172,12 @@ PART_BODIES = {
     ),
     "graph_edges_int": lambda ws: _record_with(ws, graph={"edges": 5}),
     "explanation_row_short": lambda ws: _record_with(ws, explanations=[[1, "a", "b"]]),
+    "evidence_row_short": lambda ws: _record_with(ws, evidence=[[1, []]]),
+    "evidence_text_index_beyond_texts": lambda ws: _record_leaf(
+        ws, HIT_TEXT, len(_explained_payload(ws)["texts"])
+    ),
+    "evidence_text_index_str": lambda ws: _record_leaf(ws, HIT_TEXT, "0"),
+    "texts_dict": lambda ws: _record_with(ws, texts={}),
 }
 # Records whose nested values are wrong: each stage must be a stage of a
 # claim, each duration a number, each usage entry the ledger's int counts.
@@ -326,7 +335,7 @@ def test_config_items_are_checked_where_the_annotation_types_them(payload, fault
         ),
         (
             {"evidence": [{"sub_claim_index": 1, "items": [], "k": 5}, []]},
-            "field 'evidence' item 1 must be dict, not list",
+            "field 'evidence' item 1 must hold 3 items, not 0",
         ),
         (
             {"stage_usage": {"inference": {"input_tokens": 1, "calls": 1}}},

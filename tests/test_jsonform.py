@@ -6,9 +6,11 @@ fault that names its path.
 """
 import dataclasses
 import json
+import re
 import typing
 from dataclasses import dataclass, field
 from decimal import Decimal
+from enum import EnumMeta
 from typing import Dict, List, Optional, Tuple, TypedDict
 
 import pytest
@@ -303,6 +305,91 @@ def test_a_fault_in_an_evidence_hit_names_its_path(hit, fault):
         RunRecord.from_dict(_record_with_hits(hit))
 
 
+SHARED = "The mayor signed it."
+
+
+# Node 1's and node 2's hits share both sentences, as the sub-claims of one claim do.
+SHARING = RunRecord("c", "x", "three_way", sub_claims=["a", "b"], evidence=[
+    EvidenceSet(1, (RetrievedEvidence(0, 1, SHARED, 0.5), RetrievedEvidence(2, 0, "Other.", 0.25)), 5),
+    EvidenceSet(2, (RetrievedEvidence(2, 0, "Other.", 0.75), RetrievedEvidence(0, 1, SHARED, 0.5)), 5),
+])
+
+
+def test_sets_that_share_a_sentence_write_its_text_once():
+    payload = SHARING.to_dict()
+    assert payload["texts"] == [SHARED, "Other."]
+    assert payload["evidence"] == [
+        [1, [[0, 1, 0, 0.5], [2, 0, 1, 0.25]], 5],
+        [2, [[2, 0, 1, 0.75], [0, 1, 0, 0.5]], 5],
+    ]
+    text = json.dumps(payload)
+    assert text.count(SHARED) == text.count("Other.") == 1
+    assert RunRecord.from_dict(json.loads(text)) == SHARING
+
+
+TEXT_PATH = "RunRecord field 'evidence' item 1 field 'items' item 0 field 'text'"
+
+
+@pytest.mark.parametrize("index", [2, -1, "0", 0.0, True, None])
+def test_a_text_index_out_of_range_or_not_an_int_is_one_error_naming_its_field_and_item(index):
+    payload = SHARING.to_dict()
+    payload["evidence"][1][1][0][2] = index
+    fault = f"must index the 2 texts, not {re.escape(repr(index))}"
+    with pytest.raises(TypeError, match=f"^{TEXT_PATH} {fault}$"):
+        RunRecord.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "texts, fault",
+    [
+        ({}, "RunRecord field 'texts' must be list, not dict"),
+        (
+            [SHARED, 5],
+            "RunRecord field 'evidence' item 0 field 'items' item 1 field 'text' must be str, not int",
+        ),
+    ],
+)
+def test_a_table_that_is_no_list_of_texts_names_its_fault(texts, fault):
+    with pytest.raises(TypeError, match=f"^{fault}$"):
+        RunRecord.from_dict(dict(SHARING.to_dict(), texts=texts))
+
+
+def test_each_older_evidence_form_reads_back_the_same_record():
+    payload = SHARING.to_dict()
+    del payload["texts"]
+    # Each set the dict of its fields, each hit its row holding its text.
+    inline = [
+        dict(sub_claim_index=s.sub_claim_index, items=[[*dataclasses.astuple(hit)] for hit in s.items], k=s.k)
+        for s in SHARING.evidence
+    ]
+    keyed = [json.loads(json.dumps(dataclasses.asdict(s))) for s in SHARING.evidence]
+    assert isinstance(keyed[0]["items"][0], dict)
+    assert RunRecord.from_dict(dict(payload, evidence=inline)) == SHARING
+    assert RunRecord.from_dict(dict(payload, evidence=keyed)) == SHARING
+
+
+# Hits drawn from a few sentences, so that sets share texts; sets may be
+# empty (``no_evidence``) or node 0's (``no_subclaims``).
+pooled_hits = st.builds(
+    RetrievedEvidence, indices, indices, st.sampled_from(["", SHARED, "Other.", "Þriðja."]), numbers
+)
+pooled_sets = st.builds(
+    EvidenceSet, st.integers(0, 3), st.lists(pooled_hits, max_size=4).map(tuple), st.integers(1, 9)
+)
+evidence_records = st.builds(
+    RunRecord, texts, texts, texts,
+    sub_claims=st.lists(texts, max_size=3), evidence=st.lists(pooled_sets, max_size=4),
+)
+
+
+@given(evidence_records)
+def test_a_record_reads_back_equal_from_the_json_text_of_each_form(record):
+    payload = record.to_dict()
+    assert sorted(payload["texts"]) == sorted({hit.text for s in record.evidence for hit in s.items})
+    assert RunRecord.from_dict(json.loads(json.dumps(payload))) == record
+    assert from_json(RunRecord, json.loads(json.dumps(as_json(record)))) == record
+
+
 @dataclass(frozen=True)
 class Part:
     name: str
@@ -416,7 +503,7 @@ def _untyped_leaves(plan, path):
         return _untyped_leaves(inner, f"{path} item")
     if build is dict:
         return _untyped_leaves(inner[0], f"{path} key") + _untyped_leaves(inner[1], f"{path} item")
-    if inner is None:  # an Enum or a Decimal
+    if build is Decimal or isinstance(build, EnumMeta):
         return []
     return [
         leaf

@@ -1568,9 +1568,24 @@ EDGE_FIELDS = ("source", "target", "provenance")
 USAGE_FIELDS = ("input_tokens", "output_tokens", "calls")
 
 
+def _inline_text_form(payload: dict) -> dict:
+    """A record's JSON form as files held it before its evidence texts were
+    one table: no ``texts``, each evidence set the dict of its fields and
+    each hit row holding its text."""
+    payload = dict(payload)
+    texts = payload.pop("texts")
+    payload["evidence"] = [
+        {"sub_claim_index": node, "items": [[*hit[:2], texts[hit[2]], hit[3]] for hit in hits], "k": k}
+        for node, hits, k in payload["evidence"]
+    ]
+    return payload
+
+
 def _keyed_form(payload: dict) -> dict:
     """A record's JSON form as files held it before explanations, verdicts,
-    graph edges and stage usage were rows: each part the dict of its fields."""
+    graph edges and stage usage were rows: each part the dict of its fields,
+    and each hit holding its text (``_inline_text_form``)."""
+    payload = _inline_text_form(payload)
     payload = dict(
         payload,
         explanations=[dict(zip(EXPLANATION_FIELDS, row)) for row in payload["explanations"]],
@@ -1709,6 +1724,40 @@ def test_a_run_directory_in_the_keyed_form_resumes_and_reads_the_same(workspace,
     assert replace(replayed, durations={}, stage_usage={}) == replace(
         original, durations={}, stage_usage={}
     )
+
+
+def test_a_run_directory_in_the_inline_text_form_resumes_and_reads_the_same(workspace, tmp_path):
+    """Record files whose hits hold their texts, as written before the text
+    table, resume beside new ones and read, cost, export and judge as a fresh run's."""
+    claims, config = workspace.records[:4], PipelineConfig()
+    fresh, mixed = tmp_path / "fresh", tmp_path / "mixed"
+    run_batch(claims, config, fresh, provider=ScriptedResponder(seed=0))
+    shutil.copytree(fresh, mixed)
+    for path in (mixed / "runs").iterdir():
+        jsonform.write_json(path, _inline_text_form(json.loads(path.read_text(encoding="utf-8"))))
+    # Two records and the response log are lost, so the resume runs those
+    # claims again and books their calls (a reply from the store books none).
+    lost = {claim.claim_id: mixed / "runs" / pipeline._record_filename(claim.claim_id) for claim in claims[::2]}
+    for path in lost.values():
+        path.unlink()
+    shutil.rmtree(mixed / "cache")
+    result = run_batch(claims, config, mixed, provider=ScriptedResponder(seed=0))
+    assert (result.processed, result.skipped) == (2, 2)
+    tabled = {path for path in (mixed / "runs").iterdir() if "texts" in json.loads(path.read_text(encoding="utf-8"))}
+    assert tabled == set(lost.values())
+    # Only their timings differ from the fresh run's; give them its durations.
+    fresh_records = {record.claim_id: record for record in load_run_records(fresh)}
+    for claim_id, path in lost.items():
+        replayed = pipeline.load_run_record(mixed, claim_id)
+        jsonform.write_json(path, replace(replayed, durations=fresh_records[claim_id].durations).to_dict())
+
+    assert load_run_records(mixed) == load_run_records(fresh)
+    assert _cli("cost", "--run-dir", mixed) == _cli("cost", "--run-dir", fresh)
+    for record in fresh_records.values():
+        for fmt in ("structured", "dot"):
+            export = ("export", "--claim-id", record.claim_id, "--format", fmt, "--run-dir")
+            assert _cli(*export, mixed) == _cli(*export, fresh)
+    assert judge_run(mixed, config).to_dict() == judge_run(fresh, config).to_dict()
 
 
 def test_export_of_a_claim_without_a_record_names_it(workspace):

@@ -68,17 +68,17 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "e28e02dd1b1ee0eb605348c6d0f2060c48d30aadba14ac71e435654f9a06350b",
-    "hypergraph": "2f7eb79e8074524727f08c189da6aa9d055d725ae326219fcafd6c3fd7d66fd1",
-    "background": "005d6adbd2db4c5967b03ecbf87815aff4a0cd8ff16f56a08ea83c148caf74eb",
-    "enhanced": "bec692d84f5f3677d3707a10665eec5c4de21043cc1bb3ed35ae12833bf178f0",
-    "external_adapter": "ba615afedd08f23857141c5e39b39102c84dde660682171153c5e743d5b7ac37",
-    "no_subclaims": "dbc4e921a3eec39d59226629e7ab5f7ff2eb8b8ad69b430edbd67ebee78641e3",
-    "no_edges": "08458f0f7f9469ae10793ce71e9d828811d79ac89d655d7d236ba4dfdde6756f",
-    "no_evidence": "2c4c5e120bd8e2161565c9331cf4f673f25b606a5dc4ebb65d9bfc5d79f0fbea",
-    "no_competing": "452403c106b658b74e35484e3c65f20b6a76c2524091b1db7fc6b0331a92e0b5",
-    "no_inference_training": "e28e02dd1b1ee0eb605348c6d0f2060c48d30aadba14ac71e435654f9a06350b",
-    "claim_only_bare": "94d48175467e00a857e2fa3d8d7542e6771f2ab5fbb8c33fd88539fcf8f0669e",
+    "default": "204592b9c42cf5df816a4567eeaecc400e1ce76a874f05e2ef656372c4777208",
+    "hypergraph": "99691ebe6e820a4e64ece3eecb8d120ef7ab0b5913aaca1776bcc5b4a6c8831e",
+    "background": "f0619e65d1a425d9bd6da8e1fd39e5cd73c5cd40ef0ced1ceb89454b043fb22d",
+    "enhanced": "c7dd16654664a41f857971a829ddb58c5bfcc74c32bd070b7415d03b5ed1675d",
+    "external_adapter": "7578fddb0678c4ead82640685cc65a6e8da5e8e922bc7920d99667cf37f36027",
+    "no_subclaims": "e21279df826f3370fadb0ca2436c055daa6a85b1e4523adf6baf8168a46bcf7a",
+    "no_edges": "b15f45393ab58afae9bd85e31bd0013d0460b1c8dfecda2a30c954407b5c38b4",
+    "no_evidence": "2312c6d50b65e05bb420e58610afbc2d34b00cf82cef393e5ddbd7d7b78e0d22",
+    "no_competing": "3058e28ba2298258948aff8a2d4294cdf94e3de103b6970a29be7fc5260a8c48",
+    "no_inference_training": "204592b9c42cf5df816a4567eeaecc400e1ce76a874f05e2ef656372c4777208",
+    "claim_only_bare": "a90a41e60ebe8a82fc3bb076a78ab09b1b92ed43fcb67a939e48c46ce389884a",
 }
 
 
@@ -282,9 +282,9 @@ def test_a_judged_report_matches_its_golden_digest(claims, tmp_path):
 
 # Mean bytes per claim a default scripted batch over the forty claims writes:
 # its record files, less the compact JSON of their timing-only durations, and
-# its response log. A record part written back as a dict of its fields, or a
-# longer request key, goes over them.
-RECORD_BYTES_PER_CLAIM = 3746
+# its response log. A record part written back as a dict of its fields, an
+# evidence text written more than once, or a longer request key, goes over them.
+RECORD_BYTES_PER_CLAIM = 2942
 LOG_BYTES_PER_CLAIM = 2298
 
 
