@@ -15,6 +15,10 @@ from any directory the recorded run replays with no new provider calls:
   claimgraph run --manifest OUT/data/manifest.json \
       --config OUT/recorded_run/config.json --out REPLAY_DIR
   claimgraph cost --run-dir REPLAY_DIR
+
+The replay books each distinct reply once, as the recording did, so its
+cost.json matches recorded_run's; REPLAY_DIR/cache holds the replies it used
+and is itself a fixture set.
 """
 import argparse
 import shutil

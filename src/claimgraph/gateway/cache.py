@@ -13,8 +13,8 @@ A line that does not decode, such as the torn last line of a writer killed
 mid-append, is skipped: its entry is a miss, and a store opened after it
 starts on a fresh line. A line glued onto a tail torn later never decodes
 either, since the torn line leaves its array open. The gateway writes every
-provider reply into its run directory's ``cache/``; a copy of that
-directory is a fixture set that ``FixtureProvider`` replays.
+provider reply, replayed ones too, into its run directory's ``cache/``; a
+copy of that directory is a fixture set that ``FixtureProvider`` replays.
 """
 from __future__ import annotations
 

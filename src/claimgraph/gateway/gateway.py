@@ -3,7 +3,7 @@
 Responsibilities: per-stage token accounting, optional response caching,
 one provider call per in-flight request key, retries under the policy in
 ``claimgraph.retry``, a cap on concurrent in-flight provider calls, and
-(``ask``) the one corrective re-ask loop.
+(``ask``) the one corrective re-ask loop, on one path for every provider.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ClaimGraphError, ProviderUnavailableError
 from ..retry import full_jitter, with_retries
-from .cache import FixtureProvider, ResponseCache
+from .cache import ResponseCache
 from .ledger import Stage, TokenLedger
 from .provider import GenerationRequest, GenerationResponse, Provider, request_key
 
@@ -67,20 +67,16 @@ class LlmGateway:
         """Send one prompt; returns the response and books its usage by stage.
 
         A cache hit returns the stored response without touching the provider
-        or the ledger (zero new tokens). A reply replayed by a
-        ``FixtureProvider`` is already stored, so it is neither cached again
-        nor coalesced: each send is booked. Otherwise, with a cache, a
-        request whose ``request_key`` is already in flight on this gateway or
-        a copy of it joins that call: it waits for its reply (or its error)
-        and, like a hit, books nothing, so one reply is paid for once
-        however its sends interleave.
+        or the ledger (zero new tokens). With a cache, a request whose
+        ``request_key`` is already in flight on this gateway or a copy of it
+        joins that call: it waits for its reply (or its error) and, like a
+        hit, books nothing, so one reply is paid for once however its sends
+        interleave. A replay (``FixtureProvider``) takes this path too, so it
+        books and stores each distinct reply once, as its recording did.
         """
         request = self.build_request(prompt_text, stage)
         if self.cache is None:
             return self._spend(request, stage)
-        if isinstance(self.provider, FixtureProvider):
-            hit = self.cache.get(request)
-            return hit if hit is not None else self._spend(request, stage)
         key = request_key(request)
         with self._pending_lock:
             # Checked under the lock: a reply is stored before its call leaves _pending.

@@ -11,9 +11,9 @@ from typing import Dict, Iterable, Mapping, TypedDict, Union
 class Stage(str, Enum):
     """The one vocabulary of pipeline stages, in the order they run.
 
-    Run records' traces, durations, usage and failures, and the latency
-    model's terms, all key by them; a member's JSON form and text are its
-    value, as for ``enum.StrEnum``. ``JUDGE`` is evaluation's call.
+    Run records' durations (their traces read off them), usage and failures,
+    and the latency model's terms, all key by them; a member's JSON form and
+    text are its value, as for ``enum.StrEnum``. ``JUDGE`` is evaluation's call.
     """
 
     __str__, __format__ = str.__str__, str.__format__

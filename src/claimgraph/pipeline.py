@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -368,19 +369,21 @@ class RunRecord:
     Its stage fields are typed by ``Stage``, and a stage's calls are booked
     in ``stage_usage`` (a ``StageUsage`` entry) under the stage its work is
     timed under in ``durations``; each is a stage of a claim, never ``JUDGE``.
-    Only the claim thread writes a record; it reads ``stage_trace``,
-    ``durations`` and ``failure`` off the claim's pieces of stage work at the
-    end, by one rule: the failure is the earliest piece, in program and then
-    submission order, that raised (or the last stage started, for an error
-    outside every piece), and ``stage_trace`` is cut at its stage, so
-    ``failure.stage``, when set, is always its last entry.
-    ``stage_usage`` counts provider calls only; cache hits cost nothing and
-    are not counted. On failure it also books the overlapped calls of later
-    stages that had already started, and a competing pair's other side when
-    that call was already spent. ``durations[stage]`` is the stage's own
-    work time, summed over its pieces, each timed where it ran; time spent
-    waiting for a piece is not in it. Once a claim's stages overlap, the sum
-    of ``durations`` exceeds the claim's wall time.
+    Only the claim thread writes a record; it reads ``durations`` and
+    ``failure`` off the claim's pieces of stage work at the end, by one rule:
+    the failure is the earliest piece, in program and then submission order,
+    that raised (or the last stage started, for an error outside every piece).
+    ``stage_trace`` is not stored (an older file's is ignored): it is the
+    stages of ``durations``, in program order, cut after ``failure.stage``, or
+    with it appended if it has no duration, which only a hand-built record or
+    an error outside every piece after the last piece was cancelled gives.
+    ``stage_usage`` counts provider calls only; cache hits cost nothing and are
+    not counted. On failure it also books the overlapped calls of later stages
+    that had already started, and a competing pair's other side when that call
+    was already spent. ``durations[stage]`` is the stage's own work time,
+    summed over its pieces, each timed where it ran; time spent waiting for a
+    piece is not in it. Once a claim's stages overlap, the sum of ``durations``
+    exceeds the claim's wall time.
 
     Retrieved evidence lives only in ``evidence``, one set per node;
     ``explanations`` holds the texts written over it and does not repeat it.
@@ -429,7 +432,6 @@ class RunRecord:
     prediction: Optional[Prediction] = None
     verdicts: List[SubClaimVerdict] = field(default_factory=list, metadata={"rows": True})
     summary: Optional[str] = None
-    stage_trace: List[Stage] = field(default_factory=list)
     durations: Dict[Stage, float] = field(default_factory=dict)
     stage_usage: Dict[Stage, StageUsage] = field(default_factory=dict, metadata={"rows": True})
     warnings: List[str] = field(default_factory=list)
@@ -442,6 +444,12 @@ class RunRecord:
     @property
     def succeeded(self) -> bool:
         return self.failure is None and self.prediction is not None
+
+    @property
+    def stage_trace(self) -> List[Stage]:
+        """The stages of ``durations``, in program order, cut after ``failure.stage``."""
+        failed = [self.failure.stage] if self.failure else []
+        return [*takewhile(lambda stage: stage not in failed, self.durations), *failed]
 
     def to_dict(self) -> dict:
         """The record in its JSON form (``as_json``), the one written to disk,
@@ -464,7 +472,7 @@ class RunRecord:
             payload = dict(payload, evidence=_texts_inlined(payload.get("evidence"), payload["texts"]))
         record = from_json(cls, payload)
         failed_at = [record.failure.stage] if record.failure else []
-        if Stage.JUDGE in {*record.stage_trace, *record.durations, *record.stage_usage, *failed_at}:
+        if Stage.JUDGE in {*record.durations, *record.stage_usage, *failed_at}:
             raise ValueError(f"not a stage of a claim: {Stage.JUDGE}")
         return record
 
@@ -508,12 +516,11 @@ class _ClaimStages:
     thread waits on pieces; a piece waits only on a side it forked
     (``_both``) that has already started; a side never waits on anything.
 
-    The one rule, applied once at the end by ``settled``: this claim's
-    pieces not yet started are cancelled and its running ones waited for. The
-    failure is the first piece in the list that raised; an error raised
-    outside every piece goes to the last stage started. ``stage_trace``
-    holds the pieces' stages, in order, cut at the failed stage.
-    ``durations[stage]`` sums the stage's pieces' own times.
+    The one rule, applied once at the end by ``settled``: this claim's pieces
+    not yet started are cancelled and its running ones waited for. The failure
+    is the first piece in the list that raised; an error raised outside every
+    piece goes to the last stage started. ``durations[stage]``, in the pieces'
+    order, sums the stage's pieces' own times.
     """
 
     def __init__(self, calls: ThreadPoolExecutor) -> None:
@@ -569,7 +576,7 @@ class _ClaimStages:
 
     @contextmanager
     def settled(self, record: RunRecord):
-        """Run the claim's stages inside; then write the record's trace, durations, failure."""
+        """Run the claim's stages inside; then write the record's durations and failure."""
         error: Optional[Exception] = None
         try:
             yield
@@ -580,15 +587,13 @@ class _ClaimStages:
             # would count it pending until a pool worker dequeues it, behind
             # other claims' pieces, so only the pieces already started are waited for.
             wait([future for _stage, future in self.pieces if not future.cancel()])
-        trace = list(dict.fromkeys(stage for stage, _future in self.pieces))
         if error is not None:
             raised = (
                 (stage, future.exception())
                 for stage, future in self.pieces
                 if not future.cancelled() and future.exception() is not None
             )
-            stage, error = next(raised, (trace[-1], error))
-            del trace[trace.index(stage) + 1 :]
+            stage, error = next(raised, (self.pieces[-1][0], error))
             if isinstance(error, ClaimGraphError):
                 message = str(error)
             else:
@@ -596,7 +601,6 @@ class _ClaimStages:
                 # exception): keep the type so the cause can be told apart.
                 message = f"{type(error).__name__}: {error}"
             record.failure = Failure(stage, message, _root_cause(error))
-        record.stage_trace = trace
         for place, seconds in sorted(self.seconds.items()):
             stage = self.pieces[place][0]
             record.durations[stage] = record.durations.get(stage, 0.0) + seconds
@@ -638,14 +642,14 @@ def run_claim(runtime: PipelineRuntime, claim_record: ClaimRecord) -> RunRecord:
     provider calls across the run, and no call of this claim runs after this
     function returns. Only the claim thread writes the record.
 
-    Every failure, domain or not, is captured on the record under
-    ``failure`` by ``_ClaimStages``' one rule, so a batch always produces
-    one record per claim: the earliest piece that raised, in program and
-    then submission order (node 1's before node 2's, and a pair's false
-    side before its true side, as a sequential run would see them), is
-    charged and ``stage_trace`` is cut there. The claim's
-    pieces not yet started are cancelled; ``stage_usage`` books every call
-    that ran, overlapped ones included. Other claims' pieces run on.
+    Every failure, domain or not, is captured on the record under ``failure``
+    by ``_ClaimStages``' one rule, so a batch always produces one record per
+    claim: the earliest piece that raised, in program and then submission
+    order (node 1's before node 2's, and a pair's false side before its true
+    side, as a sequential run would see them), is charged; ``stage_trace``
+    ends there. The claim's pieces not yet started are cancelled;
+    ``stage_usage`` books every call that ran, overlapped ones included. Other
+    claims' pieces run on.
 
     Without sub-claims the claim itself is the only node: it gets
     claim-level evidence and explanations, a single-node inference prompt,

@@ -185,9 +185,7 @@ RECORD_BODIES = {
     **PART_BODIES,
     "duration_str": lambda ws: _record_with(ws, durations={"inference": "x"}),
     "duration_of_no_stage": lambda ws: _record_with(ws, durations={"bogus_stage": 0.1}),
-    "trace_of_no_stage": lambda ws: _record_with(ws, stage_trace=["bogus_stage"]),
     # A Stage, but evaluation's call, not a claim's.
-    "trace_of_judge": lambda ws: _record_with(ws, stage_trace=["judge"]),
     "usage_of_judge": lambda ws: _record_with(ws, stage_usage={"judge": dict(USAGE, calls=1)}),
     "usage_without_calls": lambda ws: _record_with(ws, stage_usage={"inference": USAGE}),
     "usage_calls_str": lambda ws: _record_with(
@@ -351,6 +349,16 @@ def test_record_items_are_checked_down_to_the_leaves(fields, fault):
     payload = dict(claim_id="c", claim="x", scheme="three_way", **fields)
     with pytest.raises(TypeError, match=f"^RunRecord {fault}$"):
         RunRecord.from_dict(payload)
+
+
+def test_a_record_file_holding_a_stage_trace_reads_back_equal(workspace, tmp_path):
+    """A file written when the trace was stored holds a ``stage_trace`` key; it is ignored."""
+    run_dir, record = _copy_run(workspace, tmp_path)
+    path = _record_path(run_dir, record)
+    path.write_text(_record_with(workspace, stage_trace=[*map(str, record.stage_trace)]), encoding="utf-8")
+    assert "stage_trace" in json.loads(path.read_text(encoding="utf-8"))
+    assert load_run_records(run_dir) == load_run_records(workspace.recorded_run_dir)
+    assert pipeline.load_run_record(run_dir, record.claim_id).stage_trace == record.stage_trace
 
 
 def test_float_fields_take_ints_and_keep_them():

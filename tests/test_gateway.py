@@ -313,20 +313,25 @@ def test_copies_of_a_failing_request_share_its_error_and_the_next_send_calls_aga
     assert provider.calls == 2
 
 
-def test_without_a_cache_or_with_fixtures_every_send_is_booked(tmp_path):
+def test_without_a_cache_every_send_is_booked_and_a_replay_books_a_reply_once(tmp_path):
     provider = HeldProvider()
     _, usages = send_copies(make_gateway(provider), provider, lambda: provider.calls == 6)
     assert provider.calls == 6
     assert [usage["inference"]["calls"] for usage in usages] == [1] * 6
 
-    _, request, fixture_dir = record_through_run_cache(tmp_path, "replayed")
+    # A replay takes the cached path too: it books and stores one reply once, as its recording did.
+    live, request, fixture_dir = record_through_run_cache(tmp_path, "replayed")
     replay = FixtureProvider(fixture_dir)
-    ledger = TokenLedger()
-    gateway = make_gateway(replay, ledger=ledger, cache=ResponseCache(tmp_path / "run2"))
-    for _ in range(2):
-        gateway.complete(request.prompt_text, Stage.INFERENCE)
-    assert replay.call_count == 2
-    assert ledger.totals()["inference"]["calls"] == 2
+    ledger, cache = TokenLedger(), ResponseCache(tmp_path / "run2")
+    gateway = make_gateway(replay, ledger=ledger, cache=cache)
+    sent = [gateway.complete(request.prompt_text, Stage.INFERENCE) for _ in range(2)]
+    assert replay.call_count == 1
+    assert [response.cached for response in sent] == [False, True]
+    assert ledger.totals() == {"inference": {"input_tokens": live.usage.input_tokens,
+                                             "output_tokens": live.usage.output_tokens, "calls": 1}}
+    cache.close()
+    log = "responses.jsonl"
+    assert (tmp_path / "run2" / log).read_bytes() == (fixture_dir / log).read_bytes()
 
 
 def test_judge_stage_runs_at_temperature_zero():

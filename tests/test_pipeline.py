@@ -11,6 +11,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from claimgraph import adapters, jsonform, pipeline, retrieval
 from claimgraph.adapters import LineAdapterClient
@@ -61,6 +63,7 @@ from claimgraph.pipeline import (
 )
 from claimgraph.summarize import export_dot, parse_structured
 
+from test_acceptance import _EXPECTED_TRACES as ACCEPTED_TRACES
 from test_record_stability import CONFIGS as STABILITY_CONFIGS, STUB_ADAPTER, PromptSpy
 
 STANDARD_TRACE = [
@@ -497,6 +500,66 @@ def test_retrieval_failure_is_charged_in_program_order(two_records, refuse_edges
     # The edges were joined before the failure was charged, as at a sequential run.
     assert (record.graph is None) == refuse_edges
     assert provider.answered == booked_calls(record)
+
+
+# Acceptance 10's full traces, by the config they are drawn under.
+FULL_TRACES = {
+    "default": ACCEPTED_TRACES[()],
+    "hypergraph": [s.replace("edge_", "hyperedge_") for s in ACCEPTED_TRACES[()]],
+    "with_background": ACCEPTED_TRACES[()][:4] + ["background_generation"] + ACCEPTED_TRACES[()][4:],
+    **{name: ACCEPTED_TRACES[(name,)] for name in ("no_edges", "no_evidence", "no_subclaims", "no_competing")},
+}
+TRACED_CONFIGS = {
+    "default": {},
+    "hypergraph": {"graph_structure": "hypergraph"},
+    "with_background": {"with_background": True},
+    **{name: {"ablations": (name,)} for name in ("no_edges", "no_evidence", "no_subclaims", "no_competing")},
+}
+
+
+class RefusingCall(ScriptedResponder):
+    """Scripted replies, except that call number ``refused`` (from 0, as calls arrive) raises."""
+
+    def __init__(self, refused: int):
+        super().__init__(seed=0)
+        self.refused = refused
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        with self.lock:
+            number, self.calls = self.calls, self.calls + 1
+        if number == self.refused:
+            raise ProviderUnavailableError(f"call {number} refused")
+        return super().generate(request)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(FULL_TRACES)), refused=st.integers(0, 11))
+def test_a_written_records_trace_is_its_full_trace_cut_at_its_failed_stage(workspace, name, refused):
+    provider = RefusingCall(refused)
+    with tempfile.TemporaryDirectory() as run_dir:
+        run_batch(workspace.records[:1], PipelineConfig(**TRACED_CONFIGS[name]), run_dir, provider=provider)
+        (record,) = load_run_records(run_dir)
+    full = FULL_TRACES[name]
+    assert record.succeeded == (refused >= provider.calls)
+    if record.failure is None:
+        assert record.stage_trace == full
+    else:
+        assert record.stage_trace == full[: full.index(record.failure.stage) + 1]
+        assert record.failure.stage == record.stage_trace[-1]
+
+
+def test_a_failed_stage_without_a_duration_ends_the_trace():
+    """Only a hand-built record, or an error raised outside every piece after
+    the last piece was cancelled, fails at a stage it has no duration for."""
+    durations = {Stage(stage): 0.1 for stage in STANDARD_TRACE[:3]}
+    record = RunRecord("c", "x", "three_way", durations=durations,
+                       failure=Failure(Stage.EXPLANATION_GENERATION, "m"))
+    assert record.stage_trace == STANDARD_TRACE[:4]
+    assert RunRecord.from_dict(record.to_dict()).stage_trace == STANDARD_TRACE[:4]
+    assert replace(record, failure=Failure(Stage.EDGE_GENERATION, "m")).stage_trace == STANDARD_TRACE[:2]
+    assert replace(record, failure=None).stage_trace == STANDARD_TRACE[:3]
 
 
 class InFlightProvider:
@@ -1134,13 +1197,42 @@ def test_run_batch_sweeps_orphaned_temp_files(two_records, tmp_path):
     assert _file_bytes(run_dir / "cache") == cache
 
 
-def test_fixture_replay_writes_no_copy_of_the_fixtures(workspace, tmp_path):
-    # The config names the fixture provider; its replies are already stored.
-    run_dir = tmp_path / "replay"
-    result = run_batch(workspace.records[:2], workspace.config, run_dir)
+def test_a_fixture_replay_stores_the_replies_it_used(workspace, tmp_path):
+    # The config names the fixture provider; a replay's cache is itself a fixture set.
+    claims, run_dir = workspace.records[:2], tmp_path / "replay"
+    result = run_batch(claims, workspace.config, run_dir)
     assert result.processed == 2
-    assert all(r.succeeded for r in load_run_records(run_dir))
-    assert list((run_dir / "cache").iterdir()) == []
+    records = load_run_records(run_dir)
+    assert all(r.succeeded for r in records)
+    used = (run_dir / "cache" / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+    recorded = (workspace.fixture_dir / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(used) == sum(booked_calls(r) for r in records) and set(used) <= set(recorded)
+    again = replace(workspace.config, provider={"type": "fixture", "path": str(run_dir / "cache")})
+    run_batch(claims, again, tmp_path / "again")
+    assert list(map(without_durations, load_run_records(tmp_path / "again"))) == list(
+        map(without_durations, records)
+    )
+
+
+@pytest.mark.parametrize("claim_concurrency", [1, 4])
+def test_a_replay_books_what_its_recording_booked(workspace, tmp_path, claim_concurrency):
+    # Same-text copies: the recording's cache answers each copy's calls, or they join the first's.
+    claims = workspace.records[:3]
+    claims += [replace(claim, claim_id=f"{claim.claim_id}-copy") for claim in claims]
+    fixtures = tmp_path / "fixtures"
+    config = PipelineConfig(
+        provider={"type": "fixture", "path": str(fixtures)}, claim_concurrency=claim_concurrency
+    )
+    run_batch(claims, config, tmp_path / "recorded", provider=ScriptedResponder(seed=0))
+    shutil.copytree(tmp_path / "recorded" / "cache", fixtures)
+    replay = FixtureProvider(fixtures)
+    run_batch(claims, config, tmp_path / "replay", provider=replay)
+
+    def booked(run):
+        return json.loads((tmp_path / run / "cost.json").read_text(encoding="utf-8"))["stage_tokens"]
+
+    assert booked("replay") == booked("recorded")
+    assert replay.call_count == len((fixtures / "responses.jsonl").read_text(encoding="utf-8").splitlines())
 
 
 class GatedProvider:
@@ -1571,8 +1663,8 @@ USAGE_FIELDS = ("input_tokens", "output_tokens", "calls")
 def _inline_text_form(payload: dict) -> dict:
     """A record's JSON form as files held it before its evidence texts were
     one table: no ``texts``, each evidence set the dict of its fields and
-    each hit row holding its text."""
-    payload = dict(payload)
+    each hit row holding its text, and the stage trace stored."""
+    payload = dict(payload, stage_trace=[*map(str, RunRecord.from_dict(payload).stage_trace)])
     texts = payload.pop("texts")
     payload["evidence"] = [
         {"sub_claim_index": node, "items": [[*hit[:2], texts[hit[2]], hit[3]] for hit in hits], "k": k}
@@ -1584,7 +1676,7 @@ def _inline_text_form(payload: dict) -> dict:
 def _keyed_form(payload: dict) -> dict:
     """A record's JSON form as files held it before explanations, verdicts,
     graph edges and stage usage were rows: each part the dict of its fields,
-    and each hit holding its text (``_inline_text_form``)."""
+    and each hit holding its text and the trace stored (``_inline_text_form``)."""
     payload = _inline_text_form(payload)
     payload = dict(
         payload,
@@ -1629,6 +1721,7 @@ def test_a_record_in_the_pre_change_form_reads_exports_and_resumes_the_same(
     old = _pre_change_form(record)
     assert isinstance(old["evidence"][0]["items"][0], dict) and old["graph"]["sub_claims"]
     assert old["n"] == len(record.sub_claims) >= 2
+    assert old["stage_trace"] == STANDARD_TRACE
     assert old["structure_text"].startswith("Directed Graph")
     path = run_dir / "runs" / pipeline._record_filename(record.claim_id)
     jsonform.write_json(path, old)
@@ -1873,7 +1966,6 @@ def test_estimated_latency_equals_measured_for_one_claim(shape, workspace, tmp_p
         scheme="three_way",
         sub_claims=[f"Sub-claim {i}." for i in range(1, n + 1)],
         explanations=[{} for _ in range(nodes)],  # only their number counts here
-        stage_trace=list(trace),
         durations={stage: STAGE_SECONDS[stage] for stage in trace},
     )
     write_reports(tmp_path, PipelineConfig(), [record])

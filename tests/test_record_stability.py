@@ -2,7 +2,8 @@
 
 Each record digest is a sha256 over the records of forty fixture claims run
 through ``run_claim`` with the scripted provider: each record's JSON form,
-the form written to disk, with the timing-only ``durations`` field removed,
+the form written to disk, with its ``durations`` cut to the stages timed, in
+order (the record's stage trace is read off them), since the times vary,
 plus its derived ``explanation_graph`` (None without one). The graph is not
 stored, so it is added under the key a stored copy once had: the digest pins
 what is written and what is derived from it. A refactor of the pipeline must
@@ -68,17 +69,17 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "204592b9c42cf5df816a4567eeaecc400e1ce76a874f05e2ef656372c4777208",
-    "hypergraph": "99691ebe6e820a4e64ece3eecb8d120ef7ab0b5913aaca1776bcc5b4a6c8831e",
-    "background": "f0619e65d1a425d9bd6da8e1fd39e5cd73c5cd40ef0ced1ceb89454b043fb22d",
-    "enhanced": "c7dd16654664a41f857971a829ddb58c5bfcc74c32bd070b7415d03b5ed1675d",
-    "external_adapter": "7578fddb0678c4ead82640685cc65a6e8da5e8e922bc7920d99667cf37f36027",
-    "no_subclaims": "e21279df826f3370fadb0ca2436c055daa6a85b1e4523adf6baf8168a46bcf7a",
-    "no_edges": "b15f45393ab58afae9bd85e31bd0013d0460b1c8dfecda2a30c954407b5c38b4",
-    "no_evidence": "2312c6d50b65e05bb420e58610afbc2d34b00cf82cef393e5ddbd7d7b78e0d22",
-    "no_competing": "3058e28ba2298258948aff8a2d4294cdf94e3de103b6970a29be7fc5260a8c48",
-    "no_inference_training": "204592b9c42cf5df816a4567eeaecc400e1ce76a874f05e2ef656372c4777208",
-    "claim_only_bare": "a90a41e60ebe8a82fc3bb076a78ab09b1b92ed43fcb67a939e48c46ce389884a",
+    "default": "dc081c6f0246252b924f93cbf4d83804d9cec5830c320d65853ddaffbb6a2090",
+    "hypergraph": "c83dd9e2a669525182da546a624db7b2897f45b02fbccc4f76625f0ec2b862e9",
+    "background": "8b3fca7a5e351ef6a898ee4d086e03dcd2f83154b8b48e4bc281a005f6cfe484",
+    "enhanced": "ce45d31bd1e8778368f6f05dfd94ef133f8fd4d60526df91fcbccf1191c6dfe1",
+    "external_adapter": "745788f010e3d41ba869d7481dc20e78656450b54e6aaa0e195d49b3a58519c6",
+    "no_subclaims": "695b4270a01902866366db7958c429c9d7fa9fe3e0c7fdfb2ee14a834b949eb2",
+    "no_edges": "9bf8d7ad40aaf345dbd09de3bf47673f985881d8fd96c274513a573055dac17b",
+    "no_evidence": "51facd86a77f9158b5f7377804411c47d56e76c53835ab1bea24dcdd0f86d215",
+    "no_competing": "07e4f4ec8762830cf580dd2985a46acfabbf51381e3f45b9d0fb163b3dc6af65",
+    "no_inference_training": "dc081c6f0246252b924f93cbf4d83804d9cec5830c320d65853ddaffbb6a2090",
+    "claim_only_bare": "9f6ff96a46de78d650bf1aa0c794c41783c0bdf1a0d6b834b75ba3637f07e54e",
 }
 
 
@@ -159,7 +160,7 @@ def run_digests(config: PipelineConfig, claims, spy=None, claim_workers=1):
         check_stage_keys(record)
         payload = record.to_dict()
         assert "explanation_graph" not in payload
-        del payload["durations"]
+        payload["durations"] = [*payload["durations"]]
         payload["explanation_graph"] = record.explanation_graph
         payloads.append(payload)
     return sha256_json(payloads), sha256_json(sorted(spy.prompts))
@@ -283,8 +284,9 @@ def test_a_judged_report_matches_its_golden_digest(claims, tmp_path):
 # Mean bytes per claim a default scripted batch over the forty claims writes:
 # its record files, less the compact JSON of their timing-only durations, and
 # its response log. A record part written back as a dict of its fields, an
-# evidence text written more than once, or a longer request key, goes over them.
-RECORD_BYTES_PER_CLAIM = 2942
+# evidence text written more than once, a stored copy of the stage trace, or a
+# longer request key, goes over them.
+RECORD_BYTES_PER_CLAIM = 2797
 LOG_BYTES_PER_CLAIM = 2298
 
 

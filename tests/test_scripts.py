@@ -63,8 +63,9 @@ def test_make_fixtures_then_replay_them(tmp_path):
     # A fixture miss would still write a record, as a failure.
     records = load_run_records(replay)
     assert len(records) == 2 and all(r.succeeded for r in records)
-    # Replayed replies are stored already; the run books them and stores none.
-    assert not (replay / "cache" / "responses.jsonl").exists()
+    # A replay stores the replies it used, so its cache is itself a fixture set.
+    used = (replay / "cache" / "responses.jsonl").read_bytes()
+    assert sorted(used.splitlines()) == sorted(recorded.splitlines())
 
     cost = run_python(
         "-m", "claimgraph.cli", "cost", "--run-dir", replay, cwd=tmp_path / "elsewhere"
