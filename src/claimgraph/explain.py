@@ -54,9 +54,12 @@ class CompetingExplanations:
         return self.true_oriented if verdict_true else self.false_oriented  # type: ignore[return-value]
 
 
-def render_evidence(texts: Sequence[str]) -> str:
-    """Evidence slot content: one sentence per line, in rank order."""
-    return "\n".join(texts)
+def render_evidence(texts: Sequence[str], separator: str = "\n") -> str:
+    """Evidence slot content: each distinct text once, at its first rank.
+
+    The record keeps every hit, copies included; only the prompt drops them.
+    """
+    return separator.join(dict.fromkeys(texts))
 
 
 def _nonempty(text: str) -> str:
@@ -99,6 +102,7 @@ def generate_competing_pair(
     both: Callable[[Callable[[], str], Callable[[], str]], Tuple[str, str]] = _in_order,
 ) -> CompetingExplanations:
     """Two generation calls over identical evidence, the false side and the true side.
+    Each prompt lists each distinct evidence text once (``render_evidence``).
 
     Neither side reads the other's reply. ``both(first, second)`` runs the
     two and returns their replies in that order; by default it runs the
@@ -124,7 +128,8 @@ def generate_lone_analysis(
     sub_claim: str,
     evidence: EvidenceSet,
 ) -> CompetingExplanations:
-    """Single prior-free rationale, used when competing pairs are disabled."""
+    """Single prior-free rationale, used when competing pairs are disabled.
+    Its prompt lists each distinct evidence text once (``render_evidence``)."""
     prompt = render_body(
         ANALYSIS_PROMPT,
         {"sub_claim": sub_claim, "evidence": render_evidence(evidence.texts)},
@@ -141,11 +146,12 @@ def generate_background(
     embedder: EmbeddingProvider,
     pool_size: int,
 ) -> Tuple[str, EvidenceSet]:
-    """Stance-free context for a sub-claim over its top ``pool_size`` sentences."""
+    """Stance-free context for a sub-claim over its top ``pool_size`` sentences.
+    The prompt lists each distinct one once, joined by ", "; the pool keeps every hit."""
     pool = retrieve_top_k(sub_claim_index, sub_claim, index, embedder, k=pool_size)
     prompt = render_prompt(
         TemplateId.BACKGROUND,
-        {"sub_claim": sub_claim, "evidence": ", ".join(pool.texts)},
+        {"sub_claim": sub_claim, "evidence": render_evidence(pool.texts, ", ")},
     )
     text = _complete_nonempty(gateway, prompt, Stage.BACKGROUND_GENERATION, "background analysis")
     return text, pool

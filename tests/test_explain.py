@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from claimgraph.errors import ExplanationError
 from claimgraph.explain import (
@@ -9,7 +10,7 @@ from claimgraph.explain import (
     generate_lone_analysis,
     render_evidence,
 )
-from claimgraph.gateway import Stage
+from claimgraph.gateway import Stage, TemplateId, render_prompt
 from claimgraph.retrieval import (
     EvidenceCandidate,
     EvidenceSet,
@@ -19,6 +20,7 @@ from claimgraph.retrieval import (
 )
 
 from fakes import FakeGateway
+from test_record_stability import evidence_lines
 
 
 def small_evidence(index=1):
@@ -89,15 +91,67 @@ def test_lone_analysis_is_single_call():
     assert "veracity label" not in gw.prompts[0][1]
 
 
+def background_prompt(sub_claim, items):
+    """The background prompt whose evidence slot joins ``items`` with ", "."""
+    return render_prompt(
+        TemplateId.BACKGROUND, {"sub_claim": sub_claim, "evidence": ", ".join(items)}
+    )
+
+
 def test_background_uses_wide_pool_and_comma_joins():
     emb = HashingBagOfWordsEmbedder(dimension=16)
     candidates = [
         EvidenceCandidate(0, i, f"sentence number {i} about votes") for i in range(30)
     ]
+    # A second report carries a copy of each.
+    candidates += [EvidenceCandidate(1, c.sentence_index, c.text) for c in candidates]
     index = build_corpus_index(candidates, emb)
     gw = FakeGateway(["background text"])
     text, pool = generate_background(gw, 1, "about votes", index, emb, 20)
     assert text == "background text"
     assert len(pool.items) == 20
-    assert ", ".join(pool.texts) in gw.prompts[0][1]
+    distinct = list(dict.fromkeys(pool.texts))
+    assert len(distinct) < len(pool.texts)
+    assert gw.prompts[0][1] == background_prompt("about votes", distinct)
     assert gw.prompts[0][0] == Stage.BACKGROUND_GENERATION
+
+
+# Evidence texts drawn from a few distinct sentences, so that copies are common.
+evidence_texts = st.lists(
+    st.text(alphabet="ab ,.\u00e9", min_size=1, max_size=8), min_size=1, max_size=4, unique=True
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+
+
+@given(evidence_texts)
+def test_every_evidence_slot_lists_each_distinct_text_once_at_its_first_rank(texts):
+    items = tuple(RetrievedEvidence(0, i, text, 0.5) for i, text in enumerate(texts))
+    evidence = EvidenceSet(1, items, len(items))
+    gw = FakeGateway(["the false case", "the true case", "the analysis"])
+    generate_competing_pair(gw, 1, "the sub-claim", evidence)
+    generate_lone_analysis(gw, 1, "the sub-claim", evidence)
+    distinct = list(dict.fromkeys(texts))
+    assert [evidence_lines(prompt) for _stage, prompt in gw.prompts] == [distinct] * 3
+
+    emb = HashingBagOfWordsEmbedder(dimension=16)
+    index = build_corpus_index([EvidenceCandidate(0, i, t) for i, t in enumerate(texts)], emb)
+    gw = FakeGateway(["background text"])
+    _text, pool = generate_background(gw, 1, "the sub-claim", index, emb, len(texts))
+    assert sorted(pool.texts) == sorted(texts)
+    assert gw.prompts[0][1] == background_prompt("the sub-claim", dict.fromkeys(pool.texts))
+
+
+@given(evidence_texts.map(lambda texts: list(dict.fromkeys(texts))))
+def test_evidence_without_copies_renders_as_the_plain_join(texts):
+    items = tuple(RetrievedEvidence(0, i, text, 0.5) for i, text in enumerate(texts))
+    gw = FakeGateway(["the false case", "the true case"])
+    generate_competing_pair(gw, 1, "the sub-claim", EvidenceSet(1, items, len(items)))
+    assert gw.prompts[0][1] == render_prompt(
+        TemplateId.RATIONALE,
+        {"sub_claim": "the sub-claim", "prior_label": "false", "evidence": "\n".join(texts)},
+    )
+
+    emb = HashingBagOfWordsEmbedder(dimension=16)
+    index = build_corpus_index([EvidenceCandidate(0, i, t) for i, t in enumerate(texts)], emb)
+    gw = FakeGateway(["background text"])
+    _text, pool = generate_background(gw, 1, "the sub-claim", index, emb, len(texts))
+    assert gw.prompts[0][1] == background_prompt("the sub-claim", pool.texts)

@@ -48,6 +48,7 @@ from claimgraph.graphs import HyperGraph
 from claimgraph.inference import graph_to_seq, hypergraph_to_seq
 from claimgraph.ingest import load_manifest, load_records
 from claimgraph.labels import SIX_WAY
+from claimgraph.records import ClaimRecord, Report
 from claimgraph.pipeline import (
     Failure,
     PipelineConfig,
@@ -64,7 +65,12 @@ from claimgraph.pipeline import (
 from claimgraph.summarize import export_dot, parse_structured
 
 from test_acceptance import _EXPECTED_TRACES as ACCEPTED_TRACES
-from test_record_stability import CONFIGS as STABILITY_CONFIGS, STUB_ADAPTER, PromptSpy
+from test_record_stability import (
+    CONFIGS as STABILITY_CONFIGS,
+    STUB_ADAPTER,
+    PromptSpy,
+    evidence_lines,
+)
 
 STANDARD_TRACE = [
     "claim_decomposition",
@@ -276,6 +282,52 @@ def test_adapter_prediction_source(two_records):
     assert record.prediction.source == "external_adapter"
     assert record.prediction.label == "half"
     assert record.prediction.probabilities == (0.1, 0.7, 0.2)
+
+
+SHARED = "The council cut the transit budget by forty percent."
+OWN_SENTENCES = ("Riders protested outside city hall.", "The vote was seven to two.")
+
+
+def syndicated_claim(claim_id, *extra_reports):
+    """A claim whose first report's opening sentence a second report copies."""
+    reports = (Report((SHARED, *OWN_SENTENCES)), *extra_reports)
+    return ClaimRecord(claim_id, "The council cut the transit budget after a vote.", reports)
+
+
+def rationale_prompts(prompts):
+    return [prompt for prompt in prompts if prompt.startswith("Given a claim: ")]
+
+
+def test_a_copied_sentence_is_two_hits_but_one_line_of_each_rationale_prompt():
+    spy = PromptSpy()
+    claim = syndicated_claim("copied", Report(("A wire copy follows.", SHARED)))
+    record = run_claim(build_runtime(PipelineConfig(), provider=spy), claim)
+    assert record.succeeded
+    for evidence in record.evidence:
+        hits = [(hit.report_index, hit.sentence_index) for hit in evidence.items]
+        assert {(0, 0), (1, 1)} <= set(hits)
+        similarities = [hit.similarity for hit in evidence.items]
+        assert similarities == sorted(similarities, reverse=True)
+    prompts = rationale_prompts(spy.prompts)
+    assert len(prompts) == 2 * len(record.sub_claims)
+    assert all(evidence_lines(prompt).count(SHARED) == 1 for prompt in prompts)
+
+
+def test_evidence_that_differs_only_by_a_copy_is_answered_by_the_store(tmp_path):
+    # The same sub-claims over the same distinct evidence: the second claim's
+    # rationale prompts are the first's, byte for byte.
+    spy = PromptSpy()
+    runtime = build_runtime(PipelineConfig(), tmp_path, provider=spy)
+    first = run_claim(runtime, syndicated_claim("first"))
+    second = run_claim(runtime, syndicated_claim("second", Report((SHARED,))))
+    runtime.close()
+    assert first.succeeded and second.succeeded
+    assert second.sub_claims == first.sub_claims
+    assert [len(e.items) for e in second.evidence] == [len(e.items) + 1 for e in first.evidence]
+    prompts = rationale_prompts(spy.prompts)
+    assert len(prompts) == len(set(prompts)) == 2 * len(first.sub_claims)
+    assert Stage.EXPLANATION_GENERATION not in second.stage_usage
+    assert second.explanations == first.explanations
 
 
 class DeadProvider:

@@ -15,7 +15,8 @@ same run, sorted, so that it does not depend on the order in which a claim's
 overlapping calls reach the provider. A change that is meant to alter a
 prompt (a template body, the graph serialization, a corrective note) must
 update the prompt digest of every config it moves and say why in CHANGES.md;
-the record digests of those configs move with it.
+the record digests of those configs move with it. No rationale or analysis
+prompt of any config lists an evidence line twice.
 
 Each document digest is a sha256 over the bytes of a document a run writes:
 ``report.json`` and ``cost.json`` of a scripted batch over the same claims,
@@ -69,16 +70,16 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "default": "dc081c6f0246252b924f93cbf4d83804d9cec5830c320d65853ddaffbb6a2090",
-    "hypergraph": "c83dd9e2a669525182da546a624db7b2897f45b02fbccc4f76625f0ec2b862e9",
-    "background": "8b3fca7a5e351ef6a898ee4d086e03dcd2f83154b8b48e4bc281a005f6cfe484",
-    "enhanced": "ce45d31bd1e8778368f6f05dfd94ef133f8fd4d60526df91fcbccf1191c6dfe1",
-    "external_adapter": "745788f010e3d41ba869d7481dc20e78656450b54e6aaa0e195d49b3a58519c6",
-    "no_subclaims": "695b4270a01902866366db7958c429c9d7fa9fe3e0c7fdfb2ee14a834b949eb2",
-    "no_edges": "9bf8d7ad40aaf345dbd09de3bf47673f985881d8fd96c274513a573055dac17b",
+    "default": "fd0b87e423985fa656cb0ed7d3a186cb36bc77b3983eae9be795b906910b0353",
+    "hypergraph": "efab5029cc8c030f6c17c833a07bdc61afb0d374713f7f3813dd5095f92ed97c",
+    "background": "04671208f510f5f8a8b2f68d0c677b4f2aa70bf401d1109093099ad63754c6d7",
+    "enhanced": "227bf0d72a3db11a1d287a1de7502d9f014d65ac5486fad6841d934df7bf58ca",
+    "external_adapter": "1e2fe102dbbc8869404185a29e16b2cab038f4b33ee63408772a7a43f9ea1040",
+    "no_subclaims": "82dbcd83cd510c63792757b17101f795c7b66705ea8131b7ceaefb517e073d56",
+    "no_edges": "532a967483170873eeeeeefa5ea739c00f4a807aa7986c586d97d8159e3b0efe",
     "no_evidence": "51facd86a77f9158b5f7377804411c47d56e76c53835ab1bea24dcdd0f86d215",
-    "no_competing": "07e4f4ec8762830cf580dd2985a46acfabbf51381e3f45b9d0fb163b3dc6af65",
-    "no_inference_training": "dc081c6f0246252b924f93cbf4d83804d9cec5830c320d65853ddaffbb6a2090",
+    "no_competing": "336b08f63f009aecccaf945fadfa152ba640ec7ce7d95045a4d76d8e1356c9f6",
+    "no_inference_training": "fd0b87e423985fa656cb0ed7d3a186cb36bc77b3983eae9be795b906910b0353",
     "claim_only_bare": "9f6ff96a46de78d650bf1aa0c794c41783c0bdf1a0d6b834b75ba3637f07e54e",
 }
 
@@ -88,27 +89,27 @@ DOCUMENT_CONFIGS = ("default", "background", "external_adapter")
 COST_TIMINGS = ("latency_components_sec", "estimated_latency_sec", "measured_latency_sec")
 
 DOCUMENT_DIGESTS = {
-    "default/report.json": "984aaafc48d8eca4b57bc9385d5b3c580419ee12b6894637a1914f295bdae7b0",
-    "default/cost.json": "f8518b626ce353bfa951cd8e14fd364d20f58653323869593d7a572fec47e2cd",
-    "background/report.json": "36d111ca1100fc2544de6e1c2fb2f6c7e58ab881627f3f61116db854e9717822",
-    "background/cost.json": "afe096ed3525b113062b6607bb977d2f7c7d0f1086783da989a971f9a477bbbb",
+    "default/report.json": "479cd68671bf9b5c0664712e76fe838b1820323317fef1c9f6f8ab39e6b0b4e3",
+    "default/cost.json": "0d21e3faa2de6df7c98608acab168a5a72218e7b1428e172e9349b4a6c0ae62d",
+    "background/report.json": "e7cc1f9d8dbb87922714e8cf676358ddcb10e4fe5099aa63f35aff2efad9592a",
+    "background/cost.json": "bc91b87d626953c0ec78ddcf1bbd20ddfdd954d2442f3a36b4d7befee0d4ba22",
     "external_adapter/report.json": "8ee54a3daec1ed1724d52145dfc4d22cfcc1df78538064ee4244109b791b40af",
-    "external_adapter/cost.json": "6ac2cae60c1c3e427617fadab1f38eb598c9f72a7e31414c3558f34d58a9741d",
-    "default/judged/report.json": "f156152f4e101930d8773d4fc9309a733b7bf6554edbc0be346ed307318cacd9",
+    "external_adapter/cost.json": "e73897ca189cd40f5ac86e3a0b0b855b2fd0b2e7b40765d7a71f5477560f1ea2",
+    "default/judged/report.json": "4b460a88818d99547b0f01b904819128ae155587efcba1bd54929c4bfd5cf0cc",
     "manifest.json": "f68d135d9757f4b0a7b79c91efa0174470b7852250aa27ab2a3e01b134e15df6",
 }
 
 PROMPT_DIGESTS = {
-    "default": "59770f268e1552cd1467f41d2ccbf7016225098628f7111f8cbfa4e6d6fc4042",
-    "hypergraph": "2283a354d8f560d693a37334beec69fb00ce8d1b5877c8fee6ca578aabee5e0a",
-    "background": "16b61fd4ffd3ce1e51db3a8736388d11cc6823812ff5ddb713a5a49794c58ad4",
-    "enhanced": "c06df29804a5ac26fce0df1fedcbfb31243173f46120ad30ed9dfe6ec5696737",
-    "external_adapter": "d204ae7a8696c5434f3bf727b907b242e3e2f0cadc36a6b74b351caef384e55b",
-    "no_subclaims": "54da5662ccaa203767217185bb955897aa09c3d9f9de2a886b08e85506dd20e3",
-    "no_edges": "c5f437bcb44a625238b69dd121ea229edd897f8089d7b18dd3763e0d565cbf85",
+    "default": "96380106eb176f74c3a6f8af89d6b79f18baeadc0e564c567dc624fa381cbc90",
+    "hypergraph": "9c8ccbe72633987b1accc2c4ba1b2cd94007949898b22617af51787083595fe6",
+    "background": "3d7c811ef6f15770c2f5bc5cd136f8f421d36b417b9cd116a79581ebe2102410",
+    "enhanced": "fd34d9cd83a339ce523a01346efd2e17a423e92cb1889f36b321a33a20dd8947",
+    "external_adapter": "cb00f0137a4609e73b87f71608c7a2a8892a18ee1a5497175e973b29f35e0f9a",
+    "no_subclaims": "a883b508dd6fe93feda9ab6ef8cb702d774b256d1a2fe138d2c2092c1908c7ec",
+    "no_edges": "bbfb0f1b967a32498d6582abf216060bb8e0fea2f2c704d2b3582b2de36af612",
     "no_evidence": "95a552daac45b93128fccbbc545687618a474669fe3eeec251a4314a8905736b",
-    "no_competing": "542306f2d816446b3bad280c4ab4d2d193d278185677fb4176bdad3d0d5cae26",
-    "no_inference_training": "59770f268e1552cd1467f41d2ccbf7016225098628f7111f8cbfa4e6d6fc4042",
+    "no_competing": "317b4fdedcb8c1864b836b297978c386f65a8a4b2a1e1e0e0b63ef6f03746ab1",
+    "no_inference_training": "96380106eb176f74c3a6f8af89d6b79f18baeadc0e564c567dc624fa381cbc90",
     "claim_only_bare": "f1ac87b5eaf496ac7dcf2918921a8e02e1d7ac20d1c80647136b880e66234ce7",
 }
 
@@ -180,11 +181,13 @@ def claims(manifest_path):
 
 @pytest.fixture(scope="module")
 def digests(claims):
+    """Per config: (records digest, prompts digest, the prompts the provider received)."""
     runs = {}
 
     def of(name):
         if name not in runs:
-            runs[name] = run_digests(PipelineConfig(**CONFIGS[name]), claims)
+            spy = PromptSpy()
+            runs[name] = (*run_digests(PipelineConfig(**CONFIGS[name]), claims, spy), spy.prompts)
         return runs[name]
 
     return of
@@ -210,6 +213,31 @@ def test_digests_do_not_depend_on_call_order(name, claims):
     config = PipelineConfig(**CONFIGS[name])
     expected = (DIGESTS[name], PROMPT_DIGESTS[name])
     assert run_digests(config, claims, ShuffledSpy(), claim_workers=4) == expected
+
+
+# Around the evidence block of a rationale or a lone-analysis prompt.
+EVIDENCE_OPENS = "but they are mixed with noise: "
+EVIDENCE_CLOSES = ".\nNote, please do not repeat the claim"
+
+
+def evidence_lines(prompt: str):
+    """The lines of a rationale or analysis prompt's evidence block; None for other prompts."""
+    _head, opens, rest = prompt.partition(EVIDENCE_OPENS)
+    if not opens:
+        return None
+    block, closes, _tail = rest.rpartition(EVIDENCE_CLOSES)
+    assert closes
+    return block.split("\n")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_no_evidence_block_repeats_a_line(name, digests):
+    # Reports carry copies of one sentence, and retrieval ranks each copy;
+    # a prompt lists the text once.
+    blocks = [lines for lines in map(evidence_lines, digests(name)[2]) if lines is not None]
+    assert blocks
+    repeating = [lines for lines in blocks if len(set(lines)) < len(lines)]
+    assert not repeating, f"{len(repeating)} of {len(blocks)} evidence blocks repeat a line"
 
 
 def sha256_text(text: str) -> str:
